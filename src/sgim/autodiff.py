@@ -125,12 +125,6 @@ def max_with_zero(a: Node) -> Node:
                 lambda g: (g * (av > 0.0),))
 
 
-def relu(a: Node) -> Node:
-    n = max_with_zero(a)
-    n.op = "relu"
-    return n
-
-
 def sum_all(a: Node) -> Node:
     return Node(a.value.sum(), "sum", (a,),
                 lambda g: (np.broadcast_to(g, a.value.shape).copy(),))

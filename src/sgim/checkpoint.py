@@ -14,6 +14,7 @@ Loading a saved checkpoint reproduces every byte of every array.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -49,25 +50,43 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], config_text: str,
             fh.write(arr.astype("<f8").tobytes())
 
 
+def _read(fh, n: int, path: Path) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise UsageError(f"{path}: truncated checkpoint (wanted {n} bytes at "
+                         f"offset {fh.tell() - len(data)}, got {len(data)})")
+    return data
+
+
+def _unpack(fh, fmt: str, path: Path):
+    return struct.unpack(fmt, _read(fh, struct.calcsize(fmt), path))[0]
+
+
+def _text(fh, len_fmt: str, path: Path) -> str:
+    try:
+        return _read(fh, _unpack(fh, len_fmt, path), path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: checkpoint text is not utf-8: {exc}") from exc
+
+
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str, int]:
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise UsageError(f"{path}: not a checkpoint (magic {magic!r})")
-        seed = struct.unpack("<q", fh.read(8))[0]
-        config_len = struct.unpack("<I", fh.read(4))[0]
-        config_text = fh.read(config_len).decode("utf-8")
-        count = struct.unpack("<I", fh.read(4))[0]
+        seed = _unpack(fh, "<q", path)
+        config_text = _text(fh, "<I", path)
+        count = _unpack(fh, "<I", path)
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):
-            name_len = struct.unpack("<H", fh.read(2))[0]
-            name = fh.read(name_len).decode("utf-8")
-            ndim = struct.unpack("<B", fh.read(1))[0]
-            shape = tuple(struct.unpack("<i", fh.read(4))[0]
-                          for _ in range(ndim))
-            n_items = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * n_items), dtype="<f8")
+            name = _text(fh, "<H", path)
+            ndim = _unpack(fh, "<B", path)
+            shape = tuple(_unpack(fh, "<i", path) for _ in range(ndim))
+            if any(d < 0 for d in shape):
+                raise UsageError(f"{path}: array {name!r} has shape {shape}")
+            data = np.frombuffer(_read(fh, 8 * math.prod(shape), path),
+                                 dtype="<f8")
             arrays[name] = data.reshape(shape).astype(np.float64, copy=True)
     return arrays, config_text, seed
 

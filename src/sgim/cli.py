@@ -35,9 +35,8 @@ from .evaluate import (ablate_weak_loss, ablation_csv, direction_stats,
                        soft_direction_check, zero_shot_classify)
 from .generator import fit_generator_to_dataset, sample_source_latent, synthesize
 from .gradcheck import format_results, run_gradient_checks
-from .manipulate import (ManipConfig, ModelBundle, init_identity_extractor,
-                         interpolate, optimize_latent, style_mix,
-                         trajectory_csv)
+from .manipulate import (ModelBundle, init_identity_extractor, interpolate,
+                         optimize_latent, style_mix, trajectory_csv)
 from .pgm import write_pgm
 
 
@@ -144,18 +143,6 @@ def cmd_train_audio(args, config: RunConfig) -> int:
     return 0
 
 
-def _manip_config(args, config: RunConfig, seed: int) -> ManipConfig:
-    return ManipConfig(
-        lambda_reg=(config.lambda_reg if args.lambda_reg is None
-                    else args.lambda_reg),
-        lambda_id=config.lambda_id if args.lambda_id is None else args.lambda_id,
-        steps=config.manip_steps if args.steps is None else args.steps,
-        step_size=(config.manip_step_size if args.step_size is None
-                   else args.step_size),
-        seed=seed, adaptive_masking=config.adaptive_masking,
-        identity_enabled=config.identity_enabled)
-
-
 def cmd_manipulate(args, config: RunConfig) -> int:
     run = Path(args.run)
     _echo_config(run, config)
@@ -172,7 +159,9 @@ def cmd_manipulate(args, config: RunConfig) -> int:
     if not (0 <= args.audio_index < len(records)):
         raise UsageError(f"audio index out of range [0, {len(records)})")
     mel = records[args.audio_index].audio
-    manip = _manip_config(args, config, config.seed_for("manip"))
+    manip = config.manip_config(lambda_reg=args.lambda_reg,
+                                lambda_id=args.lambda_id, steps=args.steps,
+                                step_size=args.step_size)
     w_a, gate, trajectory = optimize_latent(w_s, mel, manip, models)
     out = run / "manip" / args.tag
     out.mkdir(parents=True, exist_ok=True)

@@ -6,14 +6,17 @@ are noted next to the fields they correspond to.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from . import kvtext
 from .data import DatasetManifest
 from .encoders import TrainConfig
 from .errors import ConfigError
 from .losses import LossFlags
+from .manipulate import ManipConfig
 
 # fixed per-stage offsets applied to the master seed
 SEED_OFFSETS = {
@@ -91,18 +94,15 @@ class RunConfig:
     def seed_for(self, stage: str) -> int:
         return stage_seed(self.master_seed, stage)
 
+    def _stage_config(self, cls, **renamed):
+        """A ``cls`` whose fields take this config's fields of the same name;
+        ``renamed`` gives the rest."""
+        shared = {f.name: copy.copy(getattr(self, f.name)) for f in fields(cls)
+                  if f.name not in renamed and hasattr(self, f.name)}
+        return cls(**shared, **renamed)
+
     def dataset_manifest(self) -> DatasetManifest:
-        return DatasetManifest(
-            classes=self.classes, videos_per_class=self.videos_per_class,
-            records_per_video=self.records_per_video, freq_bins=self.freq_bins,
-            time_frames=self.time_frames, pixels=self.pixels,
-            seed=self.seed_for("data"), bias_spec=dict(self.bias_spec),
-            bias_cooccurrence=self.bias_cooccurrence,
-            audio_video_offset=self.audio_video_offset,
-            image_video_offset=self.image_video_offset,
-            audio_noise=self.audio_noise, image_noise=self.image_noise,
-            nuisance_scale=self.nuisance_scale,
-            intensity_min=self.intensity_min, intensity_max=self.intensity_max)
+        return self._stage_config(DatasetManifest, seed=self.seed_for("data"))
 
     def loss_flags(self) -> LossFlags:
         return LossFlags(use_at=self.use_loss_at, use_av=self.use_loss_av,
@@ -110,106 +110,31 @@ class RunConfig:
                          kl_full_rows=self.kl_full_rows)
 
     def teacher_train_config(self) -> TrainConfig:
-        return TrainConfig(lr=self.teacher_lr, epochs=self.teacher_epochs,
-                           batch_size=self.batch_size, tau=self.tau,
-                           momentum=self.momentum, sched_period=self.sched_period,
-                           text_aug_prob=self.text_aug_prob,
-                           seed=self.seed_for("teacher"))
+        return self._stage_config(TrainConfig, lr=self.teacher_lr,
+                                  epochs=self.teacher_epochs,
+                                  seed=self.seed_for("teacher"))
 
     def audio_train_config(self) -> TrainConfig:
-        return TrainConfig(lr=self.audio_lr, epochs=self.audio_epochs,
-                           batch_size=self.batch_size, tau=self.tau,
-                           momentum=self.momentum, sched_period=self.sched_period,
-                           freq_mask_ratio=self.freq_mask_ratio,
-                           time_mask_ratio=self.time_mask_ratio,
-                           text_aug_prob=self.text_aug_prob,
-                           seed=self.seed_for("audio"), flags=self.loss_flags())
+        return self._stage_config(TrainConfig, lr=self.audio_lr,
+                                  epochs=self.audio_epochs,
+                                  seed=self.seed_for("audio"),
+                                  flags=self.loss_flags())
 
-
-_INT_KEYS = {"master_seed", "classes", "videos_per_class", "records_per_video",
-             "freq_bins", "time_frames", "pixels", "embed_dim", "hidden_dim",
-             "teacher_epochs", "audio_epochs", "batch_size", "sched_period",
-             "latent_dim", "gen_fit_epochs", "manip_steps", "probe_epochs",
-             "direction_seeds"}
-_FLOAT_KEYS = {"bias_cooccurrence", "audio_video_offset", "image_video_offset",
-               "audio_noise", "image_noise", "nuisance_scale", "intensity_min",
-               "intensity_max", "tau", "teacher_lr", "audio_lr", "momentum",
-               "freq_mask_ratio", "time_mask_ratio", "text_aug_prob",
-               "lambda_reg", "lambda_id", "manip_step_size", "probe_lr"}
-_BOOL_KEYS = {"use_loss_at", "use_loss_av", "use_loss_self", "use_loss_kl",
-              "kl_full_rows", "adaptive_masking", "identity_enabled"}
-
-
-def _parse_bool(value: str, key: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: cannot parse boolean from {value!r}")
-
-
-def _parse_bias_spec(value: str) -> dict[int, int]:
-    if not value.strip():
-        return {}
-    try:
-        return {int(c): int(p) for c, p in
-                (item.split(":") for item in value.split(","))}
-    except ValueError as exc:
-        raise ConfigError(f"bias_spec: malformed {value!r}") from exc
-
-
-def set_key(config: RunConfig, key: str, value: str) -> None:
-    if key in _INT_KEYS:
-        try:
-            setattr(config, key, int(value))
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected integer, got {value!r}") from exc
-    elif key in _FLOAT_KEYS:
-        try:
-            setattr(config, key, float(value))
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected float, got {value!r}") from exc
-    elif key in _BOOL_KEYS:
-        setattr(config, key, _parse_bool(value, key))
-    elif key == "bias_spec":
-        config.bias_spec = _parse_bias_spec(value)
-    else:
-        raise ConfigError(f"unknown config key {key!r}")
+    def manip_config(self, **overrides) -> ManipConfig:
+        """The manipulation settings; an override of None keeps the
+        configured value."""
+        renamed = {"steps": self.manip_steps, "step_size": self.manip_step_size}
+        renamed.update((k, v) for k, v in overrides.items() if v is not None)
+        return self._stage_config(ManipConfig, **renamed)
 
 
 def config_to_text(config: RunConfig) -> str:
-    lines = []
-    for f in fields(config):
-        val = getattr(config, f.name)
-        if f.name == "bias_spec":
-            val = ",".join(f"{c}:{p}" for c, p in sorted(val.items()))
-        elif isinstance(val, bool):
-            val = int(val)
-        elif isinstance(val, float):
-            val = repr(val)
-        lines.append(f"{f.name}={val}")
-    return "\n".join(lines) + "\n"
+    return kvtext.to_text(config)
 
 
 def config_from_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    config = base if base is not None else RunConfig()
-    bad: list[str] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            bad.append(line)
-            continue
-        try:
-            set_key(config, key.strip(), value.strip())
-        except ConfigError:
-            bad.append(key.strip())
-    if bad:
-        raise ConfigError(f"invalid config entries: {', '.join(sorted(set(bad)))}")
-    return config
+    return kvtext.update_from_text(base if base is not None else RunConfig(),
+                                   text, "config")
 
 
 def load_config(path, overrides: list[str] | None = None) -> RunConfig:
@@ -221,7 +146,7 @@ def load_config(path, overrides: list[str] | None = None) -> RunConfig:
         key, sep, value = item.partition("=")
         if not sep:
             raise ConfigError(f"override must look like key=value: {item!r}")
-        set_key(config, key.strip(), value.strip())
+        kvtext.set_key(config, key.strip(), value)
     return config
 
 

@@ -11,12 +11,15 @@ the mid bands so it is visually orthogonal to class content.
 from __future__ import annotations
 
 import logging
+import math
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import kvtext
 from .augment import (CLASS_LABEL_WORDS, TokenSeq, Vocabulary,
                       default_vocabulary, spec_augment)
 from .basis import band_of_rows, cosine_basis, image_side
@@ -47,7 +50,6 @@ class DatasetManifest:
     time_frames: int = 10
     pixels: int = 64
     seed: int = 0
-    bias_spec: dict[int, int] = field(default_factory=lambda: {0: 0, 1: 0})
     bias_cooccurrence: float = 0.8
     audio_video_offset: float = 0.7
     image_video_offset: float = 0.7
@@ -56,6 +58,7 @@ class DatasetManifest:
     nuisance_scale: float = 0.5
     intensity_min: float = 0.2
     intensity_max: float = 1.0
+    bias_spec: dict[int, int] = field(default_factory=lambda: {0: 0, 1: 0})
 
     def validate(self) -> None:
         counts = (self.classes, self.videos_per_class, self.records_per_video,
@@ -228,6 +231,21 @@ def sample_weak_pair(records: list[TriModalRecord], record: TriModalRecord,
     return candidates[int(rng.integers(0, len(candidates)))]
 
 
+def weak_candidate_counts(records: list[TriModalRecord],
+                          ) -> dict[tuple[int, int], int]:
+    """How many records ``sample_weak_pair`` chooses among, per
+    (class_id, video_id) of the pool, counting its single-video fallback."""
+    per_class = Counter(r.class_id for r in records)
+    per_video = Counter((r.class_id, r.video_id) for r in records)
+    counts = {}
+    for (c, v), n in per_video.items():
+        counts[(c, v)] = per_class[c] - n
+        if counts[(c, v)] == 0:
+            log.warning("weak pair fallback: class %d has a single video", c)
+            counts[(c, v)] = per_class[c]
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # persistence: manifest as key=value text, one flat binary file per modality
 
@@ -251,56 +269,31 @@ def _write_tmd(path: Path, arr: np.ndarray) -> None:
 
 
 def _read_tmd(path: Path, dtype) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise UsageError(f"{path}: bad magic {magic!r}")
-        count = struct.unpack("<i", fh.read(4))[0]
-        ndim = struct.unpack("<i", fh.read(4))[0]
-        dims = [struct.unpack("<i", fh.read(4))[0] for _ in range(ndim)]
-        body = fh.read()
-    shape = (count, *dims)
-    arr = np.frombuffer(body, dtype=dtype).reshape(shape)
+    blob = Path(path).read_bytes()
+    if blob[:4] != _MAGIC:
+        raise UsageError(f"{path}: bad magic {blob[:4]!r}")
+    if len(blob) < 12:
+        raise UsageError(f"{path}: truncated header ({len(blob)} bytes)")
+    count, ndim = struct.unpack_from("<ii", blob, 4)
+    body_start = 12 + 4 * ndim
+    if ndim < 0 or len(blob) < body_start:
+        raise UsageError(f"{path}: truncated header ({len(blob)} bytes, "
+                         f"{ndim} dims)")
+    shape = (count, *struct.unpack_from(f"<{ndim}i", blob, 12))
+    body = len(blob) - body_start
+    if min(shape) < 0 or body != math.prod(shape) * np.dtype(dtype).itemsize:
+        raise UsageError(f"{path}: body of {body} bytes does not match "
+                         f"shape {shape}")
+    arr = np.frombuffer(blob, dtype=dtype, offset=body_start).reshape(shape)
     return arr.astype(arr.dtype.newbyteorder("="), copy=True)
 
 
 def manifest_to_text(m: DatasetManifest) -> str:
-    lines = []
-    for key in ("classes", "videos_per_class", "records_per_video", "freq_bins",
-                "time_frames", "pixels", "seed"):
-        lines.append(f"{key}={getattr(m, key)}")
-    for key in ("bias_cooccurrence", "audio_video_offset", "image_video_offset",
-                "audio_noise", "image_noise", "nuisance_scale",
-                "intensity_min", "intensity_max"):
-        lines.append(f"{key}={getattr(m, key)!r}")
-    spec = ",".join(f"{c}:{p}" for c, p in sorted(m.bias_spec.items()))
-    lines.append(f"bias_spec={spec}")
-    return "\n".join(lines) + "\n"
+    return kvtext.to_text(m)
 
 
-def manifest_from_text(text: str) -> DatasetManifest:
-    m = DatasetManifest()
-    ints = {"classes", "videos_per_class", "records_per_video", "freq_bins",
-            "time_frames", "pixels", "seed"}
-    floats = {"bias_cooccurrence", "audio_video_offset", "image_video_offset",
-              "audio_noise", "image_noise", "nuisance_scale",
-              "intensity_min", "intensity_max"}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        if key in ints:
-            setattr(m, key, int(value))
-        elif key in floats:
-            setattr(m, key, float(value))
-        elif key == "bias_spec":
-            m.bias_spec = ({} if not value else
-                           {int(c): int(p) for c, p in
-                            (item.split(":") for item in value.split(","))})
-        else:
-            raise UsageError(f"unknown manifest key {key!r}")
-    return m
+def manifest_from_text(text: str, source: str = "manifest") -> DatasetManifest:
+    return kvtext.update_from_text(DatasetManifest(), text, source)
 
 
 def save_dataset(dirpath, manifest: DatasetManifest,
@@ -321,7 +314,8 @@ def save_dataset(dirpath, manifest: DatasetManifest,
 
 def load_dataset(dirpath) -> tuple[DatasetManifest, list[TriModalRecord]]:
     d = Path(dirpath)
-    manifest = manifest_from_text((d / "manifest.txt").read_text(encoding="utf-8"))
+    path = d / "manifest.txt"
+    manifest = manifest_from_text(path.read_text(encoding="utf-8"), str(path))
     audio = _read_tmd(d / "audio.tmd", "<f8")
     image = _read_tmd(d / "image.tmd", "<f8")
     text = _read_tmd(d / "text.tmd", "<i4")

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .augment import TokenSeq, augment_text, DEFAULT_SYNONYMS
-from .data import MiniBatch, TriModalRecord, sample_minibatch, sample_weak_pair
+from .data import (MiniBatch, TriModalRecord, sample_minibatch,
+                   sample_weak_pair, weak_candidate_counts)
 from .errors import DegenerateInputError, UsageError
 from .losses import (LossBreakdown, LossFlags, info_nce_pair_node,
                      total_loss_node, weak_kl_loss_node)
@@ -151,10 +152,6 @@ class TrainConfig:
     flags: LossFlags = field(default_factory=LossFlags)
 
 
-TEACHER_LR = 0.1
-TEACHER_EPOCHS = 20
-
-
 class _MomentumSGD:
     def __init__(self, arrays: dict[str, np.ndarray], momentum: float):
         self.momentum = momentum
@@ -222,15 +219,11 @@ def pretrain_teacher(records: list[TriModalRecord],
     return TeacherParams(text=text_p, image=image_p), log
 
 
-def _teacher_views(batch: MiniBatch, weak_records: list[TriModalRecord],
-                   teacher: TeacherParams, rng: np.random.Generator,
-                   text_aug_prob: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _teacher_views(batch: MiniBatch, teacher: TeacherParams,
+                   rng: np.random.Generator,
+                   text_aug_prob: float) -> tuple[np.ndarray, np.ndarray]:
     bags = _augmented_bags(batch.texts, rng, text_aug_prob)
-    t = encode_np(teacher.text, bags)
-    v = encode_np(teacher.image, batch.images)
-    weak_images = np.stack([r.image for r in weak_records])
-    v_weak = encode_np(teacher.image, weak_images)
-    return t, v, v_weak
+    return encode_np(teacher.text, bags), encode_np(teacher.image, batch.images)
 
 
 def batch_total_loss(batch: MiniBatch, weak_records: list[TriModalRecord],
@@ -296,8 +289,8 @@ def train_audio_encoder(records: list[TriModalRecord], teacher: TeacherParams,
     n = len(records)
     bsz = min(config.batch_size, n)
     steps = max(n // bsz, 1)
-    main_flags = LossFlags(use_at=config.flags.use_at, use_av=config.flags.use_av,
-                           use_self=config.flags.use_self, use_kl=False)
+    main_flags = replace(config.flags, use_kl=False)
+    weak_counts = weak_candidate_counts(records)
     log: list[tuple[int, LossBreakdown]] = []
     for epoch in range(config.epochs):
         lr = cyclic_lr(config.lr, epoch, config.sched_period)
@@ -306,13 +299,16 @@ def train_audio_encoder(records: list[TriModalRecord], teacher: TeacherParams,
             batch = sample_minibatch(records, bsz, rng,
                                      config.freq_mask_ratio,
                                      config.time_mask_ratio)
-            weak = [sample_weak_pair(records, r, rng) for r in batch.records]
-            t, v, v_weak = _teacher_views(batch, weak, teacher, rng,
-                                          config.text_aug_prob)
+            # the main batch's weak pairs are never read, since its loss
+            # runs with use_kl=False; their draws stay because every later
+            # batch depends on the rng state they advance
+            for r in batch.records:
+                rng.integers(0, weak_counts[(r.class_id, r.video_id)])
+            t, v = _teacher_views(batch, teacher, rng, config.text_aug_prob)
             an = encoder_param_nodes(audio_p)
             a = encode_nodes(an, ad.constant(batch.audio.reshape(bsz, -1)))
             a_aug = encode_nodes(an, ad.constant(batch.audio_aug.reshape(bsz, -1)))
-            loss, br = total_loss_node(a, a_aug, t, v, v_weak, config.tau,
+            loss, br = total_loss_node(a, a_aug, t, v, None, config.tau,
                                        main_flags)
             anchors, weak2 = _weak_triplet_batch(by_class, records, rng)
             bags2 = _augmented_bags([r.text for r in anchors], rng,

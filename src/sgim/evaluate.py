@@ -12,7 +12,7 @@ held-out one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,9 +24,7 @@ from .encoders import (EncoderParams, TeacherParams, bag_matrix, encode_np,
                        train_audio_encoder)
 from .errors import UsageError
 from .generator import sample_source_latent, synthesize
-from .losses import LossFlags
-from .manipulate import (ManipConfig, ModelBundle, optimize_latent,
-                         text_guided_latent)
+from .manipulate import ModelBundle, optimize_latent, text_guided_latent
 
 
 @dataclass
@@ -188,9 +186,8 @@ def _leakage_probe(records: list[TriModalRecord], manifest: DatasetManifest,
             by_video.setdefault(r.video_id, []).append(r)
     anchors = [recs[i] for recs in by_video.values()
                for i in range(min(anchors_per_video, len(recs)))]
-    manip = ManipConfig(lambda_reg=config.lambda_reg, lambda_id=0.0,
-                        steps=steps, step_size=config.manip_step_size,
-                        identity_enabled=False)
+    manip = config.manip_config(lambda_id=0.0, steps=steps,
+                                identity_enabled=False)
     bundle = ModelBundle(models.generator, audio_params, models.text,
                          models.image, models.identity)
     deltas, labels, source_of = [], [], []
@@ -224,9 +221,7 @@ def ablate_weak_loss(records: list[TriModalRecord], manifest: DatasetManifest,
     arm = {}
     for use_kl in (True, False):
         cfg = config.audio_train_config()
-        cfg.flags = LossFlags(use_at=config.use_loss_at, use_av=config.use_loss_av,
-                              use_self=config.use_loss_self, use_kl=use_kl,
-                              kl_full_rows=config.kl_full_rows)
+        cfg.flags = replace(cfg.flags, use_kl=use_kl)
         params, _ = train_audio_encoder(train, teacher, cfg)
         zs = zero_shot_classify(held, params, teacher.text, manifest.classes,
                                 config)
@@ -272,11 +267,8 @@ def direction_stats(attribute_classes: list[int], n_seeds: int,
     if not attribute_classes:
         raise UsageError("need at least one attribute class")
     vocab = default_vocabulary()
-    manip = ManipConfig(lambda_reg=config.lambda_reg, lambda_id=0.0,
-                        steps=steps or config.manip_steps,
-                        step_size=(config.manip_step_size if step_size is None
-                                   else step_size),
-                        identity_enabled=False)
+    manip = config.manip_config(lambda_id=0.0, steps=steps,
+                                step_size=step_size, identity_enabled=False)
     by_class: dict[int, list[TriModalRecord]] = {}
     for r in records:
         by_class.setdefault(r.class_id, []).append(r)

@@ -88,18 +88,6 @@ def info_nce_pair(a: np.ndarray, b: np.ndarray,
     return float(info_nce_pair_node(ad.constant(a), ad.constant(b), tau).value)
 
 
-def self_supervised_loss_node(a: Node, a_aug: Node, tau: float) -> Node:
-    # same mathematical form as info_nce_pair over (audio, augmented audio);
-    # kept separate so logs report it as its own component
-    return info_nce_pair_node(a, a_aug, tau)
-
-
-def self_supervised_loss(a: np.ndarray, a_aug: np.ndarray,
-                         tau: float = DEFAULT_TEMPERATURE) -> float:
-    return float(self_supervised_loss_node(ad.constant(a), ad.constant(a_aug),
-                                           tau).value)
-
-
 def diag_cross_entropy_term(teacher_p: float, student_q: float) -> float:
     """One diagonal's contribution to the weak loss: -p * log(q)."""
     if not (0.0 < student_q <= 1.0) or not (0.0 <= teacher_p <= 1.0):
@@ -149,17 +137,18 @@ class LossFlags:
 
 
 def total_loss_node(a: Node, a_aug: Node, t: np.ndarray, v: np.ndarray,
-                    v_weak: np.ndarray, tau: float,
+                    v_weak: np.ndarray | None, tau: float,
                     flags: LossFlags = LossFlags()) -> tuple[Node, LossBreakdown]:
     """Graph plus float breakdown for one batch.
 
     ``a``/``a_aug`` are student nodes; ``t``, ``v``, ``v_weak`` come from the
-    frozen teacher and enter the graph as constants.
+    frozen teacher and enter the graph as constants. ``v_weak`` is only read
+    when ``flags.use_kl`` is set.
     """
     zero = ad.constant(0.0)
     l_at = info_nce_pair_node(a, ad.constant(t), tau) if flags.use_at else zero
     l_av = info_nce_pair_node(a, ad.constant(v), tau) if flags.use_av else zero
-    l_self = self_supervised_loss_node(a, a_aug, tau) if flags.use_self else zero
+    l_self = info_nce_pair_node(a, a_aug, tau) if flags.use_self else zero
     l_kl = (weak_kl_loss_node(a, ad.constant(v_weak), t, tau, flags.kl_full_rows)
             if flags.use_kl else zero)
     total = ad.add(ad.add(ad.add(l_at, l_av), l_self), l_kl)

@@ -60,7 +60,6 @@ class ManipConfig:
     lambda_id: float = 0.004
     steps: int = 300
     step_size: float = 0.1
-    seed: int = 0
     adaptive_masking: bool = True
     identity_enabled: bool = True
 

@@ -157,11 +157,11 @@ def test_criterion_5_weak_loss_ablation(records, manifest, teacher,
                     f"{report.leakage_without_kl:.3f}, {elapsed:.1f}s (< 240s)")
 
 
-def test_criterion_6_manipulation(gen_fit, model_bundle, records, run_config):
+def test_criterion_6_manipulation(gen_fit, model_bundle, records):
     start = time.monotonic()
     w_s = gen_fit.latents[SOURCE_INDEX]
     mel = records[AUDIO_INDEX].audio
-    config = ManipConfig(seed=run_config.seed_for("manip"))
+    config = ManipConfig()
     w_a, gate, trajectory = optimize_latent(w_s, mel, config, model_bundle)
     hinges = [p.hinge for p in trajectory]
     below = next((i for i, h in enumerate(hinges) if h < 1.0), None)
@@ -170,7 +170,7 @@ def test_criterion_6_manipulation(gen_fit, model_bundle, records, run_config):
 
     def identity_cos(lambda_id):
         w_x, _, _ = optimize_latent(w_s, mel,
-                                    ManipConfig(lambda_id=lambda_id, seed=0),
+                                    ManipConfig(lambda_id=lambda_id),
                                     model_bundle)
         f_s = identity_features(model_bundle.identity,
                                 synthesize(w_s, model_bundle.generator))

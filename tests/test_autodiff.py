@@ -180,7 +180,6 @@ PRIMITIVE_CASES = [
     ("log", lambda x: ad.sum_all(ad.log(x)), (3, 4), "positive"),
     ("sqrt", lambda x: ad.sum_all(ad.sqrt(x)), (3, 4), "positive"),
     ("tanh", lambda x: ad.sum_all(ad.tanh(x)), (3, 4), None),
-    ("relu", lambda x: ad.sum_all(ad.relu(x)), (3, 4), "off_kink"),
     ("max_with_zero", lambda x: ad.sum_all(ad.max_with_zero(x)), (3, 4), "off_kink"),
     ("sum", lambda x: ad.sum_all(ad.mul_elementwise(x, x)), (3, 4), None),
     ("mean", lambda x: ad.mean_all(ad.mul_elementwise(x, x)), (3, 4), None),

@@ -1,4 +1,5 @@
 import filecmp
+import shutil
 
 import pytest
 
@@ -94,7 +95,7 @@ def test_direction_stats_command(pipeline_dir):
 def test_gradcheck_exits_zero(tmp_path):
     assert run_cli("gradcheck", "--run", tmp_path / "g") == 0
     report = (tmp_path / "g" / "reports" / "gradcheck.txt").read_text()
-    assert "24/24" in report
+    assert "23/23" in report
 
 
 def test_missing_inputs_io_error(tmp_path, capsys):
@@ -109,6 +110,37 @@ def test_bad_override_validation_error(tmp_path, capsys):
     code = run_cli("--set", "nonsense=1", "gen-data", "--run", tmp_path / "x")
     assert code == 2
     assert capsys.readouterr().err.startswith("error: validation:")
+
+
+# name -> (artifact, corruption, text the error line must contain)
+CORRUPTIONS = {
+    "manifest_classes_abc": ("dataset/manifest.txt",
+                             lambda b: b.replace(b"classes=8", b"classes=abc"),
+                             "manifest.txt: invalid entries: classes"),
+    "audio_tmd_truncated": ("dataset/audio.tmd", lambda b: b[:1000],
+                            "audio.tmd"),
+    "teacher_ckpt_truncated": ("teacher.ckpt", lambda b: b[:300],
+                               "teacher.ckpt"),
+    "teacher_ckpt_garbled": ("teacher.ckpt",
+                             lambda b: b[:30] + b"\xff\xfe" + b[32:],
+                             "teacher.ckpt"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_corrupt_artifact_validation_error(name, pipeline_dir, tmp_path,
+                                           capsys):
+    run = tmp_path / "run"
+    shutil.copytree(pipeline_dir / "dataset", run / "dataset")
+    shutil.copy(pipeline_dir / "teacher.ckpt", run / "teacher.ckpt")
+    rel, corrupt, needle = CORRUPTIONS[name]
+    (run / rel).write_bytes(corrupt((run / rel).read_bytes()))
+    capsys.readouterr()
+    assert run_cli(*FAST, "train-audio", "--run", run) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation:")
+    assert needle in err
+    assert "\n" not in err.strip()
 
 
 def test_bad_index_validation_error(pipeline_dir, capsys):

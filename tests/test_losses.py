@@ -9,8 +9,7 @@ from sgim import autodiff as ad
 from sgim import losses
 from sgim.errors import UsageError
 from sgim.losses import (LossFlags, diag_cross_entropy_term, info_nce_pair,
-                         self_supervised_loss, similarity_matrix, total_loss,
-                         weak_kl_loss)
+                         similarity_matrix, total_loss, weak_kl_loss)
 
 
 def _unit_rows(rng, n, d):
@@ -103,7 +102,8 @@ def test_info_nce_rotation_invariant(seed):
 
 
 def test_self_supervised_reduces_to_info_nce():
-    val = self_supervised_loss(E2, E2, tau=1.0)
+    only_self = LossFlags(use_at=False, use_av=False, use_kl=False)
+    val = total_loss(E2, E2, E2, E2, None, tau=1.0, flags=only_self).self_aa
     assert abs(val - info_nce_pair(E2, E2, tau=1.0)) < 1e-15
 
 
@@ -111,8 +111,7 @@ def test_self_supervised_same_class_negatives_cost_more():
     # nearly collinear rows (cos 0.99) are harder negatives than orthogonal
     c = 0.99
     near = np.array([[1.0, 0.0], [c, math.sqrt(1 - c * c)]])
-    assert self_supervised_loss(near, near, 0.2) > \
-        self_supervised_loss(E2, E2, 0.2)
+    assert info_nce_pair(near, near, 0.2) > info_nce_pair(E2, E2, 0.2)
 
 
 def test_self_supervised_gradient_matches_fd():
@@ -120,7 +119,7 @@ def test_self_supervised_gradient_matches_fd():
     a_aug = _unit_rows(rng, 4, 8)
 
     def f(x):
-        return losses.self_supervised_loss_node(
+        return losses.info_nce_pair_node(
             ad.l2_normalize_rows(x), ad.constant(a_aug), 0.3)
 
     assert ad.finite_difference_check(f, rng.standard_normal((4, 8))) < 1e-4

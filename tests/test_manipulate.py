@@ -19,10 +19,10 @@ from conftest import AUDIO_INDEX, SOURCE_INDEX
 
 
 @pytest.fixture(scope="module")
-def manip_run(gen_fit, model_bundle, records, run_config):
+def manip_run(gen_fit, model_bundle, records):
     w_s = gen_fit.latents[SOURCE_INDEX]
     mel = records[AUDIO_INDEX].audio
-    config = ManipConfig(seed=run_config.seed_for("manip"))
+    config = ManipConfig()
     w_a, gate, trajectory = optimize_latent(w_s, mel, config, model_bundle)
     return w_s, w_a, gate, trajectory
 
@@ -123,7 +123,7 @@ def test_gate_mass_moves_to_static_fine_layers(gen_fit, model_bundle, records):
     # fine layers nearly untouched and the minimized penalty concentrates
     # its softmax mass there; amplified lambda_reg makes the effect visible
     w_s = gen_fit.latents[SOURCE_INDEX]
-    config = ManipConfig(lambda_reg=1.0, seed=0)
+    config = ManipConfig(lambda_reg=1.0)
     w_a, gate, _ = optimize_latent(w_s, records[AUDIO_INDEX].audio, config,
                                    model_bundle)
     softmax = gate_softmax(gate)
@@ -138,7 +138,7 @@ def test_identity_lambda_ordering(gen_fit, model_bundle, records):
 
     def identity_cos(lambda_id):
         w_a, _, _ = optimize_latent(w_s, mel,
-                                    ManipConfig(lambda_id=lambda_id, seed=0),
+                                    ManipConfig(lambda_id=lambda_id),
                                     model_bundle)
         f_s = identity_features(model_bundle.identity,
                                 synthesize(w_s, model_bundle.generator))
@@ -175,7 +175,7 @@ def test_optimizer_deterministic(gen_fit, model_bundle):
     w_s = gen_fit.latents[10]
     target = np.random.default_rng(6).standard_normal(32)
     target /= np.linalg.norm(target)
-    config = ManipConfig(steps=25, seed=3)
+    config = ManipConfig(steps=25)
     a1, g1, _ = optimize_guided(w_s, target, config, model_bundle)
     a2, g2, _ = optimize_guided(w_s, target, config, model_bundle)
     assert np.array_equal(a1, a2)

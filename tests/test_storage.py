@@ -1,13 +1,18 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgim import checkpoint as ckpt
 from sgim.config import (RunConfig, config_from_text, config_hash,
                          config_to_text, load_config, stage_seed)
+from sgim.data import DatasetManifest, manifest_from_text, manifest_to_text
 from sgim.encoders import TeacherParams, init_encoder_params
 from sgim.errors import ConfigError, UsageError
 from sgim.generator import GeneratorFit, init_generator
-from sgim.manipulate import init_identity_extractor
+from sgim.manipulate import ManipConfig, init_identity_extractor
 from sgim.pgm import read_pgm, write_pgm
 
 
@@ -145,3 +150,58 @@ def test_stage_seed_offsets_distinct():
 def test_manifest_from_config_carries_stage_seed():
     cfg = RunConfig(master_seed=21)
     assert cfg.dataset_manifest().seed == stage_seed(21, "data")
+
+
+def _field_values(cls):
+    def values(default):
+        if isinstance(default, bool):
+            return st.booleans()
+        if isinstance(default, int):
+            return st.integers()
+        if isinstance(default, float):
+            return st.floats(allow_nan=False)
+        return st.dictionaries(st.integers(), st.integers())
+    defaults = cls()
+    return st.fixed_dictionaries({f.name: values(getattr(defaults, f.name))
+                                  for f in fields(cls)})
+
+
+@settings(max_examples=50, deadline=None)
+@given(_field_values(RunConfig), _field_values(DatasetManifest))
+def test_every_field_survives_its_text_form(config_values, manifest_values):
+    cfg = RunConfig(**config_values)
+    assert config_from_text(config_to_text(cfg)) == cfg
+    manifest = DatasetManifest(**manifest_values)
+    assert manifest_from_text(manifest_to_text(manifest)) == manifest
+
+
+_MALFORMED = {bool: "maybe", int: "1.5", float: "zebra", dict: "1:x"}
+_TYPED_KEYS = [(label, parse, f.name, type(getattr(cls(), f.name)))
+               for label, parse, cls in (
+                   ("config", config_from_text, RunConfig),
+                   ("manifest", manifest_from_text, DatasetManifest))
+               for f in fields(cls)]
+
+
+@pytest.mark.parametrize("label,parse,key,kind", _TYPED_KEYS,
+                         ids=[f"{t[0]}-{t[2]}" for t in _TYPED_KEYS])
+def test_malformed_value_names_its_key(label, parse, key, kind):
+    with pytest.raises(ConfigError) as err:
+        parse(f"{key}={_MALFORMED[kind]}\n")
+    assert str(err.value) == f"{label}: invalid entries: {key}"
+
+
+def test_default_manifest_text_pinned():
+    assert manifest_to_text(RunConfig().dataset_manifest()) == (
+        "classes=8\nvideos_per_class=6\nrecords_per_video=8\nfreq_bins=20\n"
+        "time_frames=10\npixels=64\nseed=108\nbias_cooccurrence=0.8\n"
+        "audio_video_offset=0.7\nimage_video_offset=0.7\naudio_noise=0.005\n"
+        "image_noise=0.01\nnuisance_scale=0.5\nintensity_min=0.2\n"
+        "intensity_max=1.0\nbias_spec=0:0,1:0\n")
+
+
+def test_manip_config_carries_run_settings():
+    cfg = RunConfig(adaptive_masking=False, lambda_reg=0.5, manip_steps=9)
+    assert cfg.manip_config(lambda_id=0.0, step_size=None) == ManipConfig(
+        lambda_reg=0.5, lambda_id=0.0, steps=9, step_size=0.1,
+        adaptive_masking=False, identity_enabled=True)
