@@ -51,7 +51,7 @@ def _require(path: Path, hint: str) -> Path:
     return path
 
 
-def _load_records(run: Path):
+def _load_dataset(run: Path):
     return load_dataset(_require(run / "dataset", "gen-data"))
 
 
@@ -84,21 +84,17 @@ def _bundle(run: Path, config: RunConfig) -> tuple[ModelBundle, "object"]:
                        identity), fit
 
 
-def cmd_gen_data(args, config: RunConfig) -> int:
-    run = Path(args.run)
-    _echo_config(run, config)
+def cmd_gen_data(run: Path, args, config: RunConfig) -> int:
     manifest = config.dataset_manifest()
-    records = generate_dataset(manifest)
-    save_dataset(run / "dataset", manifest, records)
-    print(f"wrote {len(records)} records to {run / 'dataset'}")
+    ds = generate_dataset(manifest)
+    save_dataset(run / "dataset", manifest, ds)
+    print(f"wrote {len(ds)} records to {run / 'dataset'}")
     return 0
 
 
-def cmd_pretrain_teacher(args, config: RunConfig) -> int:
-    run = Path(args.run)
-    _echo_config(run, config)
-    manifest, records = _load_records(run)
-    train, _ = split_by_video(records, manifest)
+def cmd_pretrain_teacher(run: Path, args, config: RunConfig) -> int:
+    manifest, ds = _load_dataset(run)
+    train, _ = split_by_video(ds, manifest)
     teacher, log = pretrain_teacher(train, config.teacher_train_config(),
                                     hidden=config.hidden_dim,
                                     embed_dim=config.embed_dim)
@@ -110,12 +106,9 @@ def cmd_pretrain_teacher(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_fit_generator(args, config: RunConfig) -> int:
-    run = Path(args.run)
-    _echo_config(run, config)
-    _, records = _load_records(run)
-    images = np.stack([r.image for r in records])
-    fit = fit_generator_to_dataset(images, config.gen_fit_epochs,
+def cmd_fit_generator(run: Path, args, config: RunConfig) -> int:
+    _, ds = _load_dataset(run)
+    fit = fit_generator_to_dataset(ds.image, config.gen_fit_epochs,
                                    config.seed_for("generator"),
                                    latent_dim=config.latent_dim)
     ckpt.save_checkpoint(run / "generator.ckpt", ckpt.generator_arrays(fit),
@@ -126,11 +119,9 @@ def cmd_fit_generator(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_train_audio(args, config: RunConfig) -> int:
-    run = Path(args.run)
-    _echo_config(run, config)
-    manifest, records = _load_records(run)
-    train, _ = split_by_video(records, manifest)
+def cmd_train_audio(run: Path, args, config: RunConfig) -> int:
+    manifest, ds = _load_dataset(run)
+    train, _ = split_by_video(ds, manifest)
     teacher = _load_teacher(run)
     audio, log = train_audio_encoder(train, teacher,
                                      config.audio_train_config(),
@@ -143,10 +134,8 @@ def cmd_train_audio(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_manipulate(args, config: RunConfig) -> int:
-    run = Path(args.run)
-    _echo_config(run, config)
-    manifest, records = _load_records(run)
+def cmd_manipulate(run: Path, args, config: RunConfig) -> int:
+    manifest, ds = _load_dataset(run)
     models, fit = _bundle(run, config)
     if args.source_index is not None:
         if not (0 <= args.source_index < len(fit.latents)):
@@ -156,9 +145,9 @@ def cmd_manipulate(args, config: RunConfig) -> int:
     else:
         w_s = sample_source_latent(args.source_seed, models.generator.side,
                                    models.generator.latent_dim)
-    if not (0 <= args.audio_index < len(records)):
-        raise UsageError(f"audio index out of range [0, {len(records)})")
-    mel = records[args.audio_index].audio
+    if not (0 <= args.audio_index < len(ds)):
+        raise UsageError(f"audio index out of range [0, {len(ds)})")
+    mel = ds.audio[args.audio_index]
     manip = config.manip_config(lambda_reg=args.lambda_reg,
                                 lambda_id=args.lambda_id, steps=args.steps,
                                 step_size=args.step_size)
@@ -181,9 +170,7 @@ def _load_latent(path: Path) -> np.ndarray:
     return w
 
 
-def cmd_interpolate(args, config: RunConfig) -> int:
-    run = Path(args.run)
-    _echo_config(run, config)
+def cmd_interpolate(run: Path, args, config: RunConfig) -> int:
     models, _ = _bundle(run, config)
     w = interpolate(_load_latent(args.latent_a), _load_latent(args.latent_b),
                     args.alpha)
@@ -196,9 +183,7 @@ def cmd_interpolate(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_mix(args, config: RunConfig) -> int:
-    run = Path(args.run)
-    _echo_config(run, config)
+def cmd_mix(run: Path, args, config: RunConfig) -> int:
     models, _ = _bundle(run, config)
     w = style_mix(_load_latent(args.latent_a), _load_latent(args.latent_b),
                   args.split)
@@ -218,11 +203,9 @@ def _write_report(run: Path, name: str, report) -> None:
     (reports / f"{name}.txt").write_text(report_text(report))
 
 
-def cmd_eval_zeroshot(args, config: RunConfig) -> int:
-    run = Path(args.run)
-    _echo_config(run, config)
-    manifest, records = _load_records(run)
-    _, held = split_by_video(records, manifest)
+def cmd_eval_zeroshot(run: Path, args, config: RunConfig) -> int:
+    manifest, ds = _load_dataset(run)
+    _, held = split_by_video(ds, manifest)
     teacher = _load_teacher(run)
     audio = _load_audio(run)
     report = zero_shot_classify(held, audio, teacher.text, manifest.classes,
@@ -232,12 +215,10 @@ def cmd_eval_zeroshot(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_eval_probe(args, config: RunConfig) -> int:
-    run = Path(args.run)
-    _echo_config(run, config)
-    manifest, records = _load_records(run)
+def cmd_eval_probe(run: Path, args, config: RunConfig) -> int:
+    manifest, ds = _load_dataset(run)
     audio = _load_audio(run)
-    report = probe_on_heldout_videos(records, manifest, audio,
+    report = probe_on_heldout_videos(ds, manifest, audio,
                                      epochs=config.probe_epochs,
                                      lr=config.probe_lr)
     _write_report(run, "probe", report)
@@ -245,13 +226,11 @@ def cmd_eval_probe(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_ablate(args, config: RunConfig) -> int:
-    run = Path(args.run)
-    _echo_config(run, config)
-    manifest, records = _load_records(run)
+def cmd_ablate(run: Path, args, config: RunConfig) -> int:
+    manifest, ds = _load_dataset(run)
     teacher = _load_teacher(run)
     models, _ = _bundle(run, config)
-    report = ablate_weak_loss(records, manifest, teacher, models, config)
+    report = ablate_weak_loss(ds, manifest, teacher, models, config)
     reports = run / "reports"
     reports.mkdir(parents=True, exist_ok=True)
     (reports / "ablation.csv").write_text(ablation_csv(report))
@@ -263,24 +242,20 @@ def cmd_ablate(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_direction_stats(args, config: RunConfig) -> int:
-    run = Path(args.run)
-    _echo_config(run, config)
-    _, records = _load_records(run)
+def cmd_direction_stats(run: Path, args, config: RunConfig) -> int:
+    _, ds = _load_dataset(run)
     models, _ = _bundle(run, config)
     attrs = [int(a) for a in args.attrs.split(",") if a.strip()]
-    report = direction_stats(attrs, args.seeds, records, models, config)
+    report = direction_stats(attrs, args.seeds, ds, models, config)
     _write_report(run, "direction", report)
     ok, msg = soft_direction_check(report)
     print(("PASS " if ok else "SOFT-FAIL ") + msg)
     return 0
 
 
-def cmd_gradcheck(args, config: RunConfig) -> int:
+def cmd_gradcheck(run: Path, args, config: RunConfig) -> int:
     results = run_gradient_checks(args.gradcheck_seed)
     text = format_results(results)
-    run = Path(args.run)
-    _echo_config(run, config)
     reports = run / "reports"
     reports.mkdir(parents=True, exist_ok=True)
     (reports / "gradcheck.txt").write_text(text)
@@ -370,7 +345,9 @@ def main(argv=None) -> int:
         seed = getattr(args, "seed", None)
         if seed is not None:
             config.master_seed = seed
-        return args.func(args, config)
+        run = Path(args.run)
+        _echo_config(run, config)
+        return args.func(run, args, config)
     except (ConfigError, UsageError, ParameterError, DimensionError,
             DegenerateInputError) as exc:
         print(f"error: validation: {exc}", file=sys.stderr)

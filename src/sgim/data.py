@@ -6,6 +6,12 @@ Every record of a video shares that video's offsets; audio amplitude is
 scaled by a per-record intensity; images are dominated by low-frequency
 cosine bands (as natural images are), while the nuisance pattern lives in
 the mid bands so it is visually orthogonal to class content.
+
+In memory a dataset is a ``Dataset``: the same five columns its ``.tmd``
+files hold (audio, image, text token ids, the class/video/nuisance ids and
+intensity), one row per record. ``ds[i]`` gives a one-row
+``TriModalRecord`` view, built on demand. ``load_dataset`` checks the
+columns against ``manifest.txt`` before it returns them.
 """
 
 from __future__ import annotations
@@ -13,8 +19,7 @@ from __future__ import annotations
 import logging
 import math
 import struct
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +37,8 @@ LABEL_TOKENS_PER_CLASS = 2
 
 @dataclass(frozen=True)
 class TriModalRecord:
+    """One row of a ``Dataset``, built on demand by ``Dataset.__getitem__``."""
+
     audio: np.ndarray      # (freq_bins, time_frames)
     text: TokenSeq
     image: np.ndarray      # (pixels,)
@@ -39,6 +46,36 @@ class TriModalRecord:
     video_id: int
     intensity: float
     nuisance_id: int = -1  # pattern stamped into the image, -1 if none
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """The dataset as columns, the same ones its ``.tmd`` files hold: row i
+    of every array is record i. ``ds[i]`` gives a one-row ``TriModalRecord``
+    view, so iterating yields one view per row; ``take`` selects rows."""
+
+    audio: np.ndarray        # (n, freq_bins, time_frames) float64
+    image: np.ndarray        # (n, pixels) float64
+    text: np.ndarray         # (n, LABEL_TOKENS_PER_CLASS) int32 token ids
+    class_id: np.ndarray     # (n,) int32
+    video_id: np.ndarray     # (n,) int32
+    nuisance_id: np.ndarray  # (n,) int32, pattern in the image, -1 if none
+    intensity: np.ndarray    # (n,) float64
+
+    def __len__(self) -> int:
+        return len(self.class_id)
+
+    def __getitem__(self, i: int) -> TriModalRecord:
+        # an index past the end raises IndexError, which ends iteration
+        text = TokenSeq(tuple(self.text[i].tolist()), default_vocabulary())
+        return TriModalRecord(
+            self.audio[i], text, self.image[i], int(self.class_id[i]),
+            int(self.video_id[i]), float(self.intensity[i]),
+            int(self.nuisance_id[i]))
+
+    def take(self, rows) -> "Dataset":
+        """The rows picked by an index array or a boolean mask, in order."""
+        return Dataset(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass
@@ -106,8 +143,8 @@ def _nuisance_pattern(rng: np.random.Generator, pixels: int) -> np.ndarray:
     return _unit(coeffs @ cosine_basis(side))
 
 
-def generate_dataset(manifest: DatasetManifest) -> list[TriModalRecord]:
-    """Deterministically expand a manifest into records.
+def generate_dataset(manifest: DatasetManifest) -> Dataset:
+    """Deterministically expand a manifest into a dataset.
 
     Biased classes receive the shared nuisance pattern on an exact quota of
     videos (round(cooccurrence * videos_per_class)); the pattern-free videos
@@ -131,30 +168,37 @@ def generate_dataset(manifest: DatasetManifest) -> list[TriModalRecord]:
     n_patterns = max(m.bias_spec.values(), default=-1) + 1
     patterns = [_nuisance_pattern(rng, m.pixels) for _ in range(n_patterns)]
 
-    records: list[TriModalRecord] = []
+    n_videos = m.classes * m.videos_per_class
+    video_id = np.repeat(np.arange(n_videos, dtype=np.int32),
+                         m.records_per_video)
+    video_nuisance = np.full(n_videos, -1, dtype=np.int32)
+    audio = np.empty((m.record_count, m.freq_bins, m.time_frames))
+    image = np.empty((m.record_count, m.pixels))
+    intensity = np.empty(m.record_count)
     for c in range(m.classes):
-        text = label_token_seq(vocab, c)
         nuisance_videos = _nuisance_video_set(m, c, rng)
         for j in range(m.videos_per_class):
-            video_id = c * m.videos_per_class + j
+            v = c * m.videos_per_class + j
             audio_off = _unit(rng.standard_normal((m.freq_bins, m.time_frames)))
             image_off = _unit((rng.standard_normal(m.pixels) * spectrum) @ basis)
-            pattern_id = m.bias_spec.get(c, -1) if j in nuisance_videos else -1
             base_image = image_templates[c] + m.image_video_offset * image_off
-            if pattern_id >= 0:
-                base_image = base_image + m.nuisance_scale * patterns[pattern_id]
-            for _ in range(m.records_per_video):
-                intensity = float(rng.uniform(m.intensity_min, m.intensity_max))
-                audio = intensity * (audio_templates[c]
-                                     + m.audio_video_offset * audio_off)
-                audio = audio + m.audio_noise * rng.standard_normal(
+            if j in nuisance_videos:
+                video_nuisance[v] = m.bias_spec[c]
+                base_image = base_image + m.nuisance_scale * patterns[m.bias_spec[c]]
+            for i in range(v * m.records_per_video,
+                           (v + 1) * m.records_per_video):
+                intensity[i] = rng.uniform(m.intensity_min, m.intensity_max)
+                audio[i] = intensity[i] * (audio_templates[c]
+                                           + m.audio_video_offset * audio_off)
+                audio[i] += m.audio_noise * rng.standard_normal(
                     (m.freq_bins, m.time_frames))
-                image = base_image + m.image_noise * rng.standard_normal(m.pixels)
-                records.append(TriModalRecord(
-                    audio=audio, text=text, image=image, class_id=c,
-                    video_id=video_id, intensity=intensity,
-                    nuisance_id=pattern_id))
-    return records
+                image[i] = base_image + m.image_noise * rng.standard_normal(m.pixels)
+    labels = np.array([label_token_seq(vocab, c).tokens
+                       for c in range(m.classes)], dtype=np.int32)
+    class_id = video_id // np.int32(m.videos_per_class)
+    return Dataset(audio=audio, image=image, text=labels[class_id],
+                   class_id=class_id, video_id=video_id,
+                   nuisance_id=video_nuisance[video_id], intensity=intensity)
 
 
 def _nuisance_video_set(m: DatasetManifest, class_id: int,
@@ -173,77 +217,70 @@ def _nuisance_video_set(m: DatasetManifest, class_id: int,
     return set(range(m.videos_per_class)) - clean
 
 
-def split_by_video(records: list[TriModalRecord],
-                   manifest: DatasetManifest) -> tuple[list[TriModalRecord],
-                                                       list[TriModalRecord]]:
+def split_by_video(ds: Dataset,
+                   manifest: DatasetManifest) -> tuple[Dataset, Dataset]:
     """Train/held-out split holding out each class's final video."""
     v = manifest.videos_per_class
-    train = [r for r in records if r.video_id % v != v - 1]
-    held = [r for r in records if r.video_id % v == v - 1]
-    return train, held
+    held = ds.video_id % v == v - 1
+    return ds.take(~held), ds.take(held)
+
+
+def group_rows(keys: np.ndarray) -> list[np.ndarray]:
+    """Row indices of each distinct key, keys in order of first appearance."""
+    _, first = np.unique(keys, return_index=True)
+    return [np.flatnonzero(keys == keys[f]) for f in np.sort(first)]
 
 
 @dataclass(frozen=True)
 class MiniBatch:
-    records: tuple[TriModalRecord, ...]
+    rows: np.ndarray        # (n,) dataset rows, in draw order
     audio: np.ndarray       # (n, F, T)
     audio_aug: np.ndarray   # (n, F, T)
     images: np.ndarray      # (n, P)
-
-    @property
-    def texts(self) -> tuple[TokenSeq, ...]:
-        return tuple(r.text for r in self.records)
+    text: np.ndarray        # (n, k) token ids
 
 
-def sample_minibatch(records: list[TriModalRecord], n: int,
-                     rng: np.random.Generator, freq_mask_ratio: float = 0.15,
+def sample_minibatch(ds: Dataset, n: int, rng: np.random.Generator,
+                     freq_mask_ratio: float = 0.15,
                      time_mask_ratio: float = 0.3) -> MiniBatch:
     """n distinct records without replacement, plus their augmented audio."""
     if n < 2:
         raise UsageError("minibatch needs at least 2 records")
-    if n > len(records):
-        raise UsageError(f"cannot draw {n} records from {len(records)}")
-    idx = rng.choice(len(records), size=n, replace=False)
-    chosen = tuple(records[int(i)] for i in idx)
-    audio = np.stack([r.audio for r in chosen])
+    if n > len(ds):
+        raise UsageError(f"cannot draw {n} records from {len(ds)}")
+    rows = rng.choice(len(ds), size=n, replace=False)
+    audio = ds.audio[rows]
     audio_aug = np.stack([
-        spec_augment(r.audio, freq_mask_ratio, time_mask_ratio, rng)
-        for r in chosen])
-    images = np.stack([r.image for r in chosen])
-    return MiniBatch(chosen, audio, audio_aug, images)
+        spec_augment(a, freq_mask_ratio, time_mask_ratio, rng) for a in audio])
+    return MiniBatch(rows, audio, audio_aug, ds.image[rows], ds.text[rows])
 
 
-def sample_weak_pair(records: list[TriModalRecord], record: TriModalRecord,
-                     rng: np.random.Generator) -> TriModalRecord:
-    """A same-class record from a different video, uniform over candidates.
+def weak_candidates(ds: Dataset) -> list[np.ndarray]:
+    """For each row, the rows ``sample_weak_pair`` chooses among: the
+    same-class rows of other videos, in row order.
 
-    Falls back to a same-video record (with a logged warning) when the class
-    has no other video in the pool.
+    A class with a single video falls back to all of its rows, with one
+    logged warning per class.
     """
-    candidates = [r for r in records
-                  if r.class_id == record.class_id and r.video_id != record.video_id]
-    if not candidates:
-        log.warning("weak pair fallback: class %d has a single video",
-                    record.class_id)
-        candidates = [r for r in records if r.class_id == record.class_id]
-        if not candidates:
-            raise UsageError("record's class not present in the pool")
-    return candidates[int(rng.integers(0, len(candidates)))]
+    per_row: list[np.ndarray] = [None] * len(ds)
+    for rows in group_rows(ds.video_id):
+        same_class = np.flatnonzero(ds.class_id == ds.class_id[rows[0]])
+        pool = same_class[ds.video_id[same_class] != ds.video_id[rows[0]]]
+        if pool.size == 0:
+            log.warning("weak pair fallback: class %d has a single video",
+                        ds.class_id[rows[0]])
+            pool = same_class
+        for i in rows:
+            per_row[i] = pool
+    return per_row
 
 
-def weak_candidate_counts(records: list[TriModalRecord],
-                          ) -> dict[tuple[int, int], int]:
-    """How many records ``sample_weak_pair`` chooses among, per
-    (class_id, video_id) of the pool, counting its single-video fallback."""
-    per_class = Counter(r.class_id for r in records)
-    per_video = Counter((r.class_id, r.video_id) for r in records)
-    counts = {}
-    for (c, v), n in per_video.items():
-        counts[(c, v)] = per_class[c] - n
-        if counts[(c, v)] == 0:
-            log.warning("weak pair fallback: class %d has a single video", c)
-            counts[(c, v)] = per_class[c]
-    return counts
+def sample_weak_pair(candidates: list[np.ndarray], row: int,
+                     rng: np.random.Generator) -> int:
+    """A same-class row from a different video, uniform over the
+    ``weak_candidates`` of ``row``."""
+    pool = candidates[row]
+    return int(pool[rng.integers(0, len(pool))])
 
 
 # ---------------------------------------------------------------------------
@@ -253,22 +290,16 @@ _MAGIC = b"TMD1"
 
 
 def _write_tmd(path: Path, arr: np.ndarray) -> None:
-    arr = np.ascontiguousarray(arr)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<i", arr.shape[0]))
-        fh.write(struct.pack("<i", arr.ndim - 1))
-        for d in arr.shape[1:]:
-            fh.write(struct.pack("<i", d))
-        if arr.dtype == np.float64:
-            fh.write(arr.astype("<f8").tobytes())
-        elif arr.dtype == np.int32:
-            fh.write(arr.astype("<i4").tobytes())
-        else:
-            raise UsageError(f"unsupported dtype {arr.dtype}")
+    if arr.dtype not in (np.float64, np.int32):
+        raise UsageError(f"unsupported dtype {arr.dtype}")
+    header = struct.pack(f"<4sii{arr.ndim - 1}i", _MAGIC, arr.shape[0],
+                         arr.ndim - 1, *arr.shape[1:])
+    body = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
+    Path(path).write_bytes(header + body)
 
 
-def _read_tmd(path: Path, dtype) -> np.ndarray:
+def _read_tmd(path: Path, dtype, expected: tuple[int, ...]) -> np.ndarray:
+    """The array in a TMD1 file, which must have shape ``expected``."""
     blob = Path(path).read_bytes()
     if blob[:4] != _MAGIC:
         raise UsageError(f"{path}: bad magic {blob[:4]!r}")
@@ -280,8 +311,11 @@ def _read_tmd(path: Path, dtype) -> np.ndarray:
         raise UsageError(f"{path}: truncated header ({len(blob)} bytes, "
                          f"{ndim} dims)")
     shape = (count, *struct.unpack_from(f"<{ndim}i", blob, 12))
+    if shape != expected:
+        raise UsageError(f"{path}: shape {shape} does not match {expected} "
+                         "from manifest.txt")
     body = len(blob) - body_start
-    if min(shape) < 0 or body != math.prod(shape) * np.dtype(dtype).itemsize:
+    if body != math.prod(shape) * np.dtype(dtype).itemsize:
         raise UsageError(f"{path}: body of {body} bytes does not match "
                          f"shape {shape}")
     arr = np.frombuffer(blob, dtype=dtype, offset=body_start).reshape(shape)
@@ -296,36 +330,45 @@ def manifest_from_text(text: str, source: str = "manifest") -> DatasetManifest:
     return kvtext.update_from_text(DatasetManifest(), text, source)
 
 
-def save_dataset(dirpath, manifest: DatasetManifest,
-                 records: list[TriModalRecord]) -> None:
+def save_dataset(dirpath, manifest: DatasetManifest, ds: Dataset) -> None:
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
     (d / "manifest.txt").write_text(manifest_to_text(manifest), encoding="utf-8")
-    _write_tmd(d / "audio.tmd", np.stack([r.audio for r in records]))
-    _write_tmd(d / "image.tmd", np.stack([r.image for r in records]))
-    _write_tmd(d / "text.tmd", np.array([r.text.tokens for r in records],
-                                        dtype=np.int32))
-    ids = np.array([[r.class_id, r.video_id, r.nuisance_id] for r in records],
-                   dtype=np.int32)
-    _write_tmd(d / "ids.tmd", ids)
-    _write_tmd(d / "intensity.tmd",
-               np.array([[r.intensity] for r in records]))
+    _write_tmd(d / "audio.tmd", ds.audio)
+    _write_tmd(d / "image.tmd", ds.image)
+    _write_tmd(d / "text.tmd", ds.text)
+    _write_tmd(d / "ids.tmd",
+               np.stack([ds.class_id, ds.video_id, ds.nuisance_id], axis=1))
+    _write_tmd(d / "intensity.tmd", ds.intensity[:, None])
 
 
-def load_dataset(dirpath) -> tuple[DatasetManifest, list[TriModalRecord]]:
+def load_dataset(dirpath) -> tuple[DatasetManifest, Dataset]:
+    """Read a dataset directory, checking its columns against the manifest."""
     d = Path(dirpath)
     path = d / "manifest.txt"
-    manifest = manifest_from_text(path.read_text(encoding="utf-8"), str(path))
-    audio = _read_tmd(d / "audio.tmd", "<f8")
-    image = _read_tmd(d / "image.tmd", "<f8")
-    text = _read_tmd(d / "text.tmd", "<i4")
-    ids = _read_tmd(d / "ids.tmd", "<i4")
-    intensity = _read_tmd(d / "intensity.tmd", "<f8")
-    vocab = default_vocabulary()
-    records = []
-    for i in range(audio.shape[0]):
-        records.append(TriModalRecord(
-            audio=audio[i], text=TokenSeq(tuple(int(t) for t in text[i]), vocab),
-            image=image[i], class_id=int(ids[i, 0]), video_id=int(ids[i, 1]),
-            intensity=float(intensity[i, 0]), nuisance_id=int(ids[i, 2])))
-    return manifest, records
+    m = manifest_from_text(path.read_text(encoding="utf-8"), str(path))
+    try:
+        m.validate()
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
+
+    def read(name, dtype, *dims):
+        return _read_tmd(d / f"{name}.tmd", dtype, (m.record_count, *dims))
+
+    audio = read("audio", "<f8", m.freq_bins, m.time_frames)
+    image = read("image", "<f8", m.pixels)
+    text = read("text", "<i4", LABEL_TOKENS_PER_CLASS)
+    ids = read("ids", "<i4", 3)
+    intensity = read("intensity", "<f8", 1)
+    class_id, video_id = ids[:, 0], ids[:, 1]
+    if np.any((class_id < 0) | (class_id >= m.classes)
+              | (video_id // m.videos_per_class != class_id)):
+        raise UsageError(f"{d / 'ids.tmd'}: ids outside {m.classes} classes "
+                         f"of {m.videos_per_class} videos")
+    vocab_size = len(default_vocabulary())
+    if np.any((text < 0) | (text >= vocab_size)):
+        raise UsageError(f"{d / 'text.tmd'}: token id outside the "
+                         f"{vocab_size}-word vocabulary")
+    return m, Dataset(audio=audio, image=image, text=text, class_id=class_id,
+                      video_id=video_id, nuisance_id=ids[:, 2],
+                      intensity=intensity[:, 0])

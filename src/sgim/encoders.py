@@ -19,9 +19,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .augment import TokenSeq, augment_text, DEFAULT_SYNONYMS
-from .data import (MiniBatch, TriModalRecord, sample_minibatch,
-                   sample_weak_pair, weak_candidate_counts)
+from .augment import (DEFAULT_SYNONYMS, TokenSeq, augment_text,
+                      default_vocabulary)
+from .data import (Dataset, MiniBatch, group_rows, sample_minibatch,
+                   sample_weak_pair, weak_candidates)
 from .errors import DegenerateInputError, UsageError
 from .losses import (LossBreakdown, LossFlags, info_nce_pair_node,
                      total_loss_node, weak_kl_loss_node)
@@ -109,12 +110,14 @@ def bag_of_tokens(seq: TokenSeq) -> np.ndarray:
     """Order-insensitive token count vector over the sequence's vocabulary."""
     if not seq.tokens:
         raise DegenerateInputError("empty token sequence has a zero bag vector")
-    return np.bincount(np.asarray(seq.tokens), minlength=len(seq.vocab)) \
-        .astype(np.float64)
+    return bag_matrix([seq.tokens], len(seq.vocab))[0]
 
 
-def bag_matrix(texts) -> np.ndarray:
-    return np.stack([bag_of_tokens(t) for t in texts])
+def bag_matrix(token_rows, vocab_size: int) -> np.ndarray:
+    """Token count vectors, one row per sequence of token ids."""
+    return np.stack([np.bincount(np.asarray(row, dtype=np.intp),
+                                 minlength=vocab_size)
+                     for row in token_rows]).astype(np.float64)
 
 
 def encode_audio(mel: np.ndarray, params: EncoderParams) -> np.ndarray:
@@ -166,34 +169,33 @@ class _MomentumSGD:
             a += v
 
 
-def _augmented_bags(texts, rng, prob) -> np.ndarray:
-    out = []
-    for t in texts:
-        out.append(bag_of_tokens(augment_text(
-            t, DEFAULT_SYNONYMS, rng,
-            p_synonym=prob, p_permute=prob, p_insert=prob)))
-    return np.stack(out)
+def _augmented_bags(tokens: np.ndarray, rng, prob) -> np.ndarray:
+    vocab = default_vocabulary()
+    return bag_matrix([augment_text(TokenSeq(tuple(row.tolist()), vocab),
+                                    DEFAULT_SYNONYMS, rng, p_synonym=prob,
+                                    p_permute=prob, p_insert=prob).tokens
+                       for row in tokens], len(vocab))
 
 
-def pretrain_teacher(records: list[TriModalRecord],
+def pretrain_teacher(ds: Dataset,
                      config: TrainConfig,
                      hidden: int = 64, embed_dim: int = 32,
                      ) -> tuple[TeacherParams, list[tuple[int, float]]]:
     """Symmetric InfoNCE over (text, image) pairs; returns frozen params
     plus the per-epoch loss log."""
-    if not records:
+    if len(ds) == 0:
         raise UsageError("cannot pretrain a teacher on an empty dataset")
     if config.batch_size < 2:
         raise UsageError("InfoNCE needs negatives: batch_size >= 2")
     rng = np.random.default_rng(config.seed)
-    vocab_size = len(records[0].text.vocab)
-    pixels = records[0].image.shape[0]
+    vocab_size = len(default_vocabulary())
+    pixels = ds.image.shape[1]
     text_p = init_encoder_params(rng, vocab_size, hidden, embed_dim)
     image_p = init_encoder_params(rng, pixels, hidden, embed_dim)
     opt_t = _MomentumSGD(text_p.arrays(), config.momentum)
     opt_v = _MomentumSGD(image_p.arrays(), config.momentum)
 
-    n = len(records)
+    n = len(ds)
     bsz = min(config.batch_size, n)
     steps = max(n // bsz, 1)
     log: list[tuple[int, float]] = []
@@ -201,9 +203,9 @@ def pretrain_teacher(records: list[TriModalRecord],
         lr = cyclic_lr(config.lr, epoch, config.sched_period)
         epoch_loss = 0.0
         for _ in range(steps):
-            batch = sample_minibatch(records, bsz, rng,
+            batch = sample_minibatch(ds, bsz, rng,
                                      freq_mask_ratio=0.0, time_mask_ratio=0.0)
-            bags = _augmented_bags(batch.texts, rng, config.text_aug_prob)
+            bags = _augmented_bags(batch.text, rng, config.text_aug_prob)
             tn = encoder_param_nodes(text_p)
             vn = encoder_param_nodes(image_p)
             t = encode_nodes(tn, ad.constant(bags))
@@ -219,47 +221,40 @@ def pretrain_teacher(records: list[TriModalRecord],
     return TeacherParams(text=text_p, image=image_p), log
 
 
-def _teacher_views(batch: MiniBatch, teacher: TeacherParams,
-                   rng: np.random.Generator,
-                   text_aug_prob: float) -> tuple[np.ndarray, np.ndarray]:
-    bags = _augmented_bags(batch.texts, rng, text_aug_prob)
-    return encode_np(teacher.text, bags), encode_np(teacher.image, batch.images)
-
-
-def batch_total_loss(batch: MiniBatch, weak_records: list[TriModalRecord],
+def batch_total_loss(batch: MiniBatch, weak_images: np.ndarray,
                      audio_params: EncoderParams, teacher: TeacherParams,
                      tau: float, flags: LossFlags = LossFlags(),
                      ) -> LossBreakdown:
     """Loss breakdown for a prepared batch, no parameter updates."""
-    n = len(batch.records)
+    n = len(batch.rows)
     a = encode_np(audio_params, batch.audio.reshape(n, -1))
     a_aug = encode_np(audio_params, batch.audio_aug.reshape(n, -1))
-    bags = bag_matrix(batch.texts)
+    bags = bag_matrix(batch.text, len(default_vocabulary()))
     t = encode_np(teacher.text, bags)
     v = encode_np(teacher.image, batch.images)
-    v_weak = encode_np(teacher.image, np.stack([r.image for r in weak_records]))
+    v_weak = encode_np(teacher.image, weak_images)
     _, breakdown = total_loss_node(ad.constant(a), ad.constant(a_aug),
                                    t, v, v_weak, tau, flags)
     return breakdown
 
 
-def _weak_triplet_batch(by_class: dict[int, list[TriModalRecord]],
-                        records: list[TriModalRecord],
+def _weak_triplet_batch(class_rows: list[np.ndarray],
+                        candidates: list[np.ndarray],
                         rng: np.random.Generator,
-                        ) -> tuple[list[TriModalRecord], list[TriModalRecord]]:
-    """One anchor per class plus its weak image record.
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """One anchor row per class plus the row of its weak image.
 
     The weak loss runs on this class-stratified triplet batch: with in-batch
     class duplicates the softmax negatives would push same-class weak images
     apart, the opposite of what the weak pairing is for.
     """
-    anchors = [pool[int(rng.integers(0, len(pool)))]
-               for pool in by_class.values()]
-    weak = [sample_weak_pair(records, r, rng) for r in anchors]
+    anchors = np.array([pool[rng.integers(0, len(pool))]
+                        for pool in class_rows])
+    weak = np.array([sample_weak_pair(candidates, i, rng) for i in anchors])
     return anchors, weak
 
 
-def train_audio_encoder(records: list[TriModalRecord], teacher: TeacherParams,
+def train_audio_encoder(ds: Dataset, teacher: TeacherParams,
                         config: TrainConfig, hidden: int = 64,
                         embed_dim: int = 32,
                         ) -> tuple[EncoderParams, list[tuple[int, LossBreakdown]]]:
@@ -276,50 +271,48 @@ def train_audio_encoder(records: list[TriModalRecord], teacher: TeacherParams,
         raise UsageError("teacher encoders must be frozen before audio training")
     if config.batch_size < 2:
         raise UsageError("InfoNCE needs negatives: batch_size >= 2")
-    if not records:
+    if len(ds) == 0:
         raise UsageError("cannot train on an empty dataset")
     rng = np.random.default_rng(config.seed)
-    in_dim = records[0].audio.size
-    audio_p = init_encoder_params(rng, in_dim, hidden, embed_dim)
+    n = len(ds)
+    audio_p = init_encoder_params(rng, ds.audio[0].size, hidden, embed_dim)
     opt = _MomentumSGD(audio_p.arrays(), config.momentum)
-    by_class: dict[int, list[TriModalRecord]] = {}
-    for r in records:
-        by_class.setdefault(r.class_id, []).append(r)
+    class_rows = group_rows(ds.class_id)
+    candidates = weak_candidates(ds)
 
-    n = len(records)
     bsz = min(config.batch_size, n)
     steps = max(n // bsz, 1)
     main_flags = replace(config.flags, use_kl=False)
-    weak_counts = weak_candidate_counts(records)
     log: list[tuple[int, LossBreakdown]] = []
     for epoch in range(config.epochs):
         lr = cyclic_lr(config.lr, epoch, config.sched_period)
         sums = np.zeros(5)
         for _ in range(steps):
-            batch = sample_minibatch(records, bsz, rng,
+            batch = sample_minibatch(ds, bsz, rng,
                                      config.freq_mask_ratio,
                                      config.time_mask_ratio)
             # the main batch's weak pairs are never read, since its loss
             # runs with use_kl=False; their draws stay because every later
             # batch depends on the rng state they advance
-            for r in batch.records:
-                rng.integers(0, weak_counts[(r.class_id, r.video_id)])
-            t, v = _teacher_views(batch, teacher, rng, config.text_aug_prob)
+            for i in batch.rows:
+                rng.integers(0, len(candidates[i]))
+            t = encode_np(teacher.text, _augmented_bags(
+                batch.text, rng, config.text_aug_prob))
+            v = encode_np(teacher.image, batch.images)
             an = encoder_param_nodes(audio_p)
             a = encode_nodes(an, ad.constant(batch.audio.reshape(bsz, -1)))
             a_aug = encode_nodes(an, ad.constant(batch.audio_aug.reshape(bsz, -1)))
             loss, br = total_loss_node(a, a_aug, t, v, None, config.tau,
                                        main_flags)
-            anchors, weak2 = _weak_triplet_batch(by_class, records, rng)
-            bags2 = _augmented_bags([r.text for r in anchors], rng,
+            anchors, weak2 = _weak_triplet_batch(class_rows, candidates, rng)
+            bags2 = _augmented_bags(ds.text[anchors], rng,
                                     config.text_aug_prob)
             kl_val = 0.0
             if config.flags.use_kl and len(anchors) >= 2:
                 t2 = encode_np(teacher.text, bags2)
-                vw2 = encode_np(teacher.image,
-                                np.stack([r.image for r in weak2]))
+                vw2 = encode_np(teacher.image, ds.image[weak2])
                 a2 = encode_nodes(an, ad.constant(
-                    np.stack([r.audio.reshape(-1) for r in anchors])))
+                    ds.audio[anchors].reshape(len(anchors), -1)))
                 kl = weak_kl_loss_node(a2, ad.constant(vw2), t2, config.tau,
                                        config.flags.kl_full_rows)
                 loss = ad.add(loss, kl)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .augment import default_vocabulary
 from .config import RunConfig, config_hash
-from .data import (DatasetManifest, TriModalRecord, label_token_seq,
+from .data import (Dataset, DatasetManifest, group_rows, label_token_seq,
                    split_by_video)
 from .encoders import (EncoderParams, TeacherParams, bag_matrix, encode_np,
                        train_audio_encoder)
@@ -71,20 +71,18 @@ def classify_by_cosine(audio_emb: np.ndarray, class_emb: np.ndarray) -> np.ndarr
 def class_label_embeddings(text_params: EncoderParams,
                            classes: int) -> np.ndarray:
     vocab = default_vocabulary()
-    labels = [label_token_seq(vocab, c) for c in range(classes)]
-    return encode_np(text_params, bag_matrix(labels))
+    labels = [label_token_seq(vocab, c).tokens for c in range(classes)]
+    return encode_np(text_params, bag_matrix(labels, len(vocab)))
 
 
-def zero_shot_classify(records: list[TriModalRecord],
-                       audio_params: EncoderParams,
+def zero_shot_classify(ds: Dataset, audio_params: EncoderParams,
                        text_params: EncoderParams, classes: int,
                        config: RunConfig | None = None) -> EvalReport:
-    if classes < 1 or not records:
+    if classes < 1 or len(ds) == 0:
         raise UsageError("need at least one class and one record")
-    audio = encode_np(audio_params,
-                      np.stack([r.audio.reshape(-1) for r in records]))
+    audio = encode_np(audio_params, ds.audio.reshape(len(ds), -1))
     preds = classify_by_cosine(audio, class_label_embeddings(text_params, classes))
-    truth = np.array([r.class_id for r in records])
+    truth = ds.class_id
     per_class = {c: float((preds[truth == c] == c).mean())
                  for c in sorted(set(truth.tolist()))}
     return EvalReport("zero_shot", float((preds == truth).mean()), per_class,
@@ -97,12 +95,9 @@ def linear_probe(embeddings: np.ndarray, labels: np.ndarray,
                  epochs: int = 200, lr: float = 0.1,
                  protocol: str = "linear_probe") -> EvalReport:
     """One-layer softmax classifier on frozen features, full-batch GD."""
-    labels = np.asarray(labels)
-    class_ids = np.unique(labels)
+    class_ids, y = np.unique(labels, return_inverse=True)
     if len(class_ids) < 2:
         raise UsageError("linear probe needs at least two classes")
-    remap = {c: i for i, c in enumerate(class_ids.tolist())}
-    y = np.array([remap[c] for c in labels.tolist()])
     x = np.asarray(embeddings, float)
     n_classes = len(class_ids)
     w = np.zeros((x.shape[1], n_classes))
@@ -124,30 +119,24 @@ def linear_probe(embeddings: np.ndarray, labels: np.ndarray,
     return EvalReport(protocol, float((preds == truth).mean()), per_class)
 
 
-def probe_on_heldout_videos(records: list[TriModalRecord],
-                            manifest: DatasetManifest,
+def probe_on_heldout_videos(ds: Dataset, manifest: DatasetManifest,
                             audio_params: EncoderParams,
                             epochs: int = 200, lr: float = 0.1) -> EvalReport:
     """Linear probe on audio embeddings, held-out-by-video split."""
-    emb = encode_np(audio_params,
-                    np.stack([r.audio.reshape(-1) for r in records]))
-    labels = np.array([r.class_id for r in records])
+    emb = encode_np(audio_params, ds.audio.reshape(len(ds), -1))
     v = manifest.videos_per_class
-    held = np.array([r.video_id % v == v - 1 for r in records])
-    return linear_probe(emb, labels, np.where(~held)[0], np.where(held)[0],
-                        epochs=epochs, lr=lr)
+    held = ds.video_id % v == v - 1
+    return linear_probe(emb, ds.class_id, np.where(~held)[0],
+                        np.where(held)[0], epochs=epochs, lr=lr)
 
 
-def cross_video_audio_image_cosine(records: list[TriModalRecord],
-                                   audio_params: EncoderParams,
+def cross_video_audio_image_cosine(ds: Dataset, audio_params: EncoderParams,
                                    image_params: EncoderParams) -> float:
     """Mean cosine between audio and image embeddings over same-class pairs
     from different videos."""
-    audio = encode_np(audio_params,
-                      np.stack([r.audio.reshape(-1) for r in records]))
-    image = encode_np(image_params, np.stack([r.image for r in records]))
-    cls = np.array([r.class_id for r in records])
-    vid = np.array([r.video_id for r in records])
+    audio = encode_np(audio_params, ds.audio.reshape(len(ds), -1))
+    image = encode_np(image_params, ds.image)
+    cls, vid = ds.class_id, ds.video_id
     mask = (cls[:, None] == cls[None, :]) & (vid[:, None] != vid[None, :])
     return float((audio @ image.T)[mask].mean())
 
@@ -166,7 +155,7 @@ class AblationReport:
         return self.cosine_with_kl - self.cosine_without_kl
 
 
-def _leakage_probe(records: list[TriModalRecord], manifest: DatasetManifest,
+def _leakage_probe(ds: Dataset, manifest: DatasetManifest,
                    audio_params: EncoderParams, models: ModelBundle,
                    config: RunConfig, sources: int = 4, steps: int = 120,
                    anchors_per_video: int = 2) -> float:
@@ -180,12 +169,9 @@ def _leakage_probe(records: list[TriModalRecord], manifest: DatasetManifest,
     biased_classes = sorted(manifest.bias_spec)
     if not biased_classes:
         raise UsageError("leakage probe needs a nonempty bias_spec")
-    by_video: dict[int, list[TriModalRecord]] = {}
-    for r in records:
-        if r.class_id in biased_classes:
-            by_video.setdefault(r.video_id, []).append(r)
-    anchors = [recs[i] for recs in by_video.values()
-               for i in range(min(anchors_per_video, len(recs)))]
+    biased = np.flatnonzero(np.isin(ds.class_id, biased_classes))
+    anchors = [int(biased[i]) for rows in group_rows(ds.video_id[biased])
+               for i in rows[:anchors_per_video]]
     manip = config.manip_config(lambda_id=0.0, steps=steps,
                                 identity_enabled=False)
     bundle = ModelBundle(models.generator, audio_params, models.text,
@@ -195,9 +181,9 @@ def _leakage_probe(records: list[TriModalRecord], manifest: DatasetManifest,
         w_s = sample_source_latent(config.seed_for("eval") + s)
         img_s = synthesize(w_s, models.generator)
         for anchor in anchors:
-            w_a, _, _ = optimize_latent(w_s, anchor.audio, manip, bundle)
+            w_a, _, _ = optimize_latent(w_s, ds.audio[anchor], manip, bundle)
             deltas.append(synthesize(w_a, models.generator) - img_s)
-            labels.append(1 if anchor.nuisance_id >= 0 else 0)
+            labels.append(1 if ds.nuisance_id[anchor] >= 0 else 0)
             source_of.append(s)
     deltas = np.stack(deltas)
     labels = np.array(labels)
@@ -213,11 +199,11 @@ def _leakage_probe(records: list[TriModalRecord], manifest: DatasetManifest,
     return report.overall
 
 
-def ablate_weak_loss(records: list[TriModalRecord], manifest: DatasetManifest,
+def ablate_weak_loss(ds: Dataset, manifest: DatasetManifest,
                      teacher: TeacherParams, models: ModelBundle,
                      config: RunConfig) -> AblationReport:
     """Train both arms from one seed and compare alignment and leakage."""
-    train, held = split_by_video(records, manifest)
+    train, held = split_by_video(ds, manifest)
     arm = {}
     for use_kl in (True, False):
         cfg = config.audio_train_config()
@@ -225,8 +211,8 @@ def ablate_weak_loss(records: list[TriModalRecord], manifest: DatasetManifest,
         params, _ = train_audio_encoder(train, teacher, cfg)
         zs = zero_shot_classify(held, params, teacher.text, manifest.classes,
                                 config)
-        cos = cross_video_audio_image_cosine(records, params, teacher.image)
-        leak = _leakage_probe(records, manifest, params, models, config)
+        cos = cross_video_audio_image_cosine(ds, params, teacher.image)
+        leak = _leakage_probe(ds, manifest, params, models, config)
         arm[use_kl] = (zs, cos, leak)
     return AblationReport(with_kl=arm[True][0], without_kl=arm[False][0],
                           cosine_with_kl=arm[True][1],
@@ -253,7 +239,7 @@ def _flat_cos(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def direction_stats(attribute_classes: list[int], n_seeds: int,
-                    records: list[TriModalRecord], models: ModelBundle,
+                    ds: Dataset, models: ModelBundle,
                     config: RunConfig, steps: int | None = None,
                     step_size: float | None = None) -> EvalReport:
     """Mean/std cosine between source, audio-guided, and text-guided codes.
@@ -269,20 +255,19 @@ def direction_stats(attribute_classes: list[int], n_seeds: int,
     vocab = default_vocabulary()
     manip = config.manip_config(lambda_id=0.0, steps=steps,
                                 step_size=step_size, identity_enabled=False)
-    by_class: dict[int, list[TriModalRecord]] = {}
-    for r in records:
-        by_class.setdefault(r.class_id, []).append(r)
     stats: dict[str, list[float]] = {"sa": [], "st": [], "at": []}
     extras: dict[str, float] = {}
     for attr in attribute_classes:
+        pool = np.flatnonzero(ds.class_id == attr)
+        if pool.size == 0:
+            raise UsageError(f"attribute class {attr} has no records")
         local = {"sa": [], "st": [], "at": []}
         for s in range(n_seeds):
             seed = config.seed_for("eval") + 1000 * attr + s
             w_s = sample_source_latent(seed)
             rng = np.random.default_rng(seed)
-            pool = by_class[attr]
-            anchor = pool[int(rng.integers(0, len(pool)))]
-            w_a, _, _ = optimize_latent(w_s, anchor.audio, manip, models)
+            anchor = pool[rng.integers(0, len(pool))]
+            w_a, _, _ = optimize_latent(w_s, ds.audio[anchor], manip, models)
             w_t, _, _ = text_guided_latent(w_s, label_token_seq(vocab, attr),
                                            manip, models)
             for key, val in (("sa", _flat_cos(w_s, w_a)),

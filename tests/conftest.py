@@ -33,13 +33,13 @@ def manifest(run_config):
 
 
 @pytest.fixture(scope="session")
-def records(manifest):
+def dataset(manifest):
     return generate_dataset(manifest)
 
 
 @pytest.fixture(scope="session")
-def splits(records, manifest):
-    return split_by_video(records, manifest)
+def splits(dataset, manifest):
+    return split_by_video(dataset, manifest)
 
 
 @pytest.fixture(scope="session")
@@ -67,9 +67,9 @@ def audio_encoder_no_kl(splits, teacher, run_config):
 
 
 @pytest.fixture(scope="session")
-def gen_fit(records, run_config):
-    images = np.stack([r.image for r in records])
-    return fit_generator_to_dataset(images, epochs=run_config.gen_fit_epochs,
+def gen_fit(dataset, run_config):
+    return fit_generator_to_dataset(dataset.image,
+                                    epochs=run_config.gen_fit_epochs,
                                     seed=run_config.seed_for("generator"))
 
 
@@ -83,13 +83,13 @@ def model_bundle(gen_fit, teacher, audio_encoder, run_config):
 
 
 @pytest.fixture(scope="session")
-def ablation_report(records, manifest, teacher, model_bundle, run_config):
+def ablation_report(dataset, manifest, teacher, model_bundle, run_config):
     from sgim.evaluate import ablate_weak_loss
-    return ablate_weak_loss(records, manifest, teacher[0], model_bundle,
+    return ablate_weak_loss(dataset, manifest, teacher[0], model_bundle,
                             run_config)
 
 
 @pytest.fixture(scope="session")
-def direction_report(records, model_bundle, run_config):
+def direction_report(dataset, model_bundle, run_config):
     from sgim.evaluate import direction_stats
-    return direction_stats([3, 5], 10, records, model_bundle, run_config)
+    return direction_stats([3, 5], 10, dataset, model_bundle, run_config)

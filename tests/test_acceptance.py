@@ -119,8 +119,7 @@ def test_criterion_4_end_to_end_training():
     start = time.monotonic()
     config = RunConfig(master_seed=MASTER_SEED)
     manifest = config.dataset_manifest()
-    records = generate_dataset(manifest)
-    train, held = split_by_video(records, manifest)
+    train, held = split_by_video(generate_dataset(manifest), manifest)
     teacher, _ = pretrain_teacher(train, config.teacher_train_config())
     audio, _ = train_audio_encoder(train, teacher, config.audio_train_config())
     report = zero_shot_classify(held, audio, teacher.text, manifest.classes,
@@ -143,10 +142,10 @@ def test_criterion_4_end_to_end_training():
                     f"{elapsed:.1f}s (< 120s)")
 
 
-def test_criterion_5_weak_loss_ablation(records, manifest, teacher,
+def test_criterion_5_weak_loss_ablation(dataset, manifest, teacher,
                                         model_bundle, run_config):
     start = time.monotonic()
-    report = ablate_weak_loss(records, manifest, teacher[0], model_bundle,
+    report = ablate_weak_loss(dataset, manifest, teacher[0], model_bundle,
                               run_config)
     elapsed = time.monotonic() - start
     ok = (report.cosine_margin >= 0.05
@@ -157,10 +156,10 @@ def test_criterion_5_weak_loss_ablation(records, manifest, teacher,
                     f"{report.leakage_without_kl:.3f}, {elapsed:.1f}s (< 240s)")
 
 
-def test_criterion_6_manipulation(gen_fit, model_bundle, records):
+def test_criterion_6_manipulation(gen_fit, model_bundle, dataset):
     start = time.monotonic()
     w_s = gen_fit.latents[SOURCE_INDEX]
-    mel = records[AUDIO_INDEX].audio
+    mel = dataset.audio[AUDIO_INDEX]
     config = ManipConfig()
     w_a, gate, trajectory = optimize_latent(w_s, mel, config, model_bundle)
     hinges = [p.hinge for p in trajectory]
@@ -208,10 +207,9 @@ def test_criterion_8_persistence(tmp_path):
     # dataset and checkpoint round-trips, byte-identical
     config = RunConfig(master_seed=MASTER_SEED)
     manifest = config.dataset_manifest()
-    records = generate_dataset(manifest)
-    save_dataset(tmp_path / "d1", manifest, records)
-    m2, r2 = load_dataset(tmp_path / "d1")
-    save_dataset(tmp_path / "d2", m2, r2)
+    save_dataset(tmp_path / "d1", manifest, generate_dataset(manifest))
+    m2, ds2 = load_dataset(tmp_path / "d1")
+    save_dataset(tmp_path / "d2", m2, ds2)
     names = ("manifest.txt", "audio.tmd", "image.tmd", "text.tmd", "ids.tmd",
              "intensity.tmd")
     ok = all(filecmp.cmp(tmp_path / "d1" / n, tmp_path / "d2" / n,

@@ -1,5 +1,6 @@
 import filecmp
 import shutil
+import struct
 
 import pytest
 
@@ -119,6 +120,18 @@ CORRUPTIONS = {
                              "manifest.txt: invalid entries: classes"),
     "audio_tmd_truncated": ("dataset/audio.tmd", lambda b: b[:1000],
                             "audio.tmd"),
+    "manifest_classes_0": ("dataset/manifest.txt",
+                           lambda b: b.replace(b"classes=8", b"classes=0"),
+                           "manifest.txt: manifest counts must all be >= 1"),
+    "manifest_videos_per_class_7": (
+        "dataset/manifest.txt",
+        lambda b: b.replace(b"videos_per_class=6", b"videos_per_class=7"),
+        "audio.tmd: shape (384, 20, 10) does not match (448, 20, 10)"),
+    # a well-formed audio.tmd holding the first 100 of the 384 records
+    "audio_tmd_100_records": (
+        "dataset/audio.tmd",
+        lambda b: b[:4] + struct.pack("<i", 100) + b[8:20 + 100 * 200 * 8],
+        "audio.tmd: shape (100, 20, 10) does not match (384, 20, 10)"),
     "teacher_ckpt_truncated": ("teacher.ckpt", lambda b: b[:300],
                                "teacher.ckpt"),
     "teacher_ckpt_garbled": ("teacher.ckpt",

@@ -3,8 +3,10 @@ import pytest
 
 from sgim import encoders
 from sgim.augment import TokenSeq, default_vocabulary
-from sgim.data import label_token_seq, sample_minibatch, sample_weak_pair
-from sgim.encoders import (TrainConfig, bag_of_tokens,
+from sgim.data import (DatasetManifest, generate_dataset, label_token_seq,
+                       sample_minibatch, sample_weak_pair, split_by_video,
+                       weak_candidates)
+from sgim.encoders import (TeacherParams, TrainConfig, bag_of_tokens,
                            batch_total_loss, cyclic_lr, encode_audio,
                            encode_image, encode_np, encode_text,
                            init_encoder_params, params_hash, pretrain_teacher,
@@ -67,11 +69,11 @@ def test_cyclic_lr_schedule():
     assert cyclic_lr(0.1, 3) < cyclic_lr(0.1, 2)
 
 
-def test_pretrain_rejects_empty_and_tiny_batch(records):
+def test_pretrain_rejects_empty_and_tiny_batch(dataset):
     with pytest.raises(UsageError):
-        pretrain_teacher([], TrainConfig())
+        pretrain_teacher(dataset.take(np.arange(0)), TrainConfig())
     with pytest.raises(UsageError):
-        pretrain_teacher(records[:8], TrainConfig(batch_size=1))
+        pretrain_teacher(dataset.take(np.arange(8)), TrainConfig(batch_size=1))
 
 
 def test_teacher_loss_decreases(teacher):
@@ -85,19 +87,18 @@ def test_teacher_retrieval_on_held_out(teacher, splits, manifest):
     params, _ = teacher
     _, held = splits
     vocab = default_vocabulary()
-    labels = [label_token_seq(vocab, c) for c in range(manifest.classes)]
-    t = encode_np(params.text, encoders.bag_matrix(labels))
-    v = encode_np(params.image, np.stack([r.image for r in held]))
-    truth = np.array([r.class_id for r in held])
-    accuracy = float((np.argmax(v @ t.T, axis=1) == truth).mean())
+    labels = [label_token_seq(vocab, c).tokens for c in range(manifest.classes)]
+    t = encode_np(params.text, encoders.bag_matrix(labels, len(vocab)))
+    v = encode_np(params.image, held.image)
+    accuracy = float((np.argmax(v @ t.T, axis=1) == held.class_id).mean())
     assert accuracy >= 0.95
 
 
 def test_teacher_text_classes_separated(teacher, manifest):
     params, _ = teacher
     vocab = default_vocabulary()
-    labels = [label_token_seq(vocab, c) for c in range(manifest.classes)]
-    t = encode_np(params.text, encoders.bag_matrix(labels))
+    labels = [label_token_seq(vocab, c).tokens for c in range(manifest.classes)]
+    t = encode_np(params.text, encoders.bag_matrix(labels, len(vocab)))
     sims = t @ t.T
     off_diag = sims[~np.eye(manifest.classes, dtype=bool)]
     assert off_diag.max() < 0.9
@@ -148,8 +149,10 @@ def test_pinned_init_loss_breakdown(splits, teacher, run_config):
                                   run_config.embed_dim)
     brng = np.random.default_rng(0)
     batch = sample_minibatch(train, 8, brng)
-    weak = [sample_weak_pair(train, r, brng) for r in batch.records]
-    br = batch_total_loss(batch, weak, audio_p, teacher[0], run_config.tau)
+    candidates = weak_candidates(train)
+    weak = [sample_weak_pair(candidates, i, brng) for i in batch.rows]
+    br = batch_total_loss(batch, train.image[weak], audio_p, teacher[0],
+                          run_config.tau)
     assert br.total == pytest.approx(PINNED_INIT_TOTAL, rel=1e-9)
     assert br.total == pytest.approx(
         br.nce_at + br.nce_av + br.self_aa + br.kl_weak, abs=1e-9)
@@ -162,11 +165,31 @@ def test_training_lowers_total_loss(splits, teacher, audio_encoder, run_config):
                                  run_config.embed_dim)
     brng = np.random.default_rng(5)
     batch = sample_minibatch(train, 32, brng)
-    weak = [sample_weak_pair(train, r, brng) for r in batch.records]
+    candidates = weak_candidates(train)
+    weak = train.image[[sample_weak_pair(candidates, i, brng)
+                        for i in batch.rows]]
     before = batch_total_loss(batch, weak, init_p, teacher[0], run_config.tau)
     after = batch_total_loss(batch, weak, audio_encoder[0], teacher[0],
                              run_config.tau)
     assert after.total < before.total
+
+
+def test_weak_pair_fallback_warns_once_per_class(caplog):
+    # two videos per class: the training split keeps one, so every class
+    # falls back to same-video weak pairs for the whole run
+    manifest = DatasetManifest(videos_per_class=2, records_per_video=4)
+    train, _ = split_by_video(generate_dataset(manifest), manifest)
+    rng = np.random.default_rng(0)
+    teacher = TeacherParams(
+        text=init_encoder_params(rng, len(default_vocabulary()), 16, 8),
+        image=init_encoder_params(rng, manifest.pixels, 16, 8))
+    teacher.text.frozen = teacher.image.frozen = True
+    with caplog.at_level("WARNING", logger="sgim.data"):
+        train_audio_encoder(train, teacher, TrainConfig(epochs=2), hidden=16,
+                            embed_dim=8)
+    fallbacks = [r.message for r in caplog.records if "fallback" in r.message]
+    assert len(fallbacks) == manifest.classes
+    assert len(set(fallbacks)) == manifest.classes
 
 
 def test_loss_log_csv_format(audio_encoder):

@@ -63,22 +63,20 @@ def test_classification_rotation_invariant():
     assert np.array_equal(base, rotated)
 
 
-def test_probe_at_least_zero_shot(records, manifest, audio_encoder, teacher,
+def test_probe_at_least_zero_shot(dataset, manifest, audio_encoder, teacher,
                                   splits, run_config):
     _, held = splits
-    probe = probe_on_heldout_videos(records, manifest, audio_encoder[0])
+    probe = probe_on_heldout_videos(dataset, manifest, audio_encoder[0])
     zs = zero_shot_classify(held, audio_encoder[0], teacher[0].text,
                             manifest.classes)
     assert probe.overall >= zs.overall
 
 
-def test_probe_shuffled_labels_near_chance(records, manifest, audio_encoder):
-    emb = encode_np(audio_encoder[0],
-                    np.stack([r.audio.reshape(-1) for r in records]))
-    labels = np.array([r.class_id for r in records])
-    shuffled = np.random.default_rng(13).permutation(labels)
+def test_probe_shuffled_labels_near_chance(dataset, manifest, audio_encoder):
+    emb = encode_np(audio_encoder[0], dataset.audio.reshape(len(dataset), -1))
+    shuffled = np.random.default_rng(13).permutation(dataset.class_id)
     v = manifest.videos_per_class
-    held = np.array([r.video_id % v == v - 1 for r in records])
+    held = dataset.video_id % v == v - 1
     report = linear_probe(emb, shuffled, np.where(~held)[0], np.where(held)[0])
     lo, hi = binomial_99_interval(int(held.sum()), 1.0 / manifest.classes)
     assert report.overall * held.sum() <= hi + 8  # loose: shuffle is not iid
@@ -91,9 +89,9 @@ def test_probe_rejects_single_class():
                      np.arange(8, 10))
 
 
-def test_probe_deterministic(records, manifest, audio_encoder):
-    a = probe_on_heldout_videos(records, manifest, audio_encoder[0])
-    b = probe_on_heldout_videos(records, manifest, audio_encoder[0])
+def test_probe_deterministic(dataset, manifest, audio_encoder):
+    a = probe_on_heldout_videos(dataset, manifest, audio_encoder[0])
+    b = probe_on_heldout_videos(dataset, manifest, audio_encoder[0])
     assert a.overall == b.overall
 
 
@@ -112,27 +110,27 @@ def test_ablation_csv_shape(ablation_report):
     assert len(lines) == 4
 
 
-def test_cross_video_cosine_range(records, audio_encoder, teacher):
-    val = cross_video_audio_image_cosine(records, audio_encoder[0],
+def test_cross_video_cosine_range(dataset, audio_encoder, teacher):
+    val = cross_video_audio_image_cosine(dataset, audio_encoder[0],
                                          teacher[0].image)
     assert -1.0 <= val <= 1.0
 
 
-def test_direction_stats_zero_movement_gives_unit_cosines(records,
+def test_direction_stats_zero_movement_gives_unit_cosines(dataset,
                                                           model_bundle,
                                                           run_config):
-    report = direction_stats([3], 2, records, model_bundle, run_config,
+    report = direction_stats([3], 2, dataset, model_bundle, run_config,
                              steps=1, step_size=0.0)
     assert report.extras["cos_sa_mean"] == 1.0
     assert report.extras["cos_st_mean"] == 1.0
     assert report.extras["cos_at_mean"] == 1.0
 
 
-def test_direction_stats_requires_seeds(records, model_bundle, run_config):
+def test_direction_stats_requires_seeds(dataset, model_bundle, run_config):
     with pytest.raises(UsageError):
-        direction_stats([3], 1, records, model_bundle, run_config)
+        direction_stats([3], 1, dataset, model_bundle, run_config)
     with pytest.raises(UsageError):
-        direction_stats([], 5, records, model_bundle, run_config)
+        direction_stats([], 5, dataset, model_bundle, run_config)
 
 
 def test_direction_stats_report(direction_report):
@@ -161,13 +159,12 @@ def test_report_rejects_silly_accuracy():
         EvalReport("demo", 1.5)
 
 
-def test_nuisance_pattern_decodable_from_raw_images(records, manifest):
+def test_nuisance_pattern_decodable_from_raw_images(dataset, manifest):
     # the injected bias must exist before any learning: a probe on raw
     # pixels finds the pattern well above the ~83% majority rate
-    biased = [r for r in records if r.class_id in manifest.bias_spec]
-    images = np.stack([r.image for r in biased])
-    labels = np.array([1 if r.nuisance_id >= 0 else 0 for r in biased])
+    biased = dataset.take(np.isin(dataset.class_id, list(manifest.bias_spec)))
+    labels = (biased.nuisance_id >= 0).astype(int)
     idx = np.arange(len(biased))
-    report = linear_probe(images, labels, idx[idx % 2 == 0], idx[idx % 2 == 1],
-                          epochs=800, lr=0.5)
+    report = linear_probe(biased.image, labels, idx[idx % 2 == 0],
+                          idx[idx % 2 == 1], epochs=800, lr=0.5)
     assert report.overall > 0.9

@@ -23,10 +23,9 @@ def test_basis_is_orthonormal():
     assert sizes == [1, 3, 5, 7, 9, 11, 13, 15]
 
 
-def test_zero_latent_gives_bias_only_image(gen_fit, records):
-    images = np.stack([r.image for r in records])
+def test_zero_latent_gives_bias_only_image(gen_fit, dataset):
     out = synthesize(np.zeros((8, 32)), gen_fit.params)
-    assert np.array_equal(out, images.mean(axis=0))
+    assert np.array_equal(out, dataset.image.mean(axis=0))
     assert np.allclose(out[:3], PINNED_BIAS_HEAD, atol=1e-12)
 
 
@@ -110,8 +109,8 @@ def test_fit_reduces_mse_below_tenth(gen_fit):
     assert gen_fit.final_mse < 0.1 * gen_fit.mse_history[0]
 
 
-def test_fit_zero_epochs_returns_initialization(records, run_config):
-    images = np.stack([r.image for r in records])
+def test_fit_zero_epochs_returns_initialization(dataset, run_config):
+    images = dataset.image
     seed = run_config.seed_for("generator")
     fit0 = fit_generator_to_dataset(images, epochs=0, seed=seed)
     rng = np.random.default_rng(seed)
@@ -126,11 +125,10 @@ def test_fit_rejects_empty():
         fit_generator_to_dataset(np.empty((0, 64)), 1, seed=0)
 
 
-def test_fitted_latents_reconstruct_through_encoder(gen_fit, records, teacher):
-    images = np.stack([r.image for r in records])
+def test_fitted_latents_reconstruct_through_encoder(gen_fit, dataset, teacher):
     recon = np.stack([synthesize(gen_fit.latents[i], gen_fit.params)
-                      for i in range(0, len(records), 16)])
-    e_orig = encode_np(teacher[0].image, images[::16])
+                      for i in range(0, len(dataset), 16)])
+    e_orig = encode_np(teacher[0].image, dataset.image[::16])
     e_rec = encode_np(teacher[0].image, recon)
     assert float((e_orig * e_rec).sum(axis=1).min()) >= 0.9
 

@@ -19,9 +19,9 @@ from conftest import AUDIO_INDEX, SOURCE_INDEX
 
 
 @pytest.fixture(scope="module")
-def manip_run(gen_fit, model_bundle, records):
+def manip_run(gen_fit, model_bundle, dataset):
     w_s = gen_fit.latents[SOURCE_INDEX]
-    mel = records[AUDIO_INDEX].audio
+    mel = dataset.audio[AUDIO_INDEX]
     config = ManipConfig()
     w_a, gate, trajectory = optimize_latent(w_s, mel, config, model_bundle)
     return w_s, w_a, gate, trajectory
@@ -74,26 +74,26 @@ def test_identity_loss_bounds_and_zero(gen_fit, model_bundle):
     assert 0.0 <= val <= 2.0
 
 
-def test_optimize_rejects_bad_steps(gen_fit, model_bundle, records):
+def test_optimize_rejects_bad_steps(gen_fit, model_bundle, dataset):
     with pytest.raises(ParameterError):
-        optimize_latent(gen_fit.latents[0], records[0].audio,
+        optimize_latent(gen_fit.latents[0], dataset.audio[0],
                         ManipConfig(steps=0), model_bundle)
 
 
-def test_one_zero_size_step_keeps_source(gen_fit, model_bundle, records):
+def test_one_zero_size_step_keeps_source(gen_fit, model_bundle, dataset):
     w_s = gen_fit.latents[SOURCE_INDEX]
     w_a, gate, traj = optimize_latent(
-        w_s, records[AUDIO_INDEX].audio,
+        w_s, dataset.audio[AUDIO_INDEX],
         ManipConfig(steps=1, step_size=0.0), model_bundle)
     assert np.array_equal(w_a, w_s)
     assert traj[0].hinge == 1.0
 
 
-def test_huge_step_aborts_loudly(gen_fit, model_bundle, records):
+def test_huge_step_aborts_loudly(gen_fit, model_bundle, dataset):
     # tanh and row normalization keep embeddings finite, so the blowup
     # surfaces in the drift norms once the latent overflows float64
     with np.errstate(over="ignore"), pytest.raises(SgimError):
-        optimize_latent(gen_fit.latents[0], records[0].audio,
+        optimize_latent(gen_fit.latents[0], dataset.audio[0],
                         ManipConfig(steps=8, step_size=1e300), model_bundle)
 
 
@@ -118,13 +118,13 @@ def test_gate_softmax_sums_to_one_every_step(manip_run):
         assert np.all(p.gate_softmax > 0.0)
 
 
-def test_gate_mass_moves_to_static_fine_layers(gen_fit, model_bundle, records):
+def test_gate_mass_moves_to_static_fine_layers(gen_fit, model_bundle, dataset):
     # class image templates are coarse-band dominant, so the edit leaves the
     # fine layers nearly untouched and the minimized penalty concentrates
     # its softmax mass there; amplified lambda_reg makes the effect visible
     w_s = gen_fit.latents[SOURCE_INDEX]
     config = ManipConfig(lambda_reg=1.0)
-    w_a, gate, _ = optimize_latent(w_s, records[AUDIO_INDEX].audio, config,
+    w_a, gate, _ = optimize_latent(w_s, dataset.audio[AUDIO_INDEX], config,
                                    model_bundle)
     softmax = gate_softmax(gate)
     drift = np.linalg.norm(w_a - w_s, axis=1)
@@ -132,9 +132,9 @@ def test_gate_mass_moves_to_static_fine_layers(gen_fit, model_bundle, records):
     assert softmax[4:].sum() > 0.5
 
 
-def test_identity_lambda_ordering(gen_fit, model_bundle, records):
+def test_identity_lambda_ordering(gen_fit, model_bundle, dataset):
     w_s = gen_fit.latents[SOURCE_INDEX]
-    mel = records[AUDIO_INDEX].audio
+    mel = dataset.audio[AUDIO_INDEX]
 
     def identity_cos(lambda_id):
         w_a, _, _ = optimize_latent(w_s, mel,
@@ -149,7 +149,7 @@ def test_identity_lambda_ordering(gen_fit, model_bundle, records):
     assert identity_cos(0.5) > identity_cos(0.0)
 
 
-def test_objective_gradient_matches_fd(gen_fit, model_bundle, records):
+def test_objective_gradient_matches_fd(gen_fit, model_bundle, dataset):
     w_s = gen_fit.latents[SOURCE_INDEX]
     target = np.random.default_rng(3).standard_normal(32)
     target /= np.linalg.norm(target)
