@@ -270,14 +270,23 @@ def backward(root: Node) -> dict[Node, np.ndarray]:
 def finite_difference_check(f: Callable[[Node], Node], x, eps: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    ``f`` maps a leaf Node to a scalar Node. Relative error per coordinate is
-    |analytic - central| / (|central| + 1e-8). Caller keeps eps in (0, 1e-3]
+    ``f`` maps a leaf Node to a scalar Node. Caller keeps eps in (0, 1e-3]
     and x away from kinks of f.
     """
     x = array(x)
     lf = leaf(x)
     backward(f(lf))
-    analytic = lf.grad
+    return max_rel_error(lf.grad, lambda y: f(leaf(y)).value, x, eps)
+
+
+def max_rel_error(analytic: np.ndarray, f: Callable[[np.ndarray], float], x,
+                  eps: float = 1e-5) -> float:
+    """Max relative error of ``analytic`` against the central differences of
+    the scalar function ``f`` at ``x``.
+
+    Relative error per coordinate is |analytic - central| / (|central| + 1e-8).
+    """
+    x = array(x)
     numeric = np.zeros_like(x)
     flat_num = numeric.reshape(-1)
     flat = x.reshape(-1)
@@ -286,8 +295,8 @@ def finite_difference_check(f: Callable[[Node], Node], x, eps: float = 1e-5) -> 
         xm = flat.copy()
         xp[i] += eps
         xm[i] -= eps
-        fp = f(leaf(xp.reshape(x.shape))).value
-        fm = f(leaf(xm.reshape(x.shape))).value
+        fp = f(xp.reshape(x.shape))
+        fm = f(xm.reshape(x.shape))
         flat_num[i] = (fp - fm) / (2.0 * eps)
     rel = np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8)
     return float(rel.max()) if rel.size else 0.0

@@ -48,10 +48,9 @@ def band_index_pairs(side: int) -> list[tuple[int, int]]:
 
 
 def band_slices(side: int) -> list[slice]:
-    """Row ranges of cosine_basis belonging to each band."""
-    sizes = [2 * band + 1 for band in range(side)]
-    offs = np.cumsum([0] + sizes)
-    return [slice(int(offs[i]), int(offs[i + 1])) for i in range(side)]
+    """Row ranges of cosine_basis belonging to each band; band k holds
+    2k+1 rows, so it starts at row k*k."""
+    return [slice(k * k, (k + 1) * (k + 1)) for k in range(side)]
 
 
 def band_of_rows(side: int) -> np.ndarray:

@@ -245,7 +245,11 @@ def cmd_ablate(run: Path, args, config: RunConfig) -> int:
 def cmd_direction_stats(run: Path, args, config: RunConfig) -> int:
     _, ds = _load_dataset(run)
     models, _ = _bundle(run, config)
-    attrs = [int(a) for a in args.attrs.split(",") if a.strip()]
+    try:
+        attrs = [int(a) for a in args.attrs.split(",") if a.strip()]
+    except ValueError:
+        raise UsageError("--attrs must be comma-separated class ids, "
+                         f"got {args.attrs!r}") from None
     report = direction_stats(attrs, args.seeds, ds, models, config)
     _write_report(run, "direction", report)
     ok, msg = soft_direction_check(report)

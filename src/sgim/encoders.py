@@ -185,8 +185,8 @@ def pretrain_teacher(ds: Dataset,
     plus the per-epoch loss log."""
     if len(ds) == 0:
         raise UsageError("cannot pretrain a teacher on an empty dataset")
-    if config.batch_size < 2:
-        raise UsageError("InfoNCE needs negatives: batch_size >= 2")
+    if min(config.batch_size, len(ds)) < 2:
+        raise UsageError("InfoNCE needs negatives: at least 2 records per batch")
     rng = np.random.default_rng(config.seed)
     vocab_size = len(default_vocabulary())
     pixels = ds.image.shape[1]
@@ -203,13 +203,13 @@ def pretrain_teacher(ds: Dataset,
         lr = cyclic_lr(config.lr, epoch, config.sched_period)
         epoch_loss = 0.0
         for _ in range(steps):
-            batch = sample_minibatch(ds, bsz, rng,
-                                     freq_mask_ratio=0.0, time_mask_ratio=0.0)
-            bags = _augmented_bags(batch.text, rng, config.text_aug_prob)
+            # the draw of sample_minibatch; the teacher never reads audio
+            rows = rng.choice(n, size=bsz, replace=False)
+            bags = _augmented_bags(ds.text[rows], rng, config.text_aug_prob)
             tn = encoder_param_nodes(text_p)
             vn = encoder_param_nodes(image_p)
             t = encode_nodes(tn, ad.constant(bags))
-            v = encode_nodes(vn, ad.constant(batch.images))
+            v = encode_nodes(vn, ad.constant(ds.image[rows]))
             loss = info_nce_pair_node(t, v, config.tau)
             ad.backward(loss)
             opt_t.step(text_p.arrays(), {k: nd.grad for k, nd in tn.items()}, lr)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .basis import band_slices, cosine_basis, image_side
 from .errors import DimensionError, UsageError
 
@@ -74,18 +73,13 @@ def synthesize(w: np.ndarray, gen: GeneratorParams) -> np.ndarray:
     return out
 
 
-def synthesize_node(w: ad.Node, gen: GeneratorParams) -> ad.Node:
-    """Graph version; w is an (layers, latent_dim) Node, output (1, pixels)."""
-    if w.value.shape != (gen.layers, gen.latent_dim):
-        raise DimensionError(
-            f"latent must be {(gen.layers, gen.latent_dim)}, got {w.value.shape}")
+def band_factors(gen: GeneratorParams) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per layer k, the pair (M_k, B_k) with image = bias + sum_k
+    (w[k] @ M_k) @ B_k: the layer modulation as C-ordered float64 and the
+    band-k rows of the cosine basis."""
     basis = _basis(gen.side)
-    img = ad.constant(gen.bias[None, :])
-    for k, sl in enumerate(band_slices(gen.side)):
-        row = ad.slice_rows(w, k, k + 1)
-        coeff = ad.matmul(row, ad.constant(gen.layer_mods[k]))
-        img = ad.add(img, ad.matmul(coeff, ad.constant(np.asarray(basis[sl]))))
-    return img
+    return [(np.asarray(gen.layer_mods[k], dtype=np.float64, order="C"),
+             basis[sl]) for k, sl in enumerate(band_slices(gen.side))]
 
 
 def sample_source_latent(seed: int, side: int = 8,

@@ -1,5 +1,7 @@
 """Finite-difference verification of every differentiable operation and of
-the composite losses, including the full manipulation objective.
+the composite losses, and of the hand-derived gradient of the manipulation
+objective: with respect to the latent, with respect to the gate logits, and
+with adaptive masking off (the plain-norm regularizer).
 
 Each check evaluates the analytic gradient against central differences at
 10 seeded points and reports the worst relative error. The gate is 1e-4.
@@ -7,7 +9,7 @@ Each check evaluates the analytic gradient against central differences at
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -16,8 +18,8 @@ from . import autodiff as ad
 from . import losses
 from .encoders import init_encoder_params
 from .generator import init_generator
-from .manipulate import (ManipConfig, ModelBundle, init_identity_extractor,
-                         objective_node, identity_features)
+from .manipulate import (ManipConfig, ModelBundle, identity_features,
+                         init_identity_extractor, objective_and_grad)
 from .generator import synthesize
 
 TOLERANCE = 1e-4
@@ -103,7 +105,8 @@ def _composite_checks(rng: np.random.Generator) -> list[tuple[str, Callable, tup
             ("weak_kl", weak_kl, (4, 8), "")]
 
 
-def _manipulation_check(rng: np.random.Generator) -> tuple[str, Callable, tuple, str]:
+def _manipulation_checks(rng: np.random.Generator,
+                         ) -> list[tuple[str, Callable, tuple, str]]:
     gen = init_generator(rng, side=8, latent_dim=32)
     gen.bias = 0.1 * rng.standard_normal(64)
     image_params = init_encoder_params(rng, 64, 32, 16)
@@ -118,13 +121,26 @@ def _manipulation_check(rng: np.random.Generator) -> tuple[str, Callable, tuple,
     v_src = encode_np(image_params, synthesize(w_s, gen)[None, :])[0]
     d_src = 1.0 - float(v_src @ target)
     src_id = identity_features(identity, synthesize(w_s, gen))
+    # the gate check needs a drifted latent; reversing the layers of w_s
+    # gives one without another draw
+    w_gate = w_s[::-1].copy()
 
-    def objective(w):
-        total, *_ = objective_node(w, ad.constant(gate[None, :]), w_s, target,
-                                   d_src, config, models, src_id)
-        return total
+    def objective(w, g, cfg=config):
+        return objective_and_grad(w, g, w_s, target, d_src, cfg, models, src_id)
 
-    return ("manipulation_objective", objective, (8, 32), "")
+    def check(f, grad_index):
+        """x -> error of output ``grad_index`` of ``f(x)`` against central
+        differences of its total (output 0)."""
+        return lambda x: ad.max_rel_error(f(x)[grad_index],
+                                          lambda y: f(y)[0], x)
+
+    plain = replace(config, adaptive_masking=False)
+    return [("manipulation_objective", check(lambda w: objective(w, gate), 4),
+             (8, 32), ""),
+            ("manipulation_gate", check(lambda g: objective(w_gate, g), 5),
+             (8,), ""),
+            ("manipulation_plain_reg",
+             check(lambda w: objective(w, gate, plain), 4), (8, 32), "")]
 
 
 def _sample(rng: np.random.Generator, shape, domain: str) -> np.ndarray:
@@ -138,14 +154,19 @@ def _sample(rng: np.random.Generator, shape, domain: str) -> np.ndarray:
 
 def run_gradient_checks(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    checks = _primitive_checks(rng) + _composite_checks(rng)
-    checks.append(_manipulation_check(rng))
+    # graph checks map a leaf Node to a scalar Node; each manipulation
+    # check maps a point to its gradient's error
+    checks = [(name, lambda x, fn=fn: ad.finite_difference_check(fn, x),
+               shape, domain)
+              for name, fn, shape, domain
+              in _primitive_checks(rng) + _composite_checks(rng)]
+    checks += _manipulation_checks(rng)
     results = []
-    for name, fn, shape, domain in checks:
+    for name, error_at, shape, domain in checks:
         worst = 0.0
         for _ in range(POINTS):
             x = _sample(rng, shape, domain)
-            worst = max(worst, ad.finite_difference_check(fn, x))
+            worst = max(worst, error_at(x))
         results.append(CheckResult(name, worst))
     return results
 

@@ -10,6 +10,12 @@ which is 1 at the start (w_a == w_s) and drops below 1 exactly when the
 manipulated image is strictly closer to the guidance embedding than the
 source image. Regularization is the gate-weighted mean of per-layer latent
 drift norms (or the plain Frobenius norm with adaptive masking off).
+
+Each step evaluates the objective and its gradient with
+``objective_and_grad``: a hand-derived numpy forward and backward pass that
+mirrors, expression for expression, the autodiff ops the objective was once
+built from, so results match that graph bit for bit at a fraction of the
+cost. The autodiff graph now serves training and gradcheck only.
 """
 
 from __future__ import annotations
@@ -18,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .encoders import EncoderParams, encode_audio, encode_np, encode_text
-from .errors import NumericsError, ParameterError
-from .generator import GeneratorParams, synthesize, synthesize_node
+from .errors import DegenerateInputError, NumericsError, ParameterError
+from .generator import GeneratorParams, band_factors, synthesize
 from .augment import TokenSeq
 
 GATE_TOL = 1e-12
@@ -46,12 +51,6 @@ def init_identity_extractor(rng: np.random.Generator, pixels: int = 64,
 def identity_features(extractor: IdentityExtractor, image: np.ndarray) -> np.ndarray:
     z = np.tanh(np.asarray(image, float).reshape(1, -1) @ extractor.w1) @ extractor.w2
     return (z / np.linalg.norm(z))[0]
-
-
-def _identity_node(extractor: IdentityExtractor, image: ad.Node) -> ad.Node:
-    z = ad.matmul(ad.tanh(ad.matmul(image, ad.constant(extractor.w1))),
-                  ad.constant(extractor.w2))
-    return ad.l2_normalize_rows(z)
 
 
 @dataclass
@@ -87,15 +86,6 @@ def gate_softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max()
     e = np.exp(z)
     return e / e.sum()
-
-
-def _param_consts(params: EncoderParams) -> dict[str, ad.Node]:
-    return {k: ad.constant(v) for k, v in params.arrays().items()}
-
-
-def _encode_image_node(params: EncoderParams, img: ad.Node) -> ad.Node:
-    from .encoders import encode_nodes
-    return encode_nodes(_param_consts(params), img)
 
 
 def hinge_from_distances(d_src: float, d_manip: float) -> float:
@@ -135,38 +125,112 @@ def identity_loss(w_s: np.ndarray, w_a: np.ndarray, gen: GeneratorParams,
     return 1.0 - float(f_s @ f_a)
 
 
-def _reg_node(w: ad.Node, w_s: np.ndarray, g: ad.Node | None,
-              adaptive: bool) -> ad.Node:
-    delta = ad.sub(w, ad.constant(w_s))
-    if not adaptive:
-        return ad.sqrt(ad.sum_all(ad.mul_elementwise(delta, delta)))
-    layers = w_s.shape[0]
-    norms = ad.row_l2_norm(delta)                       # (L, 1)
-    weights = ad.row_softmax(g, 1.0)                    # (1, L)
-    return ad.scale(ad.sum_all(ad.matmul(weights, norms)), 1.0 / layers)
+def _c(a) -> np.ndarray:
+    """float64 in C order, the layout the autodiff graph gave every operand,
+    so each matmul below rounds as the graph's did."""
+    return np.asarray(a, dtype=np.float64, order="C")
 
 
-def objective_node(w: ad.Node, g: ad.Node | None, w_s: np.ndarray,
-                   target: np.ndarray, d_src: float, config: ManipConfig,
-                   models: ModelBundle, source_identity: np.ndarray | None,
-                   ) -> tuple[ad.Node, float, float, float]:
-    """Full manipulation objective; returns (total, hinge, reg, identity)."""
-    img = synthesize_node(w, models.generator)
-    v = _encode_image_node(models.image, img)
-    d_manip = ad.sub(ad.constant(1.0),
-                     ad.sum_all(ad.mul_elementwise(v, ad.constant(target[None, :]))))
-    hinge = ad.max_with_zero(ad.add(ad.sub(d_manip, ad.constant(d_src)),
-                                    ad.constant(1.0)))
-    reg = _reg_node(w, w_s, g, config.adaptive_masking)
-    total = ad.add(hinge, ad.scale(reg, config.lambda_reg))
-    id_val = 0.0
-    if config.identity_enabled and config.lambda_id > 0.0:
-        feat = _identity_node(models.identity, img)
-        id_node = ad.sub(ad.constant(1.0), ad.sum_all(ad.mul_elementwise(
-            feat, ad.constant(source_identity[None, :]))))
-        total = ad.add(total, ad.scale(id_node, config.lambda_id))
-        id_val = float(id_node.value)
-    return total, float(hinge.value), float(reg.value), id_val
+def _unit_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of z scaled to unit norm, and the norms (autodiff's
+    ``l2_normalize_rows``)."""
+    norms = np.sqrt((z ** 2).sum(axis=1, keepdims=True))
+    if np.any(norms == 0.0):
+        raise DegenerateInputError("l2_normalize_rows: zero-norm row")
+    return z / norms, norms
+
+
+def _unit_rows_vjp(g: np.ndarray, out: np.ndarray,
+                   norms: np.ndarray) -> np.ndarray:
+    dot = (g * out).sum(axis=1, keepdims=True)
+    return (g - out * dot) / norms
+
+
+def objective_and_grad(w: np.ndarray, g: np.ndarray, w_s: np.ndarray,
+                       target: np.ndarray, d_src: float, config: ManipConfig,
+                       models: ModelBundle, source_identity: np.ndarray | None,
+                       ) -> tuple[float, float, float, float,
+                                  np.ndarray, np.ndarray]:
+    """Manipulation objective at latent ``w`` and gate logits ``g``.
+
+    Returns (total, hinge, reg, identity, grad_w, grad_g); grad_g is zero
+    with adaptive masking off. The forward pass repeats the numpy
+    expressions of the autodiff ops the objective is made of, and the
+    backward pass repeats their vjps in the order ``autodiff.backward``
+    runs them, skipping only the gradients of the frozen weights. Values
+    and gradients are therefore bit-identical to building the graph and
+    calling ``backward`` (tests/graph_reference.py keeps that graph).
+    """
+    gen = models.generator
+    w = _c(gen.check_latent(w))
+    bands = band_factors(gen)
+    enc = models.image
+    w1, b1, w2, b2, w3, b3 = (_c(getattr(enc, k))
+                              for k in ("w1", "b1", "w2", "b2", "w3", "b3"))
+    t = _c(target)[None, :]
+    lam_reg = float(config.lambda_reg)
+    lam_id = float(config.lambda_id)
+    use_id = config.identity_enabled and lam_id > 0.0
+
+    # forward
+    img = _c(gen.bias)[None, :]
+    for k, (mod, basis) in enumerate(bands):
+        img = img + (w[k:k + 1] @ mod) @ basis
+    h1 = np.tanh(img @ w1 + b1)
+    h2 = np.tanh(h1 @ w2 + b2)
+    v, v_norms = _unit_rows(h2 @ w3 + b3)
+    pre = (1.0 - (v * t).sum()) - d_src + 1.0
+    hinge = np.maximum(pre, 0.0)
+
+    delta = w - _c(w_s)
+    layers = w.shape[0]
+    if config.adaptive_masking:
+        norms = np.sqrt((delta ** 2).sum(axis=1, keepdims=True))     # (L, 1)
+        z = _c(g)[None, :]
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        weights = e / e.sum(axis=1, keepdims=True)                   # (1, L)
+        reg = (weights @ norms).sum() * (1.0 / layers)
+    else:
+        reg = np.sqrt((delta * delta).sum())
+    total = hinge + reg * lam_reg
+    ident = 0.0
+    if use_id:
+        iw1, iw2 = _c(models.identity.w1), _c(models.identity.w2)
+        src = _c(source_identity)[None, :]
+        hf = np.tanh(img @ iw1)
+        feat, f_norms = _unit_rows(hf @ iw2)
+        ident = 1.0 - (feat * src).sum()
+        total = total + ident * lam_id
+
+    # backward: hinge through the image encoder, then identity. 0.0 - x,
+    # not -x: the graph accumulated every gradient onto +0.0, so an inactive
+    # hinge passes +0.0 on, never -0.0
+    g_v = (0.0 - float(pre > 0.0)) * t
+    g_a2 = (_unit_rows_vjp(g_v, v, v_norms) @ w3.T) * (1.0 - h2 * h2)
+    g_a1 = (g_a2 @ w2.T) * (1.0 - h1 * h1)
+    g_img = g_a1 @ w1.T
+    if use_id:
+        g_f = _unit_rows_vjp(-lam_id * src, feat, f_norms)
+        g_img = g_img + ((g_f @ iw2.T) * (1.0 - hf * hf)) @ iw1.T
+    grad_w = np.empty_like(w)
+    for k, (mod, basis) in enumerate(bands):
+        grad_w[k] = ((g_img @ basis.T) @ mod.T)[0]
+
+    # regularizer
+    if config.adaptive_masking:
+        g_mm = np.full((1, 1), lam_reg * (1.0 / layers))
+        g_weights = g_mm @ norms.T
+        dot = (g_weights * weights).sum(axis=1, keepdims=True)
+        grad_g = (weights * (g_weights - dot))[0]
+        safe = np.where(norms > 0.0, norms, 1.0)
+        g_delta = np.where(norms > 0.0, (weights.T @ g_mm) / safe, 0.0) * delta
+    else:
+        grad_g = np.zeros(layers)
+        g_sq = lam_reg / (2.0 * reg) if reg > 0.0 else 0.0
+        g_delta = g_sq * delta + g_sq * delta
+    grad_w = grad_w + g_delta
+    return (float(total), float(hinge), float(reg), float(ident),
+            grad_w, grad_g)
 
 
 def optimize_guided(w_s: np.ndarray, target: np.ndarray, config: ManipConfig,
@@ -179,35 +243,44 @@ def optimize_guided(w_s: np.ndarray, target: np.ndarray, config: ManipConfig,
     """
     if config.steps < 1:
         raise ParameterError("steps must be >= 1")
-    if config.step_size < 0.0:
-        raise ParameterError("step size must be non-negative")
+    for name in ("step_size", "lambda_reg", "lambda_id"):
+        value = float(getattr(config, name))
+        if not (np.isfinite(value) and value >= 0.0):
+            raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
     gen = models.generator
     w_s = gen.check_latent(w_s)
+    use_id = config.identity_enabled and config.lambda_id > 0.0
+    frozen = [w_s, target, gen.bias, *gen.layer_mods,
+              *models.image.arrays().values()]
+    if use_id:
+        frozen += [models.identity.w1, models.identity.w2]
+    if not all(np.all(np.isfinite(a)) for a in frozen):
+        raise DegenerateInputError("manipulation inputs contain NaN or Inf")
     w = w_s.copy()
     g = np.zeros(gen.layers)
 
     v_src = encode_np(models.image, synthesize(w_s, gen)[None, :])[0]
     d_src = 1.0 - float(v_src @ target)
     source_identity = None
-    if config.identity_enabled and config.lambda_id > 0.0:
+    if use_id:
         source_identity = identity_features(models.identity, synthesize(w_s, gen))
 
     trajectory: list[TrajectoryPoint] = []
-    for step in range(config.steps):
-        w_node = ad.leaf(w)
-        g_node = ad.leaf(g[None, :]) if config.adaptive_masking else None
-        total, hinge_v, reg_v, id_v = objective_node(
-            w_node, g_node, w_s, target, d_src, config, models, source_identity)
-        if not np.isfinite(total.value):
-            raise NumericsError(
-                f"objective became non-finite at step {step}: "
-                f"hinge={hinge_v} reg={reg_v} id={id_v}")
-        trajectory.append(TrajectoryPoint(step, hinge_v, reg_v, id_v,
-                                          float(total.value), gate_softmax(g)))
-        ad.backward(total)
-        w = w - config.step_size * w_node.grad
-        if g_node is not None and g_node.grad is not None:
-            g = g - config.step_size * g_node.grad[0]
+    # divergence is reported by the checks below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(config.steps):
+            total, hinge_v, reg_v, id_v, grad_w, grad_g = objective_and_grad(
+                w, g, w_s, target, d_src, config, models, source_identity)
+            if not np.isfinite(total):
+                raise NumericsError(
+                    f"objective became non-finite at step {step}: "
+                    f"hinge={hinge_v} reg={reg_v} id={id_v}")
+            if not (np.all(np.isfinite(grad_w)) and np.all(np.isfinite(grad_g))):
+                raise NumericsError(f"gradient became non-finite at step {step}")
+            trajectory.append(TrajectoryPoint(step, hinge_v, reg_v, id_v, total,
+                                              gate_softmax(g)))
+            w = w - config.step_size * grad_w
+            g = g - config.step_size * grad_g
     return w, g, trajectory
 
 

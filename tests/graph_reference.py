@@ -1,0 +1,112 @@
+"""The manipulation objective built as an autodiff graph: the reference
+oracle for the hand-derived numpy objective in `sgim.manipulate`.
+
+`synthesize_node` and `objective_node` build the generator and the full
+objective from `sgim.autodiff` ops, one graph per evaluation, and
+`graph_optimize_guided` runs the descent loop on them with
+`autodiff.backward`. `manipulate.objective_and_grad` must reproduce these
+values and gradients bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from sgim import autodiff as ad
+from sgim.basis import band_slices
+from sgim.encoders import EncoderParams, encode_nodes, encode_np
+from sgim.errors import DimensionError, NumericsError
+from sgim.generator import GeneratorParams, _basis, synthesize
+from sgim.manipulate import (IdentityExtractor, ManipConfig, ModelBundle,
+                             TrajectoryPoint, gate_softmax, identity_features)
+
+
+def synthesize_node(w: ad.Node, gen: GeneratorParams) -> ad.Node:
+    """Graph version; w is an (layers, latent_dim) Node, output (1, pixels)."""
+    if w.value.shape != (gen.layers, gen.latent_dim):
+        raise DimensionError(
+            f"latent must be {(gen.layers, gen.latent_dim)}, got {w.value.shape}")
+    basis = _basis(gen.side)
+    img = ad.constant(gen.bias[None, :])
+    for k, sl in enumerate(band_slices(gen.side)):
+        row = ad.slice_rows(w, k, k + 1)
+        coeff = ad.matmul(row, ad.constant(gen.layer_mods[k]))
+        img = ad.add(img, ad.matmul(coeff, ad.constant(np.asarray(basis[sl]))))
+    return img
+
+
+def _identity_node(extractor: IdentityExtractor, image: ad.Node) -> ad.Node:
+    z = ad.matmul(ad.tanh(ad.matmul(image, ad.constant(extractor.w1))),
+                  ad.constant(extractor.w2))
+    return ad.l2_normalize_rows(z)
+
+
+def _encode_image_node(params: EncoderParams, img: ad.Node) -> ad.Node:
+    consts = {k: ad.constant(v) for k, v in params.arrays().items()}
+    return encode_nodes(consts, img)
+
+
+def _reg_node(w: ad.Node, w_s: np.ndarray, g: ad.Node | None,
+              adaptive: bool) -> ad.Node:
+    delta = ad.sub(w, ad.constant(w_s))
+    if not adaptive:
+        return ad.sqrt(ad.sum_all(ad.mul_elementwise(delta, delta)))
+    layers = w_s.shape[0]
+    norms = ad.row_l2_norm(delta)                       # (L, 1)
+    weights = ad.row_softmax(g, 1.0)                    # (1, L)
+    return ad.scale(ad.sum_all(ad.matmul(weights, norms)), 1.0 / layers)
+
+
+def objective_node(w: ad.Node, g: ad.Node | None, w_s: np.ndarray,
+                   target: np.ndarray, d_src: float, config: ManipConfig,
+                   models: ModelBundle, source_identity: np.ndarray | None,
+                   ) -> tuple[ad.Node, float, float, float]:
+    """Full manipulation objective; returns (total, hinge, reg, identity)."""
+    img = synthesize_node(w, models.generator)
+    v = _encode_image_node(models.image, img)
+    d_manip = ad.sub(ad.constant(1.0),
+                     ad.sum_all(ad.mul_elementwise(v, ad.constant(target[None, :]))))
+    hinge = ad.max_with_zero(ad.add(ad.sub(d_manip, ad.constant(d_src)),
+                                    ad.constant(1.0)))
+    reg = _reg_node(w, w_s, g, config.adaptive_masking)
+    total = ad.add(hinge, ad.scale(reg, config.lambda_reg))
+    id_val = 0.0
+    if config.identity_enabled and config.lambda_id > 0.0:
+        feat = _identity_node(models.identity, img)
+        id_node = ad.sub(ad.constant(1.0), ad.sum_all(ad.mul_elementwise(
+            feat, ad.constant(source_identity[None, :]))))
+        total = ad.add(total, ad.scale(id_node, config.lambda_id))
+        id_val = float(id_node.value)
+    return total, float(hinge.value), float(reg.value), id_val
+
+
+def graph_optimize_guided(w_s: np.ndarray, target: np.ndarray,
+                          config: ManipConfig, models: ModelBundle,
+                          ) -> tuple[np.ndarray, np.ndarray,
+                                     list[TrajectoryPoint]]:
+    """The descent loop of `manipulate.optimize_guided`, one graph and one
+    `autodiff.backward` per step."""
+    gen = models.generator
+    w_s = gen.check_latent(w_s)
+    w = w_s.copy()
+    g = np.zeros(gen.layers)
+    v_src = encode_np(models.image, synthesize(w_s, gen)[None, :])[0]
+    d_src = 1.0 - float(v_src @ target)
+    source_identity = None
+    if config.identity_enabled and config.lambda_id > 0.0:
+        source_identity = identity_features(models.identity, synthesize(w_s, gen))
+    trajectory: list[TrajectoryPoint] = []
+    for step in range(config.steps):
+        w_node = ad.leaf(w)
+        g_node = ad.leaf(g[None, :]) if config.adaptive_masking else None
+        total, hinge_v, reg_v, id_v = objective_node(
+            w_node, g_node, w_s, target, d_src, config, models, source_identity)
+        if not np.isfinite(total.value):
+            raise NumericsError(f"objective became non-finite at step {step}")
+        trajectory.append(TrajectoryPoint(step, hinge_v, reg_v, id_v,
+                                          float(total.value), gate_softmax(g)))
+        ad.backward(total)
+        w = w - config.step_size * w_node.grad
+        if g_node is not None:
+            g = g - config.step_size * g_node.grad[0]
+    return w, g, trajectory

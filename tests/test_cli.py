@@ -96,7 +96,7 @@ def test_direction_stats_command(pipeline_dir):
 def test_gradcheck_exits_zero(tmp_path):
     assert run_cli("gradcheck", "--run", tmp_path / "g") == 0
     report = (tmp_path / "g" / "reports" / "gradcheck.txt").read_text()
-    assert "23/23" in report
+    assert "25/25" in report
 
 
 def test_missing_inputs_io_error(tmp_path, capsys):
@@ -163,14 +163,65 @@ def test_bad_index_validation_error(pipeline_dir, capsys):
     assert "error: validation:" in capsys.readouterr().err
 
 
+# each manipulation setting must be finite and >= 0
+BAD_MANIP_SETTINGS = {
+    "step_size_nan": (["--step-size", "nan"], "step_size"),
+    "step_size_inf": (["--step-size", "inf"], "step_size"),
+    "lambda_reg_nan": (["--lambda-reg", "nan"], "lambda_reg"),
+    "lambda_reg_negative": (["--lambda-reg", "-5"], "lambda_reg"),
+    "lambda_id_inf": (["--lambda-id", "inf"], "lambda_id"),
+    "set_manip_step_size_nan": (["--set", "manip_step_size=nan"], "step_size"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_MANIP_SETTINGS))
+def test_bad_manipulation_setting_validation_error(name, pipeline_dir, capsys):
+    flags, field = BAD_MANIP_SETTINGS[name]
+    capsys.readouterr()
+    code = run_cli(*FAST, "manipulate", "--run", pipeline_dir,
+                   "--source-index", 96, "--audio-index", 144,
+                   "--tag", "bad", *flags)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation:")
+    assert field in err
+    assert "\n" not in err.strip()
+
+
+def test_diverging_step_is_internal_error(pipeline_dir, capsys):
+    capsys.readouterr()
+    code = run_cli(*FAST, "manipulate", "--run", pipeline_dir,
+                   "--source-index", 96, "--audio-index", 144,
+                   "--step-size", "1e300", "--tag", "diverge")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal: objective became non-finite")
+    assert "\n" not in err.strip()
+
+
+def test_direction_stats_bad_attrs_validation_error(pipeline_dir, capsys):
+    capsys.readouterr()
+    code = run_cli(*FAST, "direction-stats", "--run", pipeline_dir,
+                   "--attrs", "x", "--seeds", 2)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation: --attrs must be comma-separated "
+                          "class ids, got 'x'")
+    assert "\n" not in err.strip()
+
+
 def test_rerun_reproduces_artifacts_bit_exact(tmp_path):
     runs = []
     for name in ("r1", "r2"):
         run = tmp_path / name
         for cmd in (["gen-data"], ["pretrain-teacher"], ["fit-generator"],
-                    ["train-audio"], ["eval-zeroshot"]):
+                    ["train-audio"], ["eval-zeroshot"],
+                    ["manipulate", "--source-index", 96, "--audio-index", 144],
+                    ["direction-stats", "--attrs", 3, "--seeds", 2]):
             assert run_cli(*FAST, *cmd, "--run", run) == 0
         runs.append(run)
     for rel in ("teacher_loss.csv", "audio_loss.csv", "teacher.ckpt",
-                "audio.ckpt", "generator.ckpt", "reports/zeroshot.csv"):
+                "audio.ckpt", "generator.ckpt", "reports/zeroshot.csv",
+                "manip/latest/latent.ckpt", "manip/latest/trajectory.csv",
+                "manip/latest/after.pgm", "reports/direction.csv"):
         assert filecmp.cmp(runs[0] / rel, runs[1] / rel, shallow=False), rel

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,16 +8,19 @@ from hypothesis import strategies as st
 from sgim import autodiff as ad
 from sgim.data import label_token_seq
 from sgim.augment import default_vocabulary
-from sgim.errors import ParameterError, SgimError
+from sgim.encoders import encode_audio, encode_np
+from sgim.errors import DegenerateInputError, ParameterError, SgimError
 from sgim.generator import synthesize
-from sgim.manipulate import (ManipConfig, gate_softmax, hinge_from_distances,
-                             hinge_loss, identity_features, identity_loss,
-                             interpolate, masked_regularization,
-                             moving_average, objective_node, optimize_guided,
+from sgim.manipulate import (IdentityExtractor, ManipConfig, gate_softmax,
+                             hinge_from_distances, hinge_loss,
+                             identity_features, identity_loss, interpolate,
+                             masked_regularization, moving_average,
+                             objective_and_grad, optimize_guided,
                              optimize_latent, style_mix, text_guided_latent,
                              trajectory_csv)
 
 from conftest import AUDIO_INDEX, SOURCE_INDEX
+from graph_reference import graph_optimize_guided, objective_node
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +159,6 @@ def test_objective_gradient_matches_fd(gen_fit, model_bundle, dataset):
     target = np.random.default_rng(3).standard_normal(32)
     target /= np.linalg.norm(target)
     config = ManipConfig()
-    from sgim.encoders import encode_np
     v_src = encode_np(model_bundle.image,
                       synthesize(w_s, model_bundle.generator)[None, :])[0]
     d_src = 1.0 - float(v_src @ target)
@@ -169,6 +173,138 @@ def test_objective_gradient_matches_fd(gen_fit, model_bundle, dataset):
 
     start = w_s + 0.05 * np.random.default_rng(5).standard_normal(w_s.shape)
     assert ad.finite_difference_check(f, start) < 1e-4
+
+
+# name -> settings; each runs the graph loop and optimize_guided side by side
+GRAPH_CASES = {
+    "default": {},
+    "no_identity": {"identity_enabled": False, "lambda_id": 0.0},
+    "plain_reg": {"adaptive_masking": False},
+    "strong_reg": {"lambda_reg": 1.0},
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAPH_CASES))
+def test_numpy_step_matches_graph_loop_bit_exact(case, gen_fit, model_bundle,
+                                                  dataset):
+    w_s = gen_fit.latents[SOURCE_INDEX]
+    target = encode_audio(dataset.audio[AUDIO_INDEX], model_bundle.audio)
+    config = ManipConfig(steps=60, **GRAPH_CASES[case])
+    w_ref, g_ref, traj_ref = graph_optimize_guided(w_s, target, config,
+                                                   model_bundle)
+    w, g, traj = optimize_guided(w_s, target, config, model_bundle)
+    assert w.tobytes() == w_ref.tobytes()
+    assert g.tobytes() == g_ref.tobytes()
+    assert len(traj) == len(traj_ref) == 60
+    for p, q in zip(traj, traj_ref):
+        assert p.step == q.step
+        assert np.array([p.hinge, p.reg, p.identity, p.total]).tobytes() == \
+            np.array([q.hinge, q.reg, q.identity, q.total]).tobytes()
+        assert p.gate_softmax.tobytes() == q.gate_softmax.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(GRAPH_CASES))
+def test_objective_and_grad_matches_graph_at_edges(case, gen_fit,
+                                                   model_bundle):
+    # an inactive hinge (d_src = 5) and zero drift (w = w_s) are the points
+    # where signed zeros and the zero-norm subgradients show
+    w_s = gen_fit.latents[SOURCE_INDEX]
+    config = ManipConfig(**GRAPH_CASES[case])
+    rng = np.random.default_rng(21)
+    target = rng.standard_normal(32)
+    target /= np.linalg.norm(target)
+    src_id = rng.standard_normal(16)
+    src_id /= np.linalg.norm(src_id)
+    for d_src in (5.0, 0.3):
+        for w in (w_s.copy(), w_s + 0.1 * rng.standard_normal(w_s.shape)):
+            g = rng.standard_normal(8)
+            w_node = ad.leaf(w)
+            g_node = ad.leaf(g[None, :]) if config.adaptive_masking else None
+            total, hinge, reg, ident = objective_node(
+                w_node, g_node, w_s, target, d_src, config, model_bundle,
+                src_id)
+            ad.backward(total)
+            got = objective_and_grad(w, g, w_s, target, d_src, config,
+                                     model_bundle, src_id)
+            assert got[:4] == (float(total.value), hinge, reg, ident)
+            assert got[4].tobytes() == w_node.grad.tobytes()
+            if g_node is not None:
+                assert got[5].tobytes() == g_node.grad[0].tobytes()
+
+
+def _objective_at(gen_fit, model_bundle, config):
+    """(w -> objective, g -> objective, drifted start, gate) at the canonical
+    source and a seeded unit target."""
+    w_s = gen_fit.latents[SOURCE_INDEX]
+    gen = model_bundle.generator
+    target = np.random.default_rng(3).standard_normal(32)
+    target /= np.linalg.norm(target)
+    d_src = 1.0 - float(encode_np(model_bundle.image,
+                                  synthesize(w_s, gen)[None, :])[0] @ target)
+    src_id = identity_features(model_bundle.identity, synthesize(w_s, gen))
+    start = w_s + 0.05 * np.random.default_rng(5).standard_normal(w_s.shape)
+    gate = np.random.default_rng(4).standard_normal(8)
+
+    def at_w(w):
+        return objective_and_grad(w, gate, w_s, target, d_src, config,
+                                  model_bundle, src_id)
+
+    def at_g(g):
+        return objective_and_grad(start, g, w_s, target, d_src, config,
+                                  model_bundle, src_id)
+
+    return at_w, at_g, start, gate
+
+
+@pytest.mark.parametrize("adaptive", [True, False])
+def test_objective_and_grad_matches_fd(adaptive, gen_fit, model_bundle):
+    at_w, at_g, start, gate = _objective_at(
+        gen_fit, model_bundle, ManipConfig(adaptive_masking=adaptive))
+    assert ad.max_rel_error(at_w(start)[4], lambda w: at_w(w)[0], start) < 1e-4
+    grad_g = at_g(gate)[5]
+    if adaptive:
+        assert np.any(grad_g != 0.0)
+        assert ad.max_rel_error(grad_g, lambda g: at_g(g)[0], gate) < 1e-4
+    else:
+        assert np.array_equal(grad_g, np.zeros(8))
+
+
+def test_objective_and_grad_rejects_zero_norm_rows(gen_fit, model_bundle):
+    at_w, _, start, _ = _objective_at(gen_fit, model_bundle, ManipConfig())
+    dead_image = model_bundle.image.copy()
+    dead_image.w3[:] = 0.0
+    dead_image.b3[:] = 0.0
+    dead_identity = IdentityExtractor(model_bundle.identity.w1,
+                                      np.zeros_like(model_bundle.identity.w2))
+    for models in (replace(model_bundle, image=dead_image),
+                   replace(model_bundle, identity=dead_identity)):
+        with pytest.raises(DegenerateInputError):
+            objective_and_grad(start, np.zeros(8), gen_fit.latents[SOURCE_INDEX],
+                               np.eye(32)[0], 0.5, ManipConfig(), models,
+                               np.eye(16)[0])
+
+
+@pytest.mark.parametrize("field,value", [
+    ("step_size", float("nan")), ("step_size", float("inf")),
+    ("step_size", -0.1), ("lambda_reg", float("nan")), ("lambda_reg", -5.0),
+    ("lambda_id", float("inf")), ("lambda_id", -1e-3)])
+def test_optimize_rejects_bad_settings(field, value, gen_fit, model_bundle,
+                                       dataset):
+    with pytest.raises(ParameterError, match=field):
+        optimize_latent(gen_fit.latents[0], dataset.audio[0],
+                        ManipConfig(**{field: value}), model_bundle)
+
+
+def test_optimize_rejects_non_finite_inputs(gen_fit, model_bundle):
+    w_s = gen_fit.latents[SOURCE_INDEX]
+    target = np.eye(32)[0]
+    with pytest.raises(DegenerateInputError):
+        optimize_guided(w_s, np.full(32, np.nan), ManipConfig(steps=1),
+                        model_bundle)
+    bad = w_s.copy()
+    bad[0, 0] = np.inf
+    with pytest.raises(DegenerateInputError):
+        optimize_guided(bad, target, ManipConfig(steps=1), model_bundle)
 
 
 def test_optimizer_deterministic(gen_fit, model_bundle):
