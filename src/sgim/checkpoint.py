@@ -23,7 +23,6 @@ import numpy as np
 from .encoders import EncoderParams, TeacherParams
 from .errors import UsageError
 from .generator import GeneratorFit, GeneratorParams
-from .manipulate import IdentityExtractor
 
 MAGIC = b"SGIM1\x00"
 
@@ -139,16 +138,6 @@ def generator_from_arrays(arrays: dict[str, np.ndarray]) -> GeneratorFit:
     else:
         latents = np.zeros((0, side, latent_dim))
     return GeneratorFit(params, latents)
-
-
-def identity_arrays(extractor: IdentityExtractor) -> dict[str, np.ndarray]:
-    return {"id.w1": extractor.w1, "id.w2": extractor.w2}
-
-
-def identity_from_arrays(arrays: dict[str, np.ndarray]) -> IdentityExtractor:
-    if "id.w1" not in arrays or "id.w2" not in arrays:
-        raise UsageError("checkpoint does not hold an identity extractor")
-    return IdentityExtractor(arrays["id.w1"], arrays["id.w2"])
 
 
 def latent_arrays(w: np.ndarray, gate: np.ndarray | None = None,

@@ -349,6 +349,13 @@ def main(argv=None) -> int:
         seed = getattr(args, "seed", None)
         if seed is not None:
             config.master_seed = seed
+        seeds = {"master_seed": config.master_seed,
+                 "--source-seed": getattr(args, "source_seed", 0),
+                 "--gradcheck-seed": getattr(args, "gradcheck_seed", 0)}
+        for name, value in seeds.items():
+            # numpy rejects negative seeds; checkpoints store an int64
+            if not 0 <= value < 2 ** 63:
+                raise UsageError(f"{name} must lie in [0, 2**63), got {value}")
         run = Path(args.run)
         _echo_config(run, config)
         return args.func(run, args, config)

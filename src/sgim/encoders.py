@@ -128,10 +128,6 @@ def encode_text(tokens: TokenSeq, params: EncoderParams) -> np.ndarray:
     return encode_np(params, bag_of_tokens(tokens)[None, :])[0]
 
 
-def encode_image(img: np.ndarray, params: EncoderParams) -> np.ndarray:
-    return encode_np(params, np.asarray(img).reshape(1, -1))[0]
-
-
 def cyclic_lr(base_lr: float, epoch: int, period: int = 10) -> float:
     """Cosine cyclic schedule: starts at base_lr, dips to base_lr/10
     mid-period, returns to base_lr every ``period`` epochs."""

@@ -1,9 +1,10 @@
-"""Differentiable layered generator over an extended latent space.
+"""Linear layered generator over an extended latent space.
 
 The latent code is an (layers x latent_dim) matrix; layer k modulates only
 frequency band k of an orthonormal 2-D cosine basis over the square image,
-so early layers control coarse structure and late layers fine detail, and
-the synthesis is fully linear: image = bias + sum_k w_k @ C_k @ B_k.
+so early layers control coarse structure and late layers fine detail. The
+synthesis is linear, bias + sum_k (w_k @ M_k) @ B_k = bias + vec(w) @ A,
+with A = vstack_k(M_k @ B_k) built once with the params.
 
 Fitting to a dataset is alternating least squares on per-band coefficients;
 since each band has at most 2*side-1 coefficients and latent_dim is larger,
@@ -12,7 +13,7 @@ the reconstruction is essentially exact after one alternation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,28 +23,41 @@ from .errors import DimensionError, UsageError
 _BASIS_CACHE: dict[int, np.ndarray] = {}
 
 
+def _read_only(a) -> np.ndarray:
+    a = np.array(a, dtype=np.float64, order="C")
+    a.flags.writeable = False
+    return a
+
+
 def _basis(side: int) -> np.ndarray:
     if side not in _BASIS_CACHE:
-        b = cosine_basis(side)
-        b.flags.writeable = False
-        _BASIS_CACHE[side] = b
+        _BASIS_CACHE[side] = _read_only(cosine_basis(side))
     return _BASIS_CACHE[side]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GeneratorParams:
-    side: int                       # image is side x side, layers == side
+    """Read-only copies of the modulations and bias, and A built from them,
+    so A cannot go stale; build new params to change them."""
+
+    side: int                           # image is side x side, layers == side
     latent_dim: int
-    layer_mods: list[np.ndarray]    # layer k: (latent_dim, 2k+1)
-    bias: np.ndarray                # (side*side,)
+    layer_mods: tuple[np.ndarray, ...]  # layer k: (latent_dim, 2k+1)
+    bias: np.ndarray                    # (side*side,)
+    A: np.ndarray = field(init=False, repr=False)  # (layers*latent_dim, pixels)
+
+    def __post_init__(self):
+        mods = tuple(_read_only(m) for m in self.layer_mods)
+        basis = _basis(self.side)
+        a = _read_only(np.vstack([m @ basis[sl] for m, sl
+                                  in zip(mods, band_slices(self.side))]))
+        object.__setattr__(self, "layer_mods", mods)
+        object.__setattr__(self, "bias", _read_only(self.bias))
+        object.__setattr__(self, "A", a)
 
     @property
     def layers(self) -> int:
         return self.side
-
-    @property
-    def pixels(self) -> int:
-        return self.side * self.side
 
     def check_latent(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=np.float64)
@@ -54,32 +68,21 @@ class GeneratorParams:
 
 
 def init_generator(rng: np.random.Generator, side: int = 8,
-                   latent_dim: int = 32,
-                   bias: np.ndarray | None = None) -> GeneratorParams:
+                   latent_dim: int = 32) -> GeneratorParams:
     mods = [0.1 * rng.standard_normal((latent_dim, 2 * k + 1))
             for k in range(side)]
-    if bias is None:
-        bias = np.zeros(side * side)
-    return GeneratorParams(side, latent_dim, mods, np.asarray(bias, float))
+    return GeneratorParams(side, latent_dim, mods, np.zeros(side * side))
 
 
 def synthesize(w: np.ndarray, gen: GeneratorParams) -> np.ndarray:
-    """Deterministic image for a latent code, shape (pixels,)."""
-    w = gen.check_latent(w)
-    basis = _basis(gen.side)
-    out = gen.bias.copy()
-    for k, sl in enumerate(band_slices(gen.side)):
-        out += (w[k] @ gen.layer_mods[k]) @ basis[sl]
-    return out
-
-
-def band_factors(gen: GeneratorParams) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per layer k, the pair (M_k, B_k) with image = bias + sum_k
-    (w[k] @ M_k) @ B_k: the layer modulation as C-ordered float64 and the
-    band-k rows of the cosine basis."""
-    basis = _basis(gen.side)
-    return [(np.asarray(gen.layer_mods[k], dtype=np.float64, order="C"),
-             basis[sl]) for k, sl in enumerate(band_slices(gen.side))]
+    """Image of a latent code, bias + vec(w) @ A: shape (pixels,) for one
+    (layers, latent_dim) code, (n, pixels) for a stack of n codes."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim not in (2, 3) or w.shape[-2:] != (gen.layers, gen.latent_dim):
+        raise DimensionError(f"latent must be {(gen.layers, gen.latent_dim)} "
+                             f"or a stack of them, got {w.shape}")
+    images = gen.bias + w.reshape(-1, gen.layers * gen.latent_dim) @ gen.A
+    return images[0] if w.ndim == 2 else images
 
 
 def sample_source_latent(seed: int, side: int = 8,
@@ -87,18 +90,9 @@ def sample_source_latent(seed: int, side: int = 8,
     return np.random.default_rng(seed).standard_normal((side, latent_dim))
 
 
-def band_coefficients(image: np.ndarray, side: int) -> np.ndarray:
-    """Project a flat image onto the cosine basis, band-major order."""
-    return np.asarray(image, float) @ _basis(side).T
-
-
 def lipschitz_bound(gen: GeneratorParams) -> float:
     """Spectral norm of the (flattened latent -> image) linear map."""
-    blocks = []
-    basis = _basis(gen.side)
-    for k, sl in enumerate(band_slices(gen.side)):
-        blocks.append(gen.layer_mods[k] @ basis[sl])
-    return float(np.linalg.svd(np.vstack(blocks), compute_uv=False)[0])
+    return float(np.linalg.svd(gen.A, compute_uv=False)[0])
 
 
 @dataclass
@@ -127,30 +121,31 @@ def fit_generator_to_dataset(images: np.ndarray, epochs: int, seed: int,
     n, pixels = images.shape
     side = image_side(pixels)
     rng = np.random.default_rng(seed)
-    gen = init_generator(rng, side, latent_dim, bias=images.mean(axis=0))
+    gen = replace(init_generator(rng, side, latent_dim),
+                  bias=images.mean(axis=0))
     latents = rng.standard_normal((n, side, latent_dim))
 
-    basis = _basis(side)
-    targets = (images - gen.bias) @ basis.T
+    targets = (images - gen.bias) @ _basis(side).T
     slices = band_slices(side)
 
-    def current_mse():
-        recon = np.stack([synthesize(latents[i], gen) for i in range(n)])
-        return float(((images - recon) ** 2).mean())
+    def mse(gen: GeneratorParams) -> float:
+        return float(((images - synthesize(latents, gen)) ** 2).mean())
 
-    history = [current_mse()]
+    history = [mse(gen)]
+    mods = list(gen.layer_mods)
     for _ in range(epochs):
         for k, sl in enumerate(slices):
-            w_k = latents[:, k, :]
-            gen.layer_mods[k] = np.linalg.lstsq(w_k, targets[:, sl],
-                                                rcond=None)[0]
+            mods[k] = np.linalg.lstsq(latents[:, k, :], targets[:, sl],
+                                      rcond=None)[0]
         for k, sl in enumerate(slices):
-            latents[:, k, :] = targets[:, sl] @ np.linalg.pinv(gen.layer_mods[k])
-        history.append(current_mse())
+            latents[:, k, :] = targets[:, sl] @ np.linalg.pinv(mods[k])
+        gen = GeneratorParams(side, latent_dim, mods, gen.bias)
+        history.append(mse(gen))
     if epochs > 0:
         for k in range(side):
             scale = latents[:, k, :].std()
             if scale > 0:
                 latents[:, k, :] /= scale
-                gen.layer_mods[k] *= scale
+                mods[k] = mods[k] * scale
+        gen = GeneratorParams(side, latent_dim, mods, gen.bias)
     return GeneratorFit(gen, latents, history)

@@ -18,9 +18,8 @@ from . import autodiff as ad
 from . import losses
 from .encoders import init_encoder_params
 from .generator import init_generator
-from .manipulate import (ManipConfig, ModelBundle, identity_features,
-                         init_identity_extractor, objective_and_grad)
-from .generator import synthesize
+from .manipulate import (ManipConfig, ModelBundle, init_identity_extractor,
+                         objective_and_grad, source_reference)
 
 TOLERANCE = 1e-4
 POINTS = 10
@@ -107,8 +106,8 @@ def _composite_checks(rng: np.random.Generator) -> list[tuple[str, Callable, tup
 
 def _manipulation_checks(rng: np.random.Generator,
                          ) -> list[tuple[str, Callable, tuple, str]]:
-    gen = init_generator(rng, side=8, latent_dim=32)
-    gen.bias = 0.1 * rng.standard_normal(64)
+    gen = replace(init_generator(rng, side=8, latent_dim=32),
+                  bias=0.1 * rng.standard_normal(64))
     image_params = init_encoder_params(rng, 64, 32, 16)
     identity = init_identity_extractor(rng, pixels=64, hidden=16, out_dim=8)
     target = rng.standard_normal(16)
@@ -117,10 +116,7 @@ def _manipulation_checks(rng: np.random.Generator,
     gate = rng.standard_normal(8)
     config = ManipConfig(lambda_reg=0.05, lambda_id=0.05)
     models = ModelBundle(gen, image_params, image_params, image_params, identity)
-    from .encoders import encode_np
-    v_src = encode_np(image_params, synthesize(w_s, gen)[None, :])[0]
-    d_src = 1.0 - float(v_src @ target)
-    src_id = identity_features(identity, synthesize(w_s, gen))
+    d_src, src_id = source_reference(w_s, target, config, models)
     # the gate check needs a drifted latent; reversing the layers of w_s
     # gives one without another draw
     w_gate = w_s[::-1].copy()

@@ -9,13 +9,16 @@ step size. The hinge term is the triplet form
 which is 1 at the start (w_a == w_s) and drops below 1 exactly when the
 manipulated image is strictly closer to the guidance embedding than the
 source image. Regularization is the gate-weighted mean of per-layer latent
-drift norms (or the plain Frobenius norm with adaptive masking off).
+drift norms (or the plain Frobenius norm with adaptive masking off). The
+identity term 0.5 * |f_a - f_s|^2 on unit identity features is their
+cosine distance 1 - f_a.f_s, but exactly 0 where they agree.
 
 Each step evaluates the objective and its gradient with
 ``objective_and_grad``: a hand-derived numpy forward and backward pass that
-mirrors, expression for expression, the autodiff ops the objective was once
-built from, so results match that graph bit for bit at a fraction of the
-cost. The autodiff graph now serves training and gradcheck only.
+mirrors, expression for expression, the autodiff graph kept as the oracle
+in tests/graph_reference.py, so results match that graph bit for bit at a
+fraction of the cost. The image is ``synthesize``'s one matmul through the
+generator matrix A, so the latent's gradient is one matmul through A.T.
 """
 
 from __future__ import annotations
@@ -24,12 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import EncoderParams, encode_audio, encode_np, encode_text
+from .encoders import EncoderParams, encode_audio, encode_text
 from .errors import DegenerateInputError, NumericsError, ParameterError
-from .generator import GeneratorParams, band_factors, synthesize
+from .generator import GeneratorParams, synthesize
 from .augment import TokenSeq
-
-GATE_TOL = 1e-12
 
 
 @dataclass
@@ -49,8 +50,8 @@ def init_identity_extractor(rng: np.random.Generator, pixels: int = 64,
 
 
 def identity_features(extractor: IdentityExtractor, image: np.ndarray) -> np.ndarray:
-    z = np.tanh(np.asarray(image, float).reshape(1, -1) @ extractor.w1) @ extractor.w2
-    return (z / np.linalg.norm(z))[0]
+    feat, _ = _identity_forward(_c(image).reshape(1, -1), extractor)
+    return feat[0]
 
 
 @dataclass
@@ -100,12 +101,9 @@ def hinge_from_distances(d_src: float, d_manip: float) -> float:
 
 def hinge_loss(w_s: np.ndarray, w_a: np.ndarray, a: np.ndarray,
                gen: GeneratorParams, f_v: EncoderParams) -> float:
-    """Hinge with d_cos(u, v) = 1 - u.v on unit vectors."""
-    v_src = encode_np(f_v, synthesize(w_s, gen)[None, :])[0]
-    v_manip = encode_np(f_v, synthesize(w_a, gen)[None, :])[0]
-    d_src = 1.0 - float(v_src @ a)
-    d_manip = 1.0 - float(v_manip @ a)
-    return hinge_from_distances(d_src, d_manip)
+    """Hinge with d_cos(u, v) = 1 - u.v, by the objective's expressions."""
+    return hinge_from_distances(_distance(w_s, gen, f_v, a),
+                                _distance(w_a, gen, f_v, a))
 
 
 def masked_regularization(w_a: np.ndarray, w_s: np.ndarray,
@@ -122,7 +120,7 @@ def identity_loss(w_s: np.ndarray, w_a: np.ndarray, gen: GeneratorParams,
                   extractor: IdentityExtractor) -> float:
     f_s = identity_features(extractor, synthesize(w_s, gen))
     f_a = identity_features(extractor, synthesize(w_a, gen))
-    return 1.0 - float(f_s @ f_a)
+    return 0.5 * float(((f_a - f_s) ** 2).sum())
 
 
 def _c(a) -> np.ndarray:
@@ -146,6 +144,38 @@ def _unit_rows_vjp(g: np.ndarray, out: np.ndarray,
     return (g - out * dot) / norms
 
 
+def _image_forward(img: np.ndarray, enc: EncoderParams) -> tuple:
+    """Image embedding of a (1, pixels) image, and the activations."""
+    h1 = np.tanh(img @ _c(enc.w1) + _c(enc.b1))
+    h2 = np.tanh(h1 @ _c(enc.w2) + _c(enc.b2))
+    v, norms = _unit_rows(h2 @ _c(enc.w3) + _c(enc.b3))
+    return v, (h1, h2, norms)
+
+
+def _identity_forward(img: np.ndarray, extractor: IdentityExtractor) -> tuple:
+    """Identity features of a (1, pixels) image, and the activations."""
+    hf = np.tanh(img @ _c(extractor.w1))
+    feat, norms = _unit_rows(hf @ _c(extractor.w2))
+    return feat, (hf, norms)
+
+
+def _distance(w: np.ndarray, gen: GeneratorParams, enc: EncoderParams,
+              target: np.ndarray) -> float:
+    v, _ = _image_forward(synthesize(w, gen)[None, :], enc)
+    return float(1.0 - (v * _c(target)[None, :]).sum())
+
+
+def source_reference(w_s: np.ndarray, target: np.ndarray, config: ManipConfig,
+                     models: ModelBundle) -> tuple[float, np.ndarray | None]:
+    """(d_src, source identity features or None) for ``objective_and_grad``,
+    from its own forward expressions: step 0 gives hinge 1 and identity 0."""
+    gen = models.generator
+    d_src = _distance(w_s, gen, models.image, target)
+    if not (config.identity_enabled and config.lambda_id > 0.0):
+        return d_src, None
+    return d_src, identity_features(models.identity, synthesize(w_s, gen))
+
+
 def objective_and_grad(w: np.ndarray, g: np.ndarray, w_s: np.ndarray,
                        target: np.ndarray, d_src: float, config: ManipConfig,
                        models: ModelBundle, source_identity: np.ndarray | None,
@@ -155,7 +185,7 @@ def objective_and_grad(w: np.ndarray, g: np.ndarray, w_s: np.ndarray,
 
     Returns (total, hinge, reg, identity, grad_w, grad_g); grad_g is zero
     with adaptive masking off. The forward pass repeats the numpy
-    expressions of the autodiff ops the objective is made of, and the
+    expressions of the autodiff ops the oracle graph is made of, and the
     backward pass repeats their vjps in the order ``autodiff.backward``
     runs them, skipping only the gradients of the frozen weights. Values
     and gradients are therefore bit-identical to building the graph and
@@ -163,22 +193,15 @@ def objective_and_grad(w: np.ndarray, g: np.ndarray, w_s: np.ndarray,
     """
     gen = models.generator
     w = _c(gen.check_latent(w))
-    bands = band_factors(gen)
     enc = models.image
-    w1, b1, w2, b2, w3, b3 = (_c(getattr(enc, k))
-                              for k in ("w1", "b1", "w2", "b2", "w3", "b3"))
     t = _c(target)[None, :]
     lam_reg = float(config.lambda_reg)
     lam_id = float(config.lambda_id)
     use_id = config.identity_enabled and lam_id > 0.0
 
     # forward
-    img = _c(gen.bias)[None, :]
-    for k, (mod, basis) in enumerate(bands):
-        img = img + (w[k:k + 1] @ mod) @ basis
-    h1 = np.tanh(img @ w1 + b1)
-    h2 = np.tanh(h1 @ w2 + b2)
-    v, v_norms = _unit_rows(h2 @ w3 + b3)
+    img = synthesize(w, gen)[None, :]
+    v, (h1, h2, v_norms) = _image_forward(img, enc)
     pre = (1.0 - (v * t).sum()) - d_src + 1.0
     hinge = np.maximum(pre, 0.0)
 
@@ -195,26 +218,25 @@ def objective_and_grad(w: np.ndarray, g: np.ndarray, w_s: np.ndarray,
     total = hinge + reg * lam_reg
     ident = 0.0
     if use_id:
-        iw1, iw2 = _c(models.identity.w1), _c(models.identity.w2)
         src = _c(source_identity)[None, :]
-        hf = np.tanh(img @ iw1)
-        feat, f_norms = _unit_rows(hf @ iw2)
-        ident = 1.0 - (feat * src).sum()
+        feat, (hf, f_norms) = _identity_forward(img, models.identity)
+        d_id = feat - src
+        ident = (d_id * d_id).sum() * 0.5
         total = total + ident * lam_id
 
     # backward: hinge through the image encoder, then identity. 0.0 - x,
     # not -x: the graph accumulated every gradient onto +0.0, so an inactive
     # hinge passes +0.0 on, never -0.0
     g_v = (0.0 - float(pre > 0.0)) * t
-    g_a2 = (_unit_rows_vjp(g_v, v, v_norms) @ w3.T) * (1.0 - h2 * h2)
-    g_a1 = (g_a2 @ w2.T) * (1.0 - h1 * h1)
-    g_img = g_a1 @ w1.T
+    g_a2 = (_unit_rows_vjp(g_v, v, v_norms) @ _c(enc.w3).T) * (1.0 - h2 * h2)
+    g_a1 = (g_a2 @ _c(enc.w2).T) * (1.0 - h1 * h1)
+    g_img = g_a1 @ _c(enc.w1).T
     if use_id:
-        g_f = _unit_rows_vjp(-lam_id * src, feat, f_norms)
-        g_img = g_img + ((g_f @ iw2.T) * (1.0 - hf * hf)) @ iw1.T
-    grad_w = np.empty_like(w)
-    for k, (mod, basis) in enumerate(bands):
-        grad_w[k] = ((g_img @ basis.T) @ mod.T)[0]
+        g_half = (lam_id * 0.5) * d_id
+        g_f = _unit_rows_vjp(g_half + g_half, feat, f_norms)
+        g_img = g_img + (((g_f @ _c(models.identity.w2).T) * (1.0 - hf * hf))
+                         @ _c(models.identity.w1).T)
+    grad_w = (g_img @ gen.A.T).reshape(w.shape)
 
     # regularizer
     if config.adaptive_masking:
@@ -250,20 +272,14 @@ def optimize_guided(w_s: np.ndarray, target: np.ndarray, config: ManipConfig,
     gen = models.generator
     w_s = gen.check_latent(w_s)
     use_id = config.identity_enabled and config.lambda_id > 0.0
-    frozen = [w_s, target, gen.bias, *gen.layer_mods,
-              *models.image.arrays().values()]
+    frozen = [w_s, target, gen.bias, gen.A, *models.image.arrays().values()]
     if use_id:
         frozen += [models.identity.w1, models.identity.w2]
     if not all(np.all(np.isfinite(a)) for a in frozen):
         raise DegenerateInputError("manipulation inputs contain NaN or Inf")
     w = w_s.copy()
     g = np.zeros(gen.layers)
-
-    v_src = encode_np(models.image, synthesize(w_s, gen)[None, :])[0]
-    d_src = 1.0 - float(v_src @ target)
-    source_identity = None
-    if use_id:
-        source_identity = identity_features(models.identity, synthesize(w_s, gen))
+    d_src, source_identity = source_reference(w_s, target, config, models)
 
     trajectory: list[TrajectoryPoint] = []
     # divergence is reported by the checks below, not as numpy warnings

@@ -4,8 +4,9 @@ oracle for the hand-derived numpy objective in `sgim.manipulate`.
 `synthesize_node` and `objective_node` build the generator and the full
 objective from `sgim.autodiff` ops, one graph per evaluation, and
 `graph_optimize_guided` runs the descent loop on them with
-`autodiff.backward`. `manipulate.objective_and_grad` must reproduce these
-values and gradients bit for bit.
+`autodiff.backward`; it takes the source terms d_src and the source
+identity from its own graph too. `manipulate.objective_and_grad` must
+reproduce these values and gradients bit for bit.
 """
 
 from __future__ import annotations
@@ -13,26 +14,28 @@ from __future__ import annotations
 import numpy as np
 
 from sgim import autodiff as ad
-from sgim.basis import band_slices
-from sgim.encoders import EncoderParams, encode_nodes, encode_np
+from sgim.encoders import EncoderParams, encode_nodes
 from sgim.errors import DimensionError, NumericsError
-from sgim.generator import GeneratorParams, _basis, synthesize
+from sgim.generator import GeneratorParams
 from sgim.manipulate import (IdentityExtractor, ManipConfig, ModelBundle,
-                             TrajectoryPoint, gate_softmax, identity_features)
+                             TrajectoryPoint, gate_softmax)
 
 
 def synthesize_node(w: ad.Node, gen: GeneratorParams) -> ad.Node:
-    """Graph version; w is an (layers, latent_dim) Node, output (1, pixels)."""
-    if w.value.shape != (gen.layers, gen.latent_dim):
+    """Graph version, bias + vec(w) @ A; w is an (layers, latent_dim) Node,
+    output (1, pixels). Row k of w reaches vec(w) through a 0/1 placement
+    matrix, which moves every value without rounding it."""
+    layers, dim = gen.layers, gen.latent_dim
+    if w.value.shape != (layers, dim):
         raise DimensionError(
-            f"latent must be {(gen.layers, gen.latent_dim)}, got {w.value.shape}")
-    basis = _basis(gen.side)
-    img = ad.constant(gen.bias[None, :])
-    for k, sl in enumerate(band_slices(gen.side)):
-        row = ad.slice_rows(w, k, k + 1)
-        coeff = ad.matmul(row, ad.constant(gen.layer_mods[k]))
-        img = ad.add(img, ad.matmul(coeff, ad.constant(np.asarray(basis[sl]))))
-    return img
+            f"latent must be {(layers, dim)}, got {w.value.shape}")
+    flat = None
+    for k in range(layers):
+        row = ad.matmul(ad.slice_rows(w, k, k + 1),
+                        ad.constant(np.eye(dim, layers * dim, k * dim)))
+        flat = row if flat is None else ad.add(flat, row)
+    return ad.add(ad.constant(gen.bias[None, :]),
+                  ad.matmul(flat, ad.constant(gen.A)))
 
 
 def _identity_node(extractor: IdentityExtractor, image: ad.Node) -> ad.Node:
@@ -57,6 +60,11 @@ def _reg_node(w: ad.Node, w_s: np.ndarray, g: ad.Node | None,
     return ad.scale(ad.sum_all(ad.matmul(weights, norms)), 1.0 / layers)
 
 
+def _distance_node(u: ad.Node, t: np.ndarray) -> ad.Node:
+    return ad.sub(ad.constant(1.0),
+                  ad.sum_all(ad.mul_elementwise(u, ad.constant(t[None, :]))))
+
+
 def objective_node(w: ad.Node, g: ad.Node | None, w_s: np.ndarray,
                    target: np.ndarray, d_src: float, config: ManipConfig,
                    models: ModelBundle, source_identity: np.ndarray | None,
@@ -64,8 +72,7 @@ def objective_node(w: ad.Node, g: ad.Node | None, w_s: np.ndarray,
     """Full manipulation objective; returns (total, hinge, reg, identity)."""
     img = synthesize_node(w, models.generator)
     v = _encode_image_node(models.image, img)
-    d_manip = ad.sub(ad.constant(1.0),
-                     ad.sum_all(ad.mul_elementwise(v, ad.constant(target[None, :]))))
+    d_manip = _distance_node(v, target)
     hinge = ad.max_with_zero(ad.add(ad.sub(d_manip, ad.constant(d_src)),
                                     ad.constant(1.0)))
     reg = _reg_node(w, w_s, g, config.adaptive_masking)
@@ -73,8 +80,8 @@ def objective_node(w: ad.Node, g: ad.Node | None, w_s: np.ndarray,
     id_val = 0.0
     if config.identity_enabled and config.lambda_id > 0.0:
         feat = _identity_node(models.identity, img)
-        id_node = ad.sub(ad.constant(1.0), ad.sum_all(ad.mul_elementwise(
-            feat, ad.constant(source_identity[None, :]))))
+        d_id = ad.sub(feat, ad.constant(source_identity[None, :]))
+        id_node = ad.scale(ad.sum_all(ad.mul_elementwise(d_id, d_id)), 0.5)
         total = ad.add(total, ad.scale(id_node, config.lambda_id))
         id_val = float(id_node.value)
     return total, float(hinge.value), float(reg.value), id_val
@@ -90,11 +97,12 @@ def graph_optimize_guided(w_s: np.ndarray, target: np.ndarray,
     w_s = gen.check_latent(w_s)
     w = w_s.copy()
     g = np.zeros(gen.layers)
-    v_src = encode_np(models.image, synthesize(w_s, gen)[None, :])[0]
-    d_src = 1.0 - float(v_src @ target)
+    img_s = synthesize_node(ad.leaf(w_s), gen)
+    d_src = float(_distance_node(_encode_image_node(models.image, img_s),
+                                 target).value)
     source_identity = None
     if config.identity_enabled and config.lambda_id > 0.0:
-        source_identity = identity_features(models.identity, synthesize(w_s, gen))
+        source_identity = _identity_node(models.identity, img_s).value[0]
     trajectory: list[TrajectoryPoint] = []
     for step in range(config.steps):
         w_node = ad.leaf(w)

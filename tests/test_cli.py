@@ -188,6 +188,30 @@ def test_bad_manipulation_setting_validation_error(name, pipeline_dir, capsys):
     assert "\n" not in err.strip()
 
 
+# argv -> the name the error line must give; each is rejected before any
+# stage reads its inputs
+BAD_SEEDS = {
+    "master_seed": (["--seed", "-200", "gen-data"], "master_seed"),
+    "master_seed_2_63": (["--seed", str(2 ** 63), "gen-data"], "master_seed"),
+    "master_seed_set": (["--set", "master_seed=-1", "gen-data"],
+                        "master_seed"),
+    "gradcheck_seed": (["gradcheck", "--gradcheck-seed", "-1"],
+                       "--gradcheck-seed"),
+    "source_seed": (["manipulate", "--source-seed", "-1", "--audio-index", 0],
+                    "--source-seed"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SEEDS))
+def test_negative_seed_validation_error(name, tmp_path, capsys):
+    argv, needle = BAD_SEEDS[name]
+    capsys.readouterr()
+    assert run_cli(*argv, "--run", tmp_path / "run") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: validation: {needle} must lie in [0, 2**63)")
+    assert "\n" not in err.strip()
+
+
 def test_diverging_step_is_internal_error(pipeline_dir, capsys):
     capsys.readouterr()
     code = run_cli(*FAST, "manipulate", "--run", pipeline_dir,

@@ -8,7 +8,7 @@ from sgim.data import (DatasetManifest, generate_dataset, label_token_seq,
                        weak_candidates)
 from sgim.encoders import (TeacherParams, TrainConfig, bag_of_tokens,
                            batch_total_loss, cyclic_lr, encode_audio,
-                           encode_image, encode_np, encode_text,
+                           encode_np, encode_text,
                            init_encoder_params, params_hash, pretrain_teacher,
                            train_audio_encoder)
 from sgim.errors import DegenerateInputError, UsageError
@@ -201,9 +201,3 @@ def test_loss_log_csv_format(audio_encoder):
     first = lines[1].split(",")
     assert int(first[0]) == 0
     assert float(first[5]) > 0
-
-
-def test_encode_image_shape_guard(teacher):
-    params, _ = teacher
-    with pytest.raises(Exception):
-        encode_image(np.ones(13), params.image)

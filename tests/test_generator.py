@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,9 @@ from sgim import autodiff as ad
 from sgim.basis import band_slices, cosine_basis
 from sgim.encoders import encode_np
 from sgim.errors import DimensionError, ParameterError, UsageError
-from sgim.generator import (GeneratorParams, band_coefficients,
-                            fit_generator_to_dataset, init_generator,
-                            lipschitz_bound, sample_source_latent, synthesize)
+from sgim.generator import (GeneratorParams, fit_generator_to_dataset,
+                            init_generator, lipschitz_bound,
+                            sample_source_latent, synthesize)
 
 from graph_reference import synthesize_node
 
@@ -34,7 +36,38 @@ def test_synthesize_shape_guard(gen_fit):
     with pytest.raises(DimensionError):
         synthesize(np.zeros((4, 32)), gen_fit.params)
     with pytest.raises(DimensionError):
+        synthesize(np.zeros((3, 8, 16)), gen_fit.params)
+    with pytest.raises(DimensionError):
         synthesize_node(ad.leaf(np.zeros((8, 16))), gen_fit.params)
+
+
+def per_band_image(w, gen):
+    """The generator written band by band: bias + sum_k (w_k @ M_k) @ B_k."""
+    basis = cosine_basis(gen.side)
+    out = gen.bias.copy()
+    for k, sl in enumerate(band_slices(gen.side)):
+        out += (w[k] @ gen.layer_mods[k]) @ basis[sl]
+    return out
+
+
+def test_synthesize_matches_per_band_formula(gen_fit):
+    gen = gen_fit.params
+    ws = np.random.default_rng(31).standard_normal((50, 8, 32))
+    want = np.stack([per_band_image(w, gen) for w in ws])
+    assert np.allclose(synthesize(ws, gen), want, rtol=0.0, atol=1e-12)
+    for w, row in zip(ws, want):
+        assert np.allclose(synthesize(w, gen), row, rtol=0.0, atol=1e-12)
+
+
+def test_fitted_params_are_read_only(gen_fit):
+    gp = gen_fit.params
+    for array in (gp.layer_mods[3], gp.bias, gp.A):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    with pytest.raises(TypeError):
+        gp.layer_mods[3] = np.zeros_like(gp.layer_mods[3])
+    with pytest.raises(AttributeError):
+        gp.bias = np.zeros(64)
 
 
 def test_synthesize_deterministic(gen_fit):
@@ -54,7 +87,7 @@ def test_last_layer_touches_only_finest_band(gen_fit):
     bumped = w.copy()
     bumped[7] += 0.25
     delta = synthesize(bumped, gen_fit.params) - synthesize(w, gen_fit.params)
-    coeffs = band_coefficients(delta, 8)
+    coeffs = delta @ cosine_basis(8).T
     for k, sl in enumerate(band_slices(8)):
         band_energy = float(np.abs(coeffs[sl]).max())
         if k == 7:
@@ -66,10 +99,10 @@ def test_last_layer_touches_only_finest_band(gen_fit):
 def test_zeroing_layer_modulation_zeroes_band(gen_fit):
     gp = gen_fit.params
     hollow = GeneratorParams(gp.side, gp.latent_dim,
-                             [m.copy() for m in gp.layer_mods], gp.bias.copy())
-    hollow.layer_mods[3][:] = 0.0
+                             [np.zeros_like(m) if k == 3 else m
+                              for k, m in enumerate(gp.layer_mods)], gp.bias)
     w = sample_source_latent(9)
-    coeffs = band_coefficients(synthesize(w, hollow) - hollow.bias, 8)
+    coeffs = (synthesize(w, hollow) - hollow.bias) @ cosine_basis(8).T
     assert np.all(np.abs(coeffs[band_slices(8)[3]]) < 1e-12)
 
 
@@ -115,7 +148,7 @@ def test_fit_zero_epochs_returns_initialization(dataset, run_config):
     seed = run_config.seed_for("generator")
     fit0 = fit_generator_to_dataset(images, epochs=0, seed=seed)
     rng = np.random.default_rng(seed)
-    expected = init_generator(rng, 8, 32, bias=images.mean(axis=0))
+    expected = replace(init_generator(rng, 8, 32), bias=images.mean(axis=0))
     for got, want in zip(fit0.params.layer_mods, expected.layer_mods):
         assert np.array_equal(got, want)
     assert np.array_equal(fit0.params.bias, expected.bias)

@@ -10,7 +10,7 @@ from sgim.data import label_token_seq
 from sgim.augment import default_vocabulary
 from sgim.encoders import encode_audio, encode_np
 from sgim.errors import DegenerateInputError, ParameterError, SgimError
-from sgim.generator import synthesize
+from sgim.generator import sample_source_latent, synthesize
 from sgim.manipulate import (IdentityExtractor, ManipConfig, gate_softmax,
                              hinge_from_distances, hinge_loss,
                              identity_features, identity_loss, interpolate,
@@ -83,15 +83,6 @@ def test_optimize_rejects_bad_steps(gen_fit, model_bundle, dataset):
     with pytest.raises(ParameterError):
         optimize_latent(gen_fit.latents[0], dataset.audio[0],
                         ManipConfig(steps=0), model_bundle)
-
-
-def test_one_zero_size_step_keeps_source(gen_fit, model_bundle, dataset):
-    w_s = gen_fit.latents[SOURCE_INDEX]
-    w_a, gate, traj = optimize_latent(
-        w_s, dataset.audio[AUDIO_INDEX],
-        ManipConfig(steps=1, step_size=0.0), model_bundle)
-    assert np.array_equal(w_a, w_s)
-    assert traj[0].hinge == 1.0
 
 
 def test_huge_step_aborts_loudly(gen_fit, model_bundle, dataset):
@@ -182,6 +173,22 @@ GRAPH_CASES = {
     "plain_reg": {"adaptive_masking": False},
     "strong_reg": {"lambda_reg": 1.0},
 }
+
+
+def test_one_zero_size_step_keeps_source(gen_fit, model_bundle, dataset):
+    # the source terms come from the objective's own forward expressions,
+    # so step 0 compares the source with itself exactly
+    mel = dataset.audio[AUDIO_INDEX]
+    sources = [gen_fit.latents[SOURCE_INDEX],
+               *(sample_source_latent(seed) for seed in range(3))]
+    for case, settings_ in GRAPH_CASES.items():
+        config = ManipConfig(steps=1, step_size=0.0, **settings_)
+        for w_s in sources:
+            w_a, _, traj = optimize_latent(w_s, mel, config, model_bundle)
+            assert np.array_equal(w_a, w_s)
+            assert (traj[0].hinge, traj[0].reg) == (1.0, 0.0), case
+            if config.identity_enabled:
+                assert traj[0].identity == 0.0, case
 
 
 @pytest.mark.parametrize("case", sorted(GRAPH_CASES))

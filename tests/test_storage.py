@@ -12,7 +12,7 @@ from sgim.data import DatasetManifest, manifest_from_text, manifest_to_text
 from sgim.encoders import TeacherParams, init_encoder_params
 from sgim.errors import ConfigError, UsageError
 from sgim.generator import GeneratorFit, init_generator
-from sgim.manipulate import ManipConfig, init_identity_extractor
+from sgim.manipulate import ManipConfig
 from sgim.pgm import read_pgm, write_pgm
 
 
@@ -67,15 +67,12 @@ def test_generator_array_roundtrip():
         assert np.array_equal(a, b)
 
 
-def test_latent_and_identity_roundtrip():
+def test_latent_roundtrip():
     rng = np.random.default_rng(3)
     w = rng.standard_normal((8, 32))
     gate = rng.standard_normal(8)
     back_w, back_gate = ckpt.latent_from_arrays(ckpt.latent_arrays(w, gate))
     assert np.array_equal(back_w, w) and np.array_equal(back_gate, gate)
-    ident = init_identity_extractor(rng)
-    back_i = ckpt.identity_from_arrays(ckpt.identity_arrays(ident))
-    assert np.array_equal(back_i.w1, ident.w1)
 
 
 def test_pgm_roundtrip(tmp_path):
