@@ -1,55 +1,23 @@
-"""Audio and text augmentation.
+"""Audio and text augmentation, and the text vocabulary.
 
 Audio augmentation zeroes one contiguous band of frequency rows and one of
-time columns (widths floor(ratio * dim), positions uniform). Text
-augmentation builds enriched token sequences by synonym insertion, order
-permutation, and random-word insertion, each applied independently with
-probability 0.5 by default.
+time columns (widths floor(ratio * dim), positions uniform).
+
+Text is carried as rows of token ids, indices into ``WORDS``, and reaches
+the encoders only as bags: token count rows from ``bag_matrix``. Text
+augmentation works on those bags. ``augment_bags`` adds a synonym of one of
+the row's words and one random word to its counts, each with probability
+``prob``; the original tokens are never removed.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, UsageError
 
-
-@dataclass(frozen=True)
-class Vocabulary:
-    """Fixed word list; token ids are indices into ``words``."""
-
-    words: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {w: i for i, w in enumerate(self.words)})
-
-    def __len__(self):
-        return len(self.words)
-
-    def id_of(self, word: str) -> int:
-        return self._index[word]
-
-    def __contains__(self, word: str) -> bool:
-        return word in self._index
-
-
-@dataclass(frozen=True)
-class TokenSeq:
-    tokens: tuple[int, ...]
-    vocab: Vocabulary
-
-    def __post_init__(self):
-        if any(t < 0 or t >= len(self.vocab) for t in self.tokens):
-            raise UsageError("token id outside vocabulary")
-
-    def words(self) -> list[str]:
-        return [self.vocab.words[t] for t in self.tokens]
-
-
 # Built-in class labels, their synonyms, and filler words. The synonym table
-# stands in for a real thesaurus; edit via load_synonym_table if needed.
+# stands in for a real thesaurus.
 CLASS_LABEL_WORDS = (
     ("wave", "crashing"),
     ("rain", "falling"),
@@ -61,50 +29,27 @@ CLASS_LABEL_WORDS = (
     ("engine", "humming"),
 )
 
-DEFAULT_SYNONYMS: dict[str, list[str]] = {
-    "wave": ["surf"],
-    "rain": ["drizzle"],
-    "thunder": ["storm"],
-    "bird": ["chirp"],
-    "dog": ["hound"],
-    "fire": ["flame"],
-    "wind": ["gust"],
-    "engine": ["motor"],
+SYNONYMS: dict[str, tuple[str, ...]] = {
+    "wave": ("surf",),
+    "rain": ("drizzle",),
+    "thunder": ("storm",),
+    "bird": ("chirp",),
+    "dog": ("hound",),
+    "fire": ("flame",),
+    "wind": ("gust",),
+    "engine": ("motor",),
 }
 
 _FILLER_WORDS = ("loud", "soft", "distant", "near")
 
-
-def default_vocabulary() -> Vocabulary:
-    words: list[str] = []
-    for pair in CLASS_LABEL_WORDS:
-        words.extend(pair)
-    for syns in DEFAULT_SYNONYMS.values():
-        words.extend(syns)
-    words.extend(_FILLER_WORDS)
-    return Vocabulary(tuple(words))
-
-
-def load_synonym_table(path) -> dict[str, list[str]]:
-    """Parse a 'word: syn1, syn2' file, one entry per line."""
-    table: dict[str, list[str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            word, _, rest = line.partition(":")
-            syns = [s.strip() for s in rest.split(",") if s.strip()]
-            if not word.strip() or not syns:
-                raise UsageError(f"malformed synonym line: {line!r}")
-            table[word.strip()] = syns
-    return table
-
-
-def save_synonym_table(path, table: dict[str, list[str]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for word in table:
-            fh.write(f"{word}: {', '.join(table[word])}\n")
+# the vocabulary: token id i is WORDS[i]
+WORDS: tuple[str, ...] = (*(w for pair in CLASS_LABEL_WORDS for w in pair),
+                          *(s for syns in SYNONYMS.values() for s in syns),
+                          *_FILLER_WORDS)
+VOCAB_SIZE = len(WORDS)
+TOKEN_ID = {w: i for i, w in enumerate(WORDS)}
+SYNONYM_IDS: dict[int, tuple[int, ...]] = {
+    TOKEN_ID[w]: tuple(TOKEN_ID[s] for s in syns) for w, syns in SYNONYMS.items()}
 
 
 def spec_augment(mel: np.ndarray, freq_ratio: float, time_ratio: float,
@@ -132,39 +77,43 @@ def spec_augment(mel: np.ndarray, freq_ratio: float, time_ratio: float,
     return out
 
 
-def augment_text(seq: TokenSeq, synonym_table: dict[str, list[str]],
-                 rng: np.random.Generator, p_synonym: float = 0.5,
-                 p_permute: float = 0.5, p_insert: float = 0.5) -> TokenSeq:
-    """Apply synonym insertion, then permutation, then random insertion.
+def bag_matrix(token_rows) -> np.ndarray:
+    """(n, VOCAB_SIZE) float64 token counts of n equal-length id rows."""
+    rows = np.atleast_2d(np.asarray(token_rows, dtype=np.intp))
+    if rows.size and (rows.min() < 0 or rows.max() >= VOCAB_SIZE):
+        raise UsageError("token id outside vocabulary")
+    bags = np.zeros((len(rows), VOCAB_SIZE))
+    np.add.at(bags, (np.arange(len(rows))[:, None], rows), 1.0)
+    return bags
 
-    Each stage fires independently with its probability and always consumes
-    the same rng draws for the stage decision, so the stream layout does not
-    depend on the probability values. The original tokens are never removed.
+
+def augment_bags(token_rows, rng: np.random.Generator,
+                 prob: float) -> np.ndarray:
+    """Bags of the id rows, each enriched by synonym insertion, then a
+    permutation, then random-word insertion.
+
+    Each stage fires independently with probability ``prob`` and always
+    consumes its stage-decision draw. A bag has no order, so the
+    permutation and the insert positions cannot change it; they are still
+    drawn, and dropped, so the rng stream moves exactly as it does when
+    the augmented token sequences are built.
     """
-    if not seq.tokens:
+    rows = np.atleast_2d(np.asarray(token_rows))
+    if rows.shape[1] == 0:
         raise UsageError("cannot augment an empty token sequence")
-    vocab = seq.vocab
-    tokens = list(seq.tokens)
-
-    if rng.random() < p_synonym:
-        candidates = [i for i, t in enumerate(tokens)
-                      if synonym_table.get(vocab.words[t])]
-        if candidates:
-            which = candidates[int(rng.integers(0, len(candidates)))]
-            syns = [s for s in synonym_table[vocab.words[tokens[which]]]
-                    if s in vocab]
-            if syns:
-                syn_id = vocab.id_of(syns[int(rng.integers(0, len(syns)))])
-                pos = int(rng.integers(0, len(tokens) + 1))
-                tokens.insert(pos, syn_id)
-
-    if rng.random() < p_permute:
-        order = rng.permutation(len(tokens))
-        tokens = [tokens[i] for i in order]
-
-    if rng.random() < p_insert:
-        extra = int(rng.integers(0, len(vocab)))
-        pos = int(rng.integers(0, len(tokens) + 1))
-        tokens.insert(pos, extra)
-
-    return TokenSeq(tuple(tokens), vocab)
+    bags = bag_matrix(rows)
+    for bag, row in zip(bags, rows.tolist()):
+        length = len(row)
+        if rng.random() < prob:
+            candidates = [t for t in row if t in SYNONYM_IDS]
+            if candidates:
+                syns = SYNONYM_IDS[candidates[rng.integers(0, len(candidates))]]
+                bag[syns[rng.integers(0, len(syns))]] += 1.0
+                rng.integers(0, length + 1)    # insert position
+                length += 1
+        if rng.random() < prob:
+            rng.permutation(length)
+        if rng.random() < prob:
+            bag[rng.integers(0, VOCAB_SIZE)] += 1.0
+            rng.integers(0, length + 1)        # insert position
+    return bags

@@ -171,27 +171,27 @@ def _load_latent(path: Path) -> np.ndarray:
 
 
 def cmd_interpolate(run: Path, args, config: RunConfig) -> int:
-    models, _ = _bundle(run, config)
+    gen = _load_generator(run).params
     w = interpolate(_load_latent(args.latent_a), _load_latent(args.latent_b),
                     args.alpha)
     out = run / "mix" / args.tag
     out.mkdir(parents=True, exist_ok=True)
     ckpt.save_checkpoint(out / "latent.ckpt", ckpt.latent_arrays(w),
                          config_to_text(config), config.master_seed)
-    write_pgm(out / "image.pgm", synthesize(w, models.generator))
+    write_pgm(out / "image.pgm", synthesize(w, gen))
     print(f"interpolated latent written to {out}")
     return 0
 
 
 def cmd_mix(run: Path, args, config: RunConfig) -> int:
-    models, _ = _bundle(run, config)
+    gen = _load_generator(run).params
     w = style_mix(_load_latent(args.latent_a), _load_latent(args.latent_b),
                   args.split)
     out = run / "mix" / args.tag
     out.mkdir(parents=True, exist_ok=True)
     ckpt.save_checkpoint(out / "latent.ckpt", ckpt.latent_arrays(w),
                          config_to_text(config), config.master_seed)
-    write_pgm(out / "image.pgm", synthesize(w, models.generator))
+    write_pgm(out / "image.pgm", synthesize(w, gen))
     print(f"style-mixed latent written to {out}")
     return 0
 
@@ -356,6 +356,7 @@ def main(argv=None) -> int:
             # numpy rejects negative seeds; checkpoints store an int64
             if not 0 <= value < 2 ** 63:
                 raise UsageError(f"{name} must lie in [0, 2**63), got {value}")
+        config.check_training_ranges()
         run = Path(args.run)
         _echo_config(run, config)
         return args.func(run, args, config)

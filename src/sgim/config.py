@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import kvtext
 from .data import DatasetManifest
 from .encoders import TrainConfig
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .losses import LossFlags
 from .manipulate import ManipConfig
 
@@ -26,6 +27,21 @@ SEED_OFFSETS = {
     "generator": 401,
     "manip": 503,
     "eval": 601,
+}
+
+
+# training keys checked before any stage runs: key -> (test, allowed range)
+_FRACTION = (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+_RATIO = (lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
+_POSITIVE = (lambda v: math.isfinite(v) and v > 0.0, "be finite and > 0")
+_TRAINING_RANGES = {
+    "text_aug_prob": _FRACTION,
+    "freq_mask_ratio": _RATIO,
+    "time_mask_ratio": _RATIO,
+    "teacher_lr": _POSITIVE,
+    "audio_lr": _POSITIVE,
+    "tau": _POSITIVE,
+    "momentum": _RATIO,
 }
 
 
@@ -93,6 +109,14 @@ class RunConfig:
 
     def seed_for(self, stage: str) -> int:
         return stage_seed(self.master_seed, stage)
+
+    def check_training_ranges(self) -> None:
+        """Raises ``ParameterError`` naming the first training key outside
+        its range."""
+        for key, (ok, allowed) in _TRAINING_RANGES.items():
+            value = getattr(self, key)
+            if not ok(value):
+                raise ParameterError(f"{key} must {allowed}, got {value!r}")
 
     def _stage_config(self, cls, **renamed):
         """A ``cls`` whose fields take this config's fields of the same name;

@@ -1,5 +1,5 @@
-"""Procedural tri-modal dataset: mel-like audio grids, label token sequences,
-and images with class structure, per-sample intensity, video grouping, and a
+"""Procedural tri-modal dataset: mel-like audio grids, label token ids, and
+images with class structure, per-sample intensity, video grouping, and a
 deliberate class-conditional nuisance pattern.
 
 Every record of a video shares that video's offsets; audio amplitude is
@@ -9,9 +9,11 @@ the mid bands so it is visually orthogonal to class content.
 
 In memory a dataset is a ``Dataset``: the same five columns its ``.tmd``
 files hold (audio, image, text token ids, the class/video/nuisance ids and
-intensity), one row per record. ``ds[i]`` gives a one-row
-``TriModalRecord`` view, built on demand. ``load_dataset`` checks the
-columns against ``manifest.txt`` before it returns them.
+intensity), one row per record. A record's text is its class label as a row
+of token ids into ``augment.WORDS`` (``label_tokens``); it stays ids all the
+way to the encoders, which read it as a bag of tokens. ``ds[i]`` gives a
+one-row ``TriModalRecord`` view, built on demand. ``load_dataset`` checks
+the columns against ``manifest.txt`` before it returns them.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kvtext
-from .augment import (CLASS_LABEL_WORDS, TokenSeq, Vocabulary,
-                      default_vocabulary, spec_augment)
+from .augment import CLASS_LABEL_WORDS, TOKEN_ID, VOCAB_SIZE, spec_augment
 from .basis import band_of_rows, cosine_basis, image_side
 from .errors import ParameterError, UsageError
 
@@ -40,7 +41,7 @@ class TriModalRecord:
     """One row of a ``Dataset``, built on demand by ``Dataset.__getitem__``."""
 
     audio: np.ndarray      # (freq_bins, time_frames)
-    text: TokenSeq
+    text: np.ndarray       # (LABEL_TOKENS_PER_CLASS,) token ids
     image: np.ndarray      # (pixels,)
     class_id: int
     video_id: int
@@ -67,9 +68,8 @@ class Dataset:
 
     def __getitem__(self, i: int) -> TriModalRecord:
         # an index past the end raises IndexError, which ends iteration
-        text = TokenSeq(tuple(self.text[i].tolist()), default_vocabulary())
         return TriModalRecord(
-            self.audio[i], text, self.image[i], int(self.class_id[i]),
+            self.audio[i], self.text[i], self.image[i], int(self.class_id[i]),
             int(self.video_id[i]), float(self.intensity[i]),
             int(self.nuisance_id[i]))
 
@@ -119,9 +119,10 @@ class DatasetManifest:
         return self.classes * self.videos_per_class * self.records_per_video
 
 
-def label_token_seq(vocab: Vocabulary, class_id: int) -> TokenSeq:
-    words = CLASS_LABEL_WORDS[class_id]
-    return TokenSeq(tuple(vocab.id_of(w) for w in words), vocab)
+def label_tokens(class_id: int) -> np.ndarray:
+    """The token ids of a class's label words, as an int32 row."""
+    return np.array([TOKEN_ID[w] for w in CLASS_LABEL_WORDS[class_id]],
+                    dtype=np.int32)
 
 
 def _unit(a: np.ndarray) -> np.ndarray:
@@ -154,7 +155,6 @@ def generate_dataset(manifest: DatasetManifest) -> Dataset:
     manifest.validate()
     m = manifest
     rng = np.random.default_rng(m.seed)
-    vocab = default_vocabulary()
     basis = cosine_basis(image_side(m.pixels))
     spectrum = _image_spectrum(m.pixels)
 
@@ -193,8 +193,7 @@ def generate_dataset(manifest: DatasetManifest) -> Dataset:
                 audio[i] += m.audio_noise * rng.standard_normal(
                     (m.freq_bins, m.time_frames))
                 image[i] = base_image + m.image_noise * rng.standard_normal(m.pixels)
-    labels = np.array([label_token_seq(vocab, c).tokens
-                       for c in range(m.classes)], dtype=np.int32)
+    labels = np.array([label_tokens(c) for c in range(m.classes)])
     class_id = video_id // np.int32(m.videos_per_class)
     return Dataset(audio=audio, image=image, text=labels[class_id],
                    class_id=class_id, video_id=video_id,
@@ -365,10 +364,9 @@ def load_dataset(dirpath) -> tuple[DatasetManifest, Dataset]:
               | (video_id // m.videos_per_class != class_id)):
         raise UsageError(f"{d / 'ids.tmd'}: ids outside {m.classes} classes "
                          f"of {m.videos_per_class} videos")
-    vocab_size = len(default_vocabulary())
-    if np.any((text < 0) | (text >= vocab_size)):
+    if np.any((text < 0) | (text >= VOCAB_SIZE)):
         raise UsageError(f"{d / 'text.tmd'}: token id outside the "
-                         f"{vocab_size}-word vocabulary")
+                         f"{VOCAB_SIZE}-word vocabulary")
     return m, Dataset(audio=audio, image=image, text=text, class_id=class_id,
                       video_id=video_id, nuisance_id=ids[:, 2],
                       intensity=intensity[:, 0])

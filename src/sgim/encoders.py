@@ -12,17 +12,15 @@ Optimizer: plain SGD with momentum 0.9 under a cosine cyclic schedule
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
-from .augment import (DEFAULT_SYNONYMS, TokenSeq, augment_text,
-                      default_vocabulary)
-from .data import (Dataset, MiniBatch, group_rows, sample_minibatch,
-                   sample_weak_pair, weak_candidates)
+from .augment import VOCAB_SIZE, augment_bags, bag_matrix
+from .data import (Dataset, group_rows, sample_minibatch, sample_weak_pair,
+                   weak_candidates)
 from .errors import DegenerateInputError, UsageError
 from .losses import (LossBreakdown, LossFlags, info_nce_pair_node,
                      total_loss_node, weak_kl_loss_node)
@@ -76,13 +74,6 @@ def init_encoder_params(rng: np.random.Generator, in_dim: int, hidden: int,
     return EncoderParams(w1, b1, w2, b2, w3, b3)
 
 
-def params_hash(params: EncoderParams) -> str:
-    h = hashlib.sha256()
-    for k in PARAM_KEYS:
-        h.update(getattr(params, k).tobytes())
-    return h.hexdigest()
-
-
 def encode_np(params: EncoderParams, x: np.ndarray) -> np.ndarray:
     """Unit-norm embeddings for a (n, in_dim) batch, no graph."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -106,26 +97,16 @@ def encode_nodes(pnodes: dict[str, ad.Node], x: ad.Node) -> ad.Node:
     return ad.l2_normalize_rows(z)
 
 
-def bag_of_tokens(seq: TokenSeq) -> np.ndarray:
-    """Order-insensitive token count vector over the sequence's vocabulary."""
-    if not seq.tokens:
-        raise DegenerateInputError("empty token sequence has a zero bag vector")
-    return bag_matrix([seq.tokens], len(seq.vocab))[0]
-
-
-def bag_matrix(token_rows, vocab_size: int) -> np.ndarray:
-    """Token count vectors, one row per sequence of token ids."""
-    return np.stack([np.bincount(np.asarray(row, dtype=np.intp),
-                                 minlength=vocab_size)
-                     for row in token_rows]).astype(np.float64)
-
-
 def encode_audio(mel: np.ndarray, params: EncoderParams) -> np.ndarray:
     return encode_np(params, np.asarray(mel).reshape(1, -1))[0]
 
 
-def encode_text(tokens: TokenSeq, params: EncoderParams) -> np.ndarray:
-    return encode_np(params, bag_of_tokens(tokens)[None, :])[0]
+def encode_text(ids, params: EncoderParams) -> np.ndarray:
+    """Embedding of one row of token ids, through its bag of tokens."""
+    ids = np.asarray(ids)
+    if ids.size == 0:
+        raise DegenerateInputError("empty token sequence has a zero bag vector")
+    return encode_np(params, bag_matrix(ids[None, :]))[0]
 
 
 def cyclic_lr(base_lr: float, epoch: int, period: int = 10) -> float:
@@ -165,14 +146,6 @@ class _MomentumSGD:
             a += v
 
 
-def _augmented_bags(tokens: np.ndarray, rng, prob) -> np.ndarray:
-    vocab = default_vocabulary()
-    return bag_matrix([augment_text(TokenSeq(tuple(row.tolist()), vocab),
-                                    DEFAULT_SYNONYMS, rng, p_synonym=prob,
-                                    p_permute=prob, p_insert=prob).tokens
-                       for row in tokens], len(vocab))
-
-
 def pretrain_teacher(ds: Dataset,
                      config: TrainConfig,
                      hidden: int = 64, embed_dim: int = 32,
@@ -184,9 +157,8 @@ def pretrain_teacher(ds: Dataset,
     if min(config.batch_size, len(ds)) < 2:
         raise UsageError("InfoNCE needs negatives: at least 2 records per batch")
     rng = np.random.default_rng(config.seed)
-    vocab_size = len(default_vocabulary())
     pixels = ds.image.shape[1]
-    text_p = init_encoder_params(rng, vocab_size, hidden, embed_dim)
+    text_p = init_encoder_params(rng, VOCAB_SIZE, hidden, embed_dim)
     image_p = init_encoder_params(rng, pixels, hidden, embed_dim)
     opt_t = _MomentumSGD(text_p.arrays(), config.momentum)
     opt_v = _MomentumSGD(image_p.arrays(), config.momentum)
@@ -201,7 +173,7 @@ def pretrain_teacher(ds: Dataset,
         for _ in range(steps):
             # the draw of sample_minibatch; the teacher never reads audio
             rows = rng.choice(n, size=bsz, replace=False)
-            bags = _augmented_bags(ds.text[rows], rng, config.text_aug_prob)
+            bags = augment_bags(ds.text[rows], rng, config.text_aug_prob)
             tn = encoder_param_nodes(text_p)
             vn = encoder_param_nodes(image_p)
             t = encode_nodes(tn, ad.constant(bags))
@@ -215,23 +187,6 @@ def pretrain_teacher(ds: Dataset,
     text_p.frozen = True
     image_p.frozen = True
     return TeacherParams(text=text_p, image=image_p), log
-
-
-def batch_total_loss(batch: MiniBatch, weak_images: np.ndarray,
-                     audio_params: EncoderParams, teacher: TeacherParams,
-                     tau: float, flags: LossFlags = LossFlags(),
-                     ) -> LossBreakdown:
-    """Loss breakdown for a prepared batch, no parameter updates."""
-    n = len(batch.rows)
-    a = encode_np(audio_params, batch.audio.reshape(n, -1))
-    a_aug = encode_np(audio_params, batch.audio_aug.reshape(n, -1))
-    bags = bag_matrix(batch.text, len(default_vocabulary()))
-    t = encode_np(teacher.text, bags)
-    v = encode_np(teacher.image, batch.images)
-    v_weak = encode_np(teacher.image, weak_images)
-    _, breakdown = total_loss_node(ad.constant(a), ad.constant(a_aug),
-                                   t, v, v_weak, tau, flags)
-    return breakdown
 
 
 def _weak_triplet_batch(class_rows: list[np.ndarray],
@@ -292,7 +247,7 @@ def train_audio_encoder(ds: Dataset, teacher: TeacherParams,
             # batch depends on the rng state they advance
             for i in batch.rows:
                 rng.integers(0, len(candidates[i]))
-            t = encode_np(teacher.text, _augmented_bags(
+            t = encode_np(teacher.text, augment_bags(
                 batch.text, rng, config.text_aug_prob))
             v = encode_np(teacher.image, batch.images)
             an = encoder_param_nodes(audio_p)
@@ -301,8 +256,7 @@ def train_audio_encoder(ds: Dataset, teacher: TeacherParams,
             loss, br = total_loss_node(a, a_aug, t, v, None, config.tau,
                                        main_flags)
             anchors, weak2 = _weak_triplet_batch(class_rows, candidates, rng)
-            bags2 = _augmented_bags(ds.text[anchors], rng,
-                                    config.text_aug_prob)
+            bags2 = augment_bags(ds.text[anchors], rng, config.text_aug_prob)
             kl_val = 0.0
             if config.flags.use_kl and len(anchors) >= 2:
                 t2 = encode_np(teacher.text, bags2)

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .augment import default_vocabulary
+from .augment import bag_matrix
 from .config import RunConfig, config_hash
-from .data import (Dataset, DatasetManifest, group_rows, label_token_seq,
+from .data import (Dataset, DatasetManifest, group_rows, label_tokens,
                    split_by_video)
-from .encoders import (EncoderParams, TeacherParams, bag_matrix, encode_np,
+from .encoders import (EncoderParams, TeacherParams, encode_np,
                        train_audio_encoder)
 from .errors import UsageError
 from .generator import sample_source_latent, synthesize
@@ -70,9 +70,8 @@ def classify_by_cosine(audio_emb: np.ndarray, class_emb: np.ndarray) -> np.ndarr
 
 def class_label_embeddings(text_params: EncoderParams,
                            classes: int) -> np.ndarray:
-    vocab = default_vocabulary()
-    labels = [label_token_seq(vocab, c).tokens for c in range(classes)]
-    return encode_np(text_params, bag_matrix(labels, len(vocab)))
+    labels = [label_tokens(c) for c in range(classes)]
+    return encode_np(text_params, bag_matrix(labels))
 
 
 def zero_shot_classify(ds: Dataset, audio_params: EncoderParams,
@@ -252,7 +251,6 @@ def direction_stats(attribute_classes: list[int], n_seeds: int,
         raise UsageError("direction statistics need at least 2 seeds")
     if not attribute_classes:
         raise UsageError("need at least one attribute class")
-    vocab = default_vocabulary()
     manip = config.manip_config(lambda_id=0.0, steps=steps,
                                 step_size=step_size, identity_enabled=False)
     stats: dict[str, list[float]] = {"sa": [], "st": [], "at": []}
@@ -268,8 +266,8 @@ def direction_stats(attribute_classes: list[int], n_seeds: int,
             rng = np.random.default_rng(seed)
             anchor = pool[rng.integers(0, len(pool))]
             w_a, _, _ = optimize_latent(w_s, ds.audio[anchor], manip, models)
-            w_t, _, _ = text_guided_latent(w_s, label_token_seq(vocab, attr),
-                                           manip, models)
+            w_t, _, _ = text_guided_latent(w_s, label_tokens(attr), manip,
+                                           models)
             for key, val in (("sa", _flat_cos(w_s, w_a)),
                              ("st", _flat_cos(w_s, w_t)),
                              ("at", _flat_cos(w_a, w_t))):

@@ -30,7 +30,6 @@ import numpy as np
 from .encoders import EncoderParams, encode_audio, encode_text
 from .errors import DegenerateInputError, NumericsError, ParameterError
 from .generator import GeneratorParams, synthesize
-from .augment import TokenSeq
 
 
 @dataclass
@@ -87,40 +86,6 @@ def gate_softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max()
     e = np.exp(z)
     return e / e.sum()
-
-
-def hinge_from_distances(d_src: float, d_manip: float) -> float:
-    """Triplet hinge core: max(d_manip - d_src + 1, 0).
-
-    Equals 1 when the distances tie, 0 when the manipulated image sits a
-    full margin closer to the guidance than the source, 2 when it sits a
-    full margin farther.
-    """
-    return max(d_manip - d_src + 1.0, 0.0)
-
-
-def hinge_loss(w_s: np.ndarray, w_a: np.ndarray, a: np.ndarray,
-               gen: GeneratorParams, f_v: EncoderParams) -> float:
-    """Hinge with d_cos(u, v) = 1 - u.v, by the objective's expressions."""
-    return hinge_from_distances(_distance(w_s, gen, f_v, a),
-                                _distance(w_a, gen, f_v, a))
-
-
-def masked_regularization(w_a: np.ndarray, w_s: np.ndarray,
-                          gate_logits: np.ndarray,
-                          adaptive: bool = True) -> float:
-    delta = np.asarray(w_a, float) - np.asarray(w_s, float)
-    if not adaptive:
-        return float(np.linalg.norm(delta))
-    norms = np.linalg.norm(delta, axis=1)
-    return float(gate_softmax(np.asarray(gate_logits, float)) @ norms / len(norms))
-
-
-def identity_loss(w_s: np.ndarray, w_a: np.ndarray, gen: GeneratorParams,
-                  extractor: IdentityExtractor) -> float:
-    f_s = identity_features(extractor, synthesize(w_s, gen))
-    f_a = identity_features(extractor, synthesize(w_a, gen))
-    return 0.5 * float(((f_a - f_s) ** 2).sum())
 
 
 def _c(a) -> np.ndarray:
@@ -307,11 +272,11 @@ def optimize_latent(w_s: np.ndarray, mel: np.ndarray, config: ManipConfig,
     return optimize_guided(w_s, encode_audio(mel, models.audio), config, models)
 
 
-def text_guided_latent(w_s: np.ndarray, tokens: TokenSeq, config: ManipConfig,
+def text_guided_latent(w_s: np.ndarray, ids: np.ndarray, config: ManipConfig,
                        models: ModelBundle,
                        ) -> tuple[np.ndarray, np.ndarray, list[TrajectoryPoint]]:
-    """Same optimizer driven by a text embedding instead of audio."""
-    return optimize_guided(w_s, encode_text(tokens, models.text), config, models)
+    """Same optimizer driven by the text embedding of a row of token ids."""
+    return optimize_guided(w_s, encode_text(ids, models.text), config, models)
 
 
 def interpolate(w_a: np.ndarray, w_t: np.ndarray, alpha: float) -> np.ndarray:
@@ -347,10 +312,3 @@ def trajectory_csv(trajectory: list[TrajectoryPoint]) -> str:
         lines.append(f"{p.step},{p.hinge!r},{p.reg!r},{p.identity!r},{p.total!r}")
     return "\n".join(lines) + "\n"
 
-
-def moving_average(values: list[float], window: int = 20) -> np.ndarray:
-    v = np.asarray(values, float)
-    if len(v) < window:
-        return v.reshape(1, -1).mean(axis=1)
-    kernel = np.ones(window) / window
-    return np.convolve(v, kernel, mode="valid")

@@ -7,6 +7,10 @@ objective from `sgim.autodiff` ops, one graph per evaluation, and
 `autodiff.backward`; it takes the source terms d_src and the source
 identity from its own graph too. `manipulate.objective_and_grad` must
 reproduce these values and gradients bit for bit.
+
+The float helpers at the end (`hinge_loss`, `hinge_from_distances`,
+`masked_regularization`, `identity_loss`, `moving_average`) give each
+objective term, or the smoothed total, for a given latent, without a graph.
 """
 
 from __future__ import annotations
@@ -16,9 +20,10 @@ import numpy as np
 from sgim import autodiff as ad
 from sgim.encoders import EncoderParams, encode_nodes
 from sgim.errors import DimensionError, NumericsError
-from sgim.generator import GeneratorParams
+from sgim.generator import GeneratorParams, synthesize
 from sgim.manipulate import (IdentityExtractor, ManipConfig, ModelBundle,
-                             TrajectoryPoint, gate_softmax)
+                             TrajectoryPoint, gate_softmax, identity_features,
+                             source_reference)
 
 
 def synthesize_node(w: ad.Node, gen: GeneratorParams) -> ad.Node:
@@ -118,3 +123,53 @@ def graph_optimize_guided(w_s: np.ndarray, target: np.ndarray,
         if g_node is not None:
             g = g - config.step_size * g_node.grad[0]
     return w, g, trajectory
+
+
+# ---------------------------------------------------------------------------
+# float helpers: one objective term at a time, no graph
+
+
+def hinge_from_distances(d_src: float, d_manip: float) -> float:
+    """Triplet hinge core: max(d_manip - d_src + 1, 0).
+
+    Equals 1 when the distances tie, 0 when the manipulated image sits a
+    full margin closer to the guidance than the source, 2 when it sits a
+    full margin farther.
+    """
+    return max(d_manip - d_src + 1.0, 0.0)
+
+
+def hinge_loss(w_s: np.ndarray, w_a: np.ndarray, a: np.ndarray,
+               gen: GeneratorParams, f_v: EncoderParams) -> float:
+    """Hinge with d_cos(u, v) = 1 - u.v, by the objective's expressions
+    (``source_reference`` gives each latent's distance)."""
+    models = ModelBundle(gen, None, None, f_v, None)
+    config = ManipConfig(identity_enabled=False)
+    d_src, _ = source_reference(w_s, a, config, models)
+    d_manip, _ = source_reference(w_a, a, config, models)
+    return hinge_from_distances(d_src, d_manip)
+
+
+def masked_regularization(w_a: np.ndarray, w_s: np.ndarray,
+                          gate_logits: np.ndarray,
+                          adaptive: bool = True) -> float:
+    delta = np.asarray(w_a, float) - np.asarray(w_s, float)
+    if not adaptive:
+        return float(np.linalg.norm(delta))
+    norms = np.linalg.norm(delta, axis=1)
+    return float(gate_softmax(np.asarray(gate_logits, float)) @ norms / len(norms))
+
+
+def identity_loss(w_s: np.ndarray, w_a: np.ndarray, gen: GeneratorParams,
+                  extractor: IdentityExtractor) -> float:
+    f_s = identity_features(extractor, synthesize(w_s, gen))
+    f_a = identity_features(extractor, synthesize(w_a, gen))
+    return 0.5 * float(((f_a - f_s) ** 2).sum())
+
+
+def moving_average(values: list[float], window: int = 20) -> np.ndarray:
+    v = np.asarray(values, float)
+    if len(v) < window:
+        return v.reshape(1, -1).mean(axis=1)
+    kernel = np.ones(window) / window
+    return np.convolve(v, kernel, mode="valid")

@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgim import augment
-from sgim.augment import TokenSeq, Vocabulary, augment_text, spec_augment
+from sgim.augment import augment_bags, bag_matrix, spec_augment
 from sgim.errors import ParameterError, UsageError
+
+from text_reference import (TokenSeq, Vocabulary, augment_text,
+                            reference_augmented_bags)
 
 
 def test_spec_augment_identity_at_zero_ratios():
@@ -93,24 +96,76 @@ def test_augment_text_empty_rejected():
 def test_augment_text_preserves_original_multiset(seed, ids):
     v = _tiny_vocab()
     seq = TokenSeq(tuple(ids), v)
-    out = augment_text(seq, augment.DEFAULT_SYNONYMS, np.random.default_rng(seed))
+    out = augment_text(seq, augment.SYNONYMS, np.random.default_rng(seed))
     for tok in set(ids):
         assert list(out.tokens).count(tok) >= ids.count(tok)
 
 
-def test_synonym_table_roundtrip(tmp_path):
-    table = {"wave": ["surf"], "rain": ["drizzle", "shower"]}
-    path = tmp_path / "syn.txt"
-    augment.save_synonym_table(path, table)
-    assert augment.load_synonym_table(path) == table
-
-
 def test_default_vocabulary_covers_labels_and_synonyms():
-    v = augment.default_vocabulary()
+    words = augment.WORDS
     for pair in augment.CLASS_LABEL_WORDS:
         for w in pair:
-            assert w in v
-    for syns in augment.DEFAULT_SYNONYMS.values():
+            assert w in words
+    for syns in augment.SYNONYMS.values():
         for s in syns:
-            assert s in v
-    assert len(set(v.words)) == len(v.words)
+            assert s in words
+    assert len(set(words)) == len(words) == augment.VOCAB_SIZE
+    assert all(words[augment.TOKEN_ID[w]] == w for w in words)
+    for word, syns in augment.SYNONYMS.items():
+        assert augment.SYNONYM_IDS[augment.TOKEN_ID[word]] == tuple(
+            augment.TOKEN_ID[s] for s in syns)
+
+
+def test_bag_matrix_counts_and_rejects_unknown_ids():
+    bags = bag_matrix(np.array([[0, 3, 0], [5, 5, 5]], dtype=np.int32))
+    assert bags.dtype == np.float64 and bags.shape == (2, augment.VOCAB_SIZE)
+    assert bags[0, 0] == 2.0 and bags[0, 3] == 1.0 and bags[0].sum() == 3.0
+    assert bags[1, 5] == 3.0 and bags[1].sum() == 3.0
+    for bad in (-1, augment.VOCAB_SIZE):
+        with pytest.raises(UsageError):
+            bag_matrix(np.array([[0, bad]]))
+
+
+@pytest.mark.parametrize("prob", [0.0, 0.5, 1.0])
+def test_augment_bags_matches_token_sequence_reference(prob, dataset):
+    # every text row of the seed-7 dataset, three seeded passes: the bags
+    # must equal the reference's bytewise and the rng must end in the same
+    # state
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        ref_rng = np.random.default_rng(seed)
+        bags = augment_bags(dataset.text, rng, prob)
+        ref = reference_augmented_bags(dataset.text, ref_rng, prob)
+        assert bags.dtype == np.float64
+        assert bags.tobytes() == ref.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0, 1),
+       st.lists(st.lists(st.integers(0, augment.VOCAB_SIZE - 1), min_size=3,
+                         max_size=3), min_size=1, max_size=6))
+def test_augment_bags_matches_reference_on_any_rows(seed, prob, rows):
+    rows = np.array(rows, dtype=np.int32)
+    rng = np.random.default_rng(seed)
+    ref_rng = np.random.default_rng(seed)
+    bags = augment_bags(rows, rng, prob)
+    assert bags.tobytes() == reference_augmented_bags(rows, ref_rng,
+                                                      prob).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_augment_bags_keeps_original_counts(dataset):
+    base = bag_matrix(dataset.text)
+    assert np.array_equal(augment_bags(dataset.text,
+                                       np.random.default_rng(0), 0.0), base)
+    bags = augment_bags(dataset.text, np.random.default_rng(0), 1.0)
+    assert np.all(bags >= base)
+    # prob 1 always adds the label word's synonym and one random word
+    assert np.all(bags.sum(axis=1) == base.sum(axis=1) + 2)
+
+
+def test_augment_bags_empty_rows_rejected():
+    with pytest.raises(UsageError):
+        augment_bags(np.zeros((2, 0), dtype=np.int32),
+                     np.random.default_rng(0), 0.5)

@@ -80,6 +80,28 @@ def test_interpolate_and_mix(pipeline_dir):
     assert (pipeline_dir / "mix" / "mixed" / "latent.ckpt").exists()
 
 
+def test_interpolate_and_mix_need_only_the_generator(pipeline_dir, tmp_path):
+    # a directory holding generator.ckpt alone: no teacher, no audio.ckpt
+    assert run_cli(*FAST, "manipulate", "--run", pipeline_dir,
+                   "--source-index", 3, "--audio-index", 50,
+                   "--tag", "gen_only") == 0
+    latent = pipeline_dir / "manip" / "gen_only" / "latent.ckpt"
+    run = tmp_path / "gen_only"
+    run.mkdir()
+    shutil.copy(pipeline_dir / "generator.ckpt", run)
+    for command, option in (("interpolate", ["--alpha", 0.25]),
+                            ("mix", ["--split", 3])):
+        argv = [command, "--latent-a", latent, "--latent-b", latent, *option,
+                "--tag", f"gen_only_{command}"]
+        assert run_cli(*FAST, *argv, "--run", run) == 0
+        assert run_cli(*FAST, *argv, "--run", pipeline_dir) == 0
+        # the same outputs as in the full run directory
+        for name in ("image.pgm", "latent.ckpt"):
+            assert filecmp.cmp(run / "mix" / f"gen_only_{command}" / name,
+                               pipeline_dir / "mix" / f"gen_only_{command}"
+                               / name, shallow=False)
+
+
 def test_eval_commands_write_reports(pipeline_dir):
     assert run_cli(*FAST, "eval-zeroshot", "--run", pipeline_dir) == 0
     assert run_cli(*FAST, "eval-probe", "--run", pipeline_dir) == 0
@@ -210,6 +232,39 @@ def test_negative_seed_validation_error(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: validation: {needle} must lie in [0, 2**63)")
     assert "\n" not in err.strip()
+
+
+# --set override -> the error line after "error: validation: "; each is
+# rejected before any stage runs
+BAD_TRAINING_VALUES = {
+    "text_aug_prob_7": ("text_aug_prob=7",
+                        "text_aug_prob must lie in [0, 1], got 7.0"),
+    "text_aug_prob_negative": ("text_aug_prob=-0.5",
+                               "text_aug_prob must lie in [0, 1], got -0.5"),
+    "freq_mask_ratio_1.5": ("freq_mask_ratio=1.5",
+                            "freq_mask_ratio must lie in [0, 1), got 1.5"),
+    "time_mask_ratio_1": ("time_mask_ratio=1",
+                          "time_mask_ratio must lie in [0, 1), got 1.0"),
+    "teacher_lr_nan": ("teacher_lr=nan",
+                       "teacher_lr must be finite and > 0, got nan"),
+    "audio_lr_0": ("audio_lr=0", "audio_lr must be finite and > 0, got 0.0"),
+    "tau_inf": ("tau=inf", "tau must be finite and > 0, got inf"),
+    "momentum_-3": ("momentum=-3", "momentum must lie in [0, 1), got -3.0"),
+    "momentum_1": ("momentum=1", "momentum must lie in [0, 1), got 1.0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TRAINING_VALUES))
+def test_bad_training_value_validation_error(name, tmp_path, capsys):
+    override, message = BAD_TRAINING_VALUES[name]
+    run = tmp_path / "run"
+    assert run_cli(*FAST, "gen-data", "--run", run) == 0
+    capsys.readouterr()
+    code = run_cli(*FAST, "--set", override, "pretrain-teacher", "--run", run)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: validation: {message}\n"
+    assert not (run / "teacher.ckpt").exists()
 
 
 def test_diverging_step_is_internal_error(pipeline_dir, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sgim import data
+from sgim.augment import VOCAB_SIZE
 from sgim.data import (DatasetManifest, generate_dataset, group_rows,
                        load_dataset, sample_minibatch, sample_weak_pair,
                        save_dataset, split_by_video, weak_candidates)
@@ -86,7 +87,7 @@ def test_row_view_matches_columns(dataset):
         r = dataset[i]
         assert r.audio.tobytes() == dataset.audio[i].tobytes()
         assert r.image.tobytes() == dataset.image[i].tobytes()
-        assert r.text.tokens == tuple(dataset.text[i].tolist())
+        assert r.text.tobytes() == dataset.text[i].tobytes()
         assert (r.class_id, r.video_id, r.nuisance_id, r.intensity) == \
                (dataset.class_id[i], dataset.video_id[i],
                 dataset.nuisance_id[i], dataset.intensity[i])
@@ -295,7 +296,7 @@ def _edit_ids(column, row, value):
 
 def _edit_text(d, ds):
     text = ds.text.copy()
-    text[5, 0] = len(data.default_vocabulary())
+    text[5, 0] = VOCAB_SIZE
     data._write_tmd(d / "text.tmd", text)
 
 

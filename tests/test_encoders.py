@@ -1,21 +1,57 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from sgim import autodiff as ad
 from sgim import encoders
-from sgim.augment import TokenSeq, default_vocabulary
-from sgim.data import (DatasetManifest, generate_dataset, label_token_seq,
-                       sample_minibatch, sample_weak_pair, split_by_video,
-                       weak_candidates)
-from sgim.encoders import (TeacherParams, TrainConfig, bag_of_tokens,
-                           batch_total_loss, cyclic_lr, encode_audio,
-                           encode_np, encode_text,
-                           init_encoder_params, params_hash, pretrain_teacher,
+from sgim.augment import VOCAB_SIZE, bag_matrix
+from sgim.data import (DatasetManifest, MiniBatch, generate_dataset,
+                       label_tokens, sample_minibatch, sample_weak_pair,
+                       split_by_video, weak_candidates)
+from sgim.encoders import (PARAM_KEYS, EncoderParams, TeacherParams,
+                           TrainConfig, cyclic_lr, encode_audio, encode_np,
+                           encode_text, init_encoder_params, pretrain_teacher,
                            train_audio_encoder)
 from sgim.errors import DegenerateInputError, UsageError
+from sgim.losses import LossBreakdown, LossFlags, total_loss_node
 
 # regression anchor: init-loss breakdown on the seeded N=8 batch,
 # master seed 7, pinned from the reference run
 PINNED_INIT_TOTAL = 19.0647236538209
+
+# sha256 of the canonical seed-7 training's parameter bytes (the conftest
+# teacher's text and image encoders, and the audio encoder), each array of
+# PARAM_KEYS in order. Training must reproduce them bit for bit; a refactor
+# that moves them has changed the numbers, not only the code.
+PINNED_TRAINING_SHA256 = {
+    "text": "c2ef6880d296c65e498592972685d2ae8c4610976387935ea1bbf3ff92e543b3",
+    "image": "bec32ba667d569c878e40146250a35963c24a5540abf7d495055f2f6827c98d5",
+    "audio": "b6e7cd739e1905f8dfd4e0e05972fec01fb0c882dce20a655615421d76691fc4",
+}
+
+
+def params_hash(params: EncoderParams) -> str:
+    h = hashlib.sha256()
+    for k in PARAM_KEYS:
+        h.update(getattr(params, k).tobytes())
+    return h.hexdigest()
+
+
+def batch_total_loss(batch: MiniBatch, weak_images: np.ndarray,
+                     audio_params: EncoderParams, teacher: TeacherParams,
+                     tau: float, flags: LossFlags = LossFlags(),
+                     ) -> LossBreakdown:
+    """Loss breakdown for a prepared batch, no parameter updates."""
+    n = len(batch.rows)
+    a = encode_np(audio_params, batch.audio.reshape(n, -1))
+    a_aug = encode_np(audio_params, batch.audio_aug.reshape(n, -1))
+    t = encode_np(teacher.text, bag_matrix(batch.text))
+    v = encode_np(teacher.image, batch.images)
+    v_weak = encode_np(teacher.image, weak_images)
+    _, breakdown = total_loss_node(ad.constant(a), ad.constant(a_aug),
+                                   t, v, v_weak, tau, flags)
+    return breakdown
 
 
 def test_init_params_deterministic_and_shaped():
@@ -49,17 +85,16 @@ def test_encode_audio_deterministic():
 
 
 def test_bag_of_tokens_permutation_invariant():
-    v = default_vocabulary()
-    p = init_encoder_params(np.random.default_rng(0), len(v), 8, 4)
-    a = encode_text(TokenSeq((0, 3, 5), v), p)
-    b = encode_text(TokenSeq((5, 0, 3), v), p)
+    p = init_encoder_params(np.random.default_rng(0), VOCAB_SIZE, 8, 4)
+    a = encode_text(np.array([0, 3, 5]), p)
+    b = encode_text(np.array([5, 0, 3]), p)
     assert np.array_equal(a, b)
 
 
 def test_empty_token_sequence_degenerate():
-    v = default_vocabulary()
+    p = init_encoder_params(np.random.default_rng(0), VOCAB_SIZE, 8, 4)
     with pytest.raises(DegenerateInputError):
-        bag_of_tokens(TokenSeq((), v))
+        encode_text(np.array([], dtype=np.int32), p)
 
 
 def test_cyclic_lr_schedule():
@@ -86,9 +121,8 @@ def test_teacher_loss_decreases(teacher):
 def test_teacher_retrieval_on_held_out(teacher, splits, manifest):
     params, _ = teacher
     _, held = splits
-    vocab = default_vocabulary()
-    labels = [label_token_seq(vocab, c).tokens for c in range(manifest.classes)]
-    t = encode_np(params.text, encoders.bag_matrix(labels, len(vocab)))
+    labels = [label_tokens(c) for c in range(manifest.classes)]
+    t = encode_np(params.text, bag_matrix(labels))
     v = encode_np(params.image, held.image)
     accuracy = float((np.argmax(v @ t.T, axis=1) == held.class_id).mean())
     assert accuracy >= 0.95
@@ -96,12 +130,20 @@ def test_teacher_retrieval_on_held_out(teacher, splits, manifest):
 
 def test_teacher_text_classes_separated(teacher, manifest):
     params, _ = teacher
-    vocab = default_vocabulary()
-    labels = [label_token_seq(vocab, c).tokens for c in range(manifest.classes)]
-    t = encode_np(params.text, encoders.bag_matrix(labels, len(vocab)))
+    labels = [label_tokens(c) for c in range(manifest.classes)]
+    t = encode_np(params.text, bag_matrix(labels))
     sims = t @ t.T
     off_diag = sims[~np.eye(manifest.classes, dtype=bool)]
     assert off_diag.max() < 0.9
+
+
+def test_canonical_training_pinned(teacher, audio_encoder):
+    # text augmentation and both training loops must leave every
+    # parameter byte of the seed-7 models as it was
+    got = {"text": params_hash(teacher[0].text),
+           "image": params_hash(teacher[0].image),
+           "audio": params_hash(audio_encoder[0])}
+    assert got == PINNED_TRAINING_SHA256
 
 
 def test_teacher_marked_frozen(teacher):
@@ -181,7 +223,7 @@ def test_weak_pair_fallback_warns_once_per_class(caplog):
     train, _ = split_by_video(generate_dataset(manifest), manifest)
     rng = np.random.default_rng(0)
     teacher = TeacherParams(
-        text=init_encoder_params(rng, len(default_vocabulary()), 16, 8),
+        text=init_encoder_params(rng, VOCAB_SIZE, 16, 8),
         image=init_encoder_params(rng, manifest.pixels, 16, 8))
     teacher.text.frozen = teacher.image.frozen = True
     with caplog.at_level("WARNING", logger="sgim.data"):

@@ -6,21 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgim import autodiff as ad
-from sgim.data import label_token_seq
-from sgim.augment import default_vocabulary
+from sgim.data import label_tokens
 from sgim.encoders import encode_audio, encode_np
 from sgim.errors import DegenerateInputError, ParameterError, SgimError
 from sgim.generator import sample_source_latent, synthesize
 from sgim.manipulate import (IdentityExtractor, ManipConfig, gate_softmax,
-                             hinge_from_distances, hinge_loss,
-                             identity_features, identity_loss, interpolate,
-                             masked_regularization, moving_average,
+                             identity_features, interpolate,
                              objective_and_grad, optimize_guided,
                              optimize_latent, style_mix, text_guided_latent,
                              trajectory_csv)
 
 from conftest import AUDIO_INDEX, SOURCE_INDEX
-from graph_reference import graph_optimize_guided, objective_node
+from graph_reference import (graph_optimize_guided, hinge_from_distances,
+                             hinge_loss, identity_loss, masked_regularization,
+                             moving_average, objective_node)
 
 
 @pytest.fixture(scope="module")
@@ -326,9 +325,8 @@ def test_optimizer_deterministic(gen_fit, model_bundle):
 
 
 def test_text_guided_runs_and_is_finite(gen_fit, model_bundle):
-    vocab = default_vocabulary()
     w_s = gen_fit.latents[SOURCE_INDEX]
-    w_t, _, traj = text_guided_latent(w_s, label_token_seq(vocab, 3),
+    w_t, _, traj = text_guided_latent(w_s, label_tokens(3),
                                       ManipConfig(steps=50), model_bundle)
     assert np.all(np.isfinite(w_t))
     assert traj[-1].hinge < 1.0
