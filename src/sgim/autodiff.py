@@ -1,10 +1,11 @@
-"""Minimal reverse-mode autodiff over dense float64 arrays.
+"""Minimal reverse-mode autodiff over dense float64 arrays, kept for
+gradcheck's primitive checks and for the graph oracle in tests/: the
+pipeline itself differentiates by hand.
 
 A graph is built per evaluation (define-by-run); ``backward`` walks it once
 in deterministic topological order. Values are plain numpy arrays: scalars
 are shape (), everything else is 2-D. Broadcasting is limited to adding or
-multiplying a (1, k) row against an (n, k) matrix, which is all the encoders
-and losses need.
+multiplying a (1, k) row against an (n, k) matrix.
 """
 
 from __future__ import annotations

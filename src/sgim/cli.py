@@ -13,7 +13,7 @@ with fixed artifact names, so a full pipeline is:
 Configuration comes from built-in defaults, then an optional --config file,
 then repeatable --set key=value overrides; the effective config is echoed
 into the run directory by every command. Failures print one line
-"error: <kind>: <message>" and exit nonzero (2 validation, 3 io).
+"error: <kind>: <message>" and exit 1 (internal), 2 (validation) or 3 (io).
 """
 
 from __future__ import annotations
@@ -170,29 +170,20 @@ def _load_latent(path: Path) -> np.ndarray:
     return w
 
 
-def cmd_interpolate(run: Path, args, config: RunConfig) -> int:
+def cmd_combine(run: Path, args, config: RunConfig) -> int:
+    """`interpolate` or `mix` two saved latent codes."""
     gen = _load_generator(run).params
-    w = interpolate(_load_latent(args.latent_a), _load_latent(args.latent_b),
-                    args.alpha)
+    w_a, w_b = _load_latent(args.latent_a), _load_latent(args.latent_b)
+    if args.command == "interpolate":
+        w, done = interpolate(w_a, w_b, args.alpha), "interpolated"
+    else:
+        w, done = style_mix(w_a, w_b, args.split), "style-mixed"
     out = run / "mix" / args.tag
     out.mkdir(parents=True, exist_ok=True)
     ckpt.save_checkpoint(out / "latent.ckpt", ckpt.latent_arrays(w),
                          config_to_text(config), config.master_seed)
     write_pgm(out / "image.pgm", synthesize(w, gen))
-    print(f"interpolated latent written to {out}")
-    return 0
-
-
-def cmd_mix(run: Path, args, config: RunConfig) -> int:
-    gen = _load_generator(run).params
-    w = style_mix(_load_latent(args.latent_a), _load_latent(args.latent_b),
-                  args.split)
-    out = run / "mix" / args.tag
-    out.mkdir(parents=True, exist_ok=True)
-    ckpt.save_checkpoint(out / "latent.ckpt", ckpt.latent_arrays(w),
-                         config_to_text(config), config.master_seed)
-    write_pgm(out / "image.pgm", synthesize(w, gen))
-    print(f"style-mixed latent written to {out}")
+    print(f"{done} latent written to {out}")
     return 0
 
 
@@ -314,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--step-size", type=float)
     m.add_argument("--tag", default="latest", help="output subdirectory name")
 
-    for name, fn in (("interpolate", cmd_interpolate), ("mix", cmd_mix)):
-        p = add(name, fn, help=f"{name} two saved latent codes")
+    for name in ("interpolate", "mix"):
+        p = add(name, cmd_combine, help=f"{name} two saved latent codes")
         p.add_argument("--latent-a", required=True)
         p.add_argument("--latent-b", required=True)
         p.add_argument("--tag", default=name)

@@ -34,6 +34,7 @@ SEED_OFFSETS = {
 _FRACTION = (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
 _RATIO = (lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
 _POSITIVE = (lambda v: math.isfinite(v) and v > 0.0, "be finite and > 0")
+_COUNT = (lambda v: v >= 1, "be >= 1")
 _TRAINING_RANGES = {
     "text_aug_prob": _FRACTION,
     "freq_mask_ratio": _RATIO,
@@ -42,6 +43,10 @@ _TRAINING_RANGES = {
     "audio_lr": _POSITIVE,
     "tau": _POSITIVE,
     "momentum": _RATIO,
+    "teacher_epochs": _COUNT,
+    "audio_epochs": _COUNT,
+    "probe_epochs": _COUNT,
+    "probe_lr": _POSITIVE,
 }
 
 

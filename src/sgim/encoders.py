@@ -13,17 +13,16 @@ Optimizer: plain SGD with momentum 0.9 under a cosine cyclic schedule
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from . import autodiff as ad
 from .augment import VOCAB_SIZE, augment_bags, bag_matrix
 from .data import (Dataset, group_rows, sample_minibatch, sample_weak_pair,
                    weak_candidates)
-from .errors import DegenerateInputError, UsageError
-from .losses import (LossBreakdown, LossFlags, info_nce_pair_node,
-                     total_loss_node, weak_kl_loss_node)
+from .errors import DegenerateInputError, NumericsError, UsageError
+from .losses import LossBreakdown, LossFlags, info_nce, weak_kl
 
 PARAM_KEYS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -38,20 +37,8 @@ class EncoderParams:
     b3: np.ndarray
     frozen: bool = False
 
-    @property
-    def in_dim(self) -> int:
-        return self.w1.shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.w3.shape[1]
-
     def arrays(self) -> dict[str, np.ndarray]:
         return {k: getattr(self, k) for k in PARAM_KEYS}
-
-    def copy(self, frozen: bool | None = None) -> "EncoderParams":
-        return EncoderParams(*(getattr(self, k).copy() for k in PARAM_KEYS),
-                             frozen=self.frozen if frozen is None else frozen)
 
 
 @dataclass
@@ -74,27 +61,46 @@ def init_encoder_params(rng: np.random.Generator, in_dim: int, hidden: int,
     return EncoderParams(w1, b1, w2, b2, w3, b3)
 
 
-def encode_np(params: EncoderParams, x: np.ndarray) -> np.ndarray:
-    """Unit-norm embeddings for a (n, in_dim) batch, no graph."""
+def encode_vjp(params: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, Callable]:
+    """Unit-norm embeddings for a (n, in_dim) batch, and their vjp: a
+    gradient to the embeddings -> the gradient to each parameter array."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    w2, w3 = params.w2, params.w3
     h1 = np.tanh(x @ params.w1 + params.b1)
-    h2 = np.tanh(h1 @ params.w2 + params.b2)
-    z = h2 @ params.w3 + params.b3
+    h2 = np.tanh(h1 @ w2 + params.b2)
+    z = h2 @ w3 + params.b3
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise DegenerateInputError("encoder produced a zero-norm embedding")
-    return z / norms
+    y = z / norms
+
+    def vjp(g: np.ndarray) -> dict[str, np.ndarray]:
+        dot = (g * y).sum(axis=1, keepdims=True)
+        g3 = (g - y * dot) / norms
+        # "0.0 +" is the graph's accumulation onto zeros: a saturated unit
+        # passes +0.0 on, never -0.0
+        g2 = 0.0 + (g3 @ w3.T) * (1.0 - h2 * h2)
+        g1 = 0.0 + (g2 @ w2.T) * (1.0 - h1 * h1)
+        return {"w1": x.T @ g1, "b1": g1.sum(axis=0, keepdims=True),
+                "w2": h1.T @ g2, "b2": g2.sum(axis=0, keepdims=True),
+                "w3": h2.T @ g3, "b3": g3.sum(axis=0, keepdims=True)}
+
+    return y, vjp
 
 
-def encoder_param_nodes(params: EncoderParams) -> dict[str, ad.Node]:
-    return {k: ad.leaf(getattr(params, k)) for k in PARAM_KEYS}
+def encode_np(params: EncoderParams, x: np.ndarray) -> np.ndarray:
+    """Unit-norm embeddings for a (n, in_dim) batch."""
+    return encode_vjp(params, x)[0]
 
 
-def encode_nodes(pnodes: dict[str, ad.Node], x: ad.Node) -> ad.Node:
-    h1 = ad.tanh(ad.add(ad.matmul(x, pnodes["w1"]), pnodes["b1"]))
-    h2 = ad.tanh(ad.add(ad.matmul(h1, pnodes["w2"]), pnodes["b2"]))
-    z = ad.add(ad.matmul(h2, pnodes["w3"]), pnodes["b3"])
-    return ad.l2_normalize_rows(z)
+def _param_grads(paths: list[tuple[Callable, tuple]]) -> dict[str, np.ndarray]:
+    """Each parameter's gradient, summed onto zeros over the (vjp, gradient
+    parts to its embeddings) paths in the given order."""
+    grads = dict.fromkeys(PARAM_KEYS, 0.0)
+    for vjp, parts in paths:
+        for k, g in vjp(sum(parts, 0.0)).items():
+            grads[k] = grads[k] + g
+    return grads
 
 
 def encode_audio(mel: np.ndarray, params: EncoderParams) -> np.ndarray:
@@ -146,6 +152,45 @@ class _MomentumSGD:
             a += v
 
 
+def _descend(stage: str, config: TrainConfig, params: list[EncoderParams],
+             n: int, step: Callable) -> list[tuple[int, np.ndarray]]:
+    """Momentum SGD on ``params`` under the cyclic schedule, max(n // batch,
+    1) steps per epoch. ``step(batch)`` draws a batch and returns its loss
+    components and one gradient dict per entry of ``params``; a non-finite
+    one raises ``NumericsError``. Returns each epoch's mean components."""
+    opts = [_MomentumSGD(p.arrays(), config.momentum) for p in params]
+    bsz = min(config.batch_size, n)
+    steps = max(n // bsz, 1)
+    log = []
+    # divergence is reported below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            lr = cyclic_lr(config.lr, epoch, config.sched_period)
+            sums = 0.0
+            for i in range(steps):
+                losses, grads = step(bsz)
+                if not (np.all(np.isfinite(losses)) and all(
+                        np.all(np.isfinite(g)) for d in grads
+                        for g in d.values())):
+                    raise NumericsError(f"{stage}: loss or gradient became "
+                                        f"non-finite at epoch {epoch}, step {i}")
+                for opt, p, g in zip(opts, params, grads):
+                    opt.step(p.arrays(), g, lr)
+                sums = sums + np.asarray(losses)
+            log.append((epoch, sums / steps))
+    return log
+
+
+def teacher_step(text_p: EncoderParams, image_p: EncoderParams,
+                 bags: np.ndarray, images: np.ndarray, tau: float) -> tuple:
+    """Symmetric InfoNCE of one (text, image) batch, and the gradients to
+    the text and the image encoder's parameters."""
+    t, t_vjp = encode_vjp(text_p, bags)
+    v, v_vjp = encode_vjp(image_p, images)
+    loss, g_t, g_v = info_nce(t, v, tau)
+    return loss, _param_grads([(t_vjp, g_t)]), _param_grads([(v_vjp, g_v)])
+
+
 def pretrain_teacher(ds: Dataset,
                      config: TrainConfig,
                      hidden: int = 64, embed_dim: int = 32,
@@ -157,36 +202,22 @@ def pretrain_teacher(ds: Dataset,
     if min(config.batch_size, len(ds)) < 2:
         raise UsageError("InfoNCE needs negatives: at least 2 records per batch")
     rng = np.random.default_rng(config.seed)
-    pixels = ds.image.shape[1]
     text_p = init_encoder_params(rng, VOCAB_SIZE, hidden, embed_dim)
-    image_p = init_encoder_params(rng, pixels, hidden, embed_dim)
-    opt_t = _MomentumSGD(text_p.arrays(), config.momentum)
-    opt_v = _MomentumSGD(image_p.arrays(), config.momentum)
+    image_p = init_encoder_params(rng, ds.image.shape[1], hidden, embed_dim)
 
-    n = len(ds)
-    bsz = min(config.batch_size, n)
-    steps = max(n // bsz, 1)
-    log: list[tuple[int, float]] = []
-    for epoch in range(config.epochs):
-        lr = cyclic_lr(config.lr, epoch, config.sched_period)
-        epoch_loss = 0.0
-        for _ in range(steps):
-            # the draw of sample_minibatch; the teacher never reads audio
-            rows = rng.choice(n, size=bsz, replace=False)
-            bags = augment_bags(ds.text[rows], rng, config.text_aug_prob)
-            tn = encoder_param_nodes(text_p)
-            vn = encoder_param_nodes(image_p)
-            t = encode_nodes(tn, ad.constant(bags))
-            v = encode_nodes(vn, ad.constant(ds.image[rows]))
-            loss = info_nce_pair_node(t, v, config.tau)
-            ad.backward(loss)
-            opt_t.step(text_p.arrays(), {k: nd.grad for k, nd in tn.items()}, lr)
-            opt_v.step(image_p.arrays(), {k: nd.grad for k, nd in vn.items()}, lr)
-            epoch_loss += float(loss.value)
-        log.append((epoch, epoch_loss / steps))
+    def step(bsz):
+        # the draw of sample_minibatch; the teacher never reads audio
+        rows = rng.choice(len(ds), size=bsz, replace=False)
+        bags = augment_bags(ds.text[rows], rng, config.text_aug_prob)
+        loss, g_t, g_v = teacher_step(text_p, image_p, bags, ds.image[rows],
+                                      config.tau)
+        return loss, (g_t, g_v)
+
+    log = _descend("pretrain-teacher", config, [text_p, image_p], len(ds), step)
     text_p.frozen = True
     image_p.frozen = True
-    return TeacherParams(text=text_p, image=image_p), log
+    return (TeacherParams(text=text_p, image=image_p),
+            [(epoch, float(mean)) for epoch, mean in log])
 
 
 def _weak_triplet_batch(class_rows: list[np.ndarray],
@@ -203,6 +234,41 @@ def _weak_triplet_batch(class_rows: list[np.ndarray],
                         for pool in class_rows])
     weak = np.array([sample_weak_pair(candidates, i, rng) for i in anchors])
     return anchors, weak
+
+
+def audio_step(params: EncoderParams, x: np.ndarray, x_aug: np.ndarray,
+               t: np.ndarray, v: np.ndarray, weak: tuple | None, tau: float,
+               flags: LossFlags) -> tuple[LossBreakdown, dict]:
+    """The four-component loss of one batch of flattened audio ``x`` and
+    its augmented view (0.0 for a term that is off), and the gradient to
+    each parameter array. ``t``/``v`` are the teacher's embeddings of its
+    rows; ``weak`` is (x_weak, v_weak, t_weak) for the weak term, or None.
+    """
+    a, a_vjp = encode_vjp(params, x)
+    l_at = l_av = l_self = kl = 0.0
+    # the graph's backward reaches the parameters through the weak batch,
+    # then the augmented view, then the batch; and reaches the batch's
+    # embeddings through the self term, then a/v, then a/t
+    paths, g_a = [], ()
+    if flags.use_kl and weak is not None:
+        a_weak, weak_vjp = encode_vjp(params, weak[0])
+        kl, g_weak = weak_kl(a_weak, weak[1], weak[2], tau, flags.kl_full_rows)
+        paths.append((weak_vjp, g_weak))
+    if flags.use_self:
+        a_aug, aug_vjp = encode_vjp(params, x_aug)
+        l_self, g_self, g_aug = info_nce(a, a_aug, tau)
+        paths.append((aug_vjp, g_aug))
+        g_a += g_self
+    if flags.use_av:
+        l_av, g_av, _ = info_nce(a, v, tau)
+        g_a += g_av
+    if flags.use_at:
+        l_at, g_at, _ = info_nce(a, t, tau)
+        g_a += g_at
+    if g_a:
+        paths.append((a_vjp, g_a))
+    return (LossBreakdown(l_at, l_av, l_self, kl, l_at + l_av + l_self + kl),
+            _param_grads(paths))
 
 
 def train_audio_encoder(ds: Dataset, teacher: TeacherParams,
@@ -224,56 +290,43 @@ def train_audio_encoder(ds: Dataset, teacher: TeacherParams,
         raise UsageError("InfoNCE needs negatives: batch_size >= 2")
     if len(ds) == 0:
         raise UsageError("cannot train on an empty dataset")
-    rng = np.random.default_rng(config.seed)
-    n = len(ds)
-    audio_p = init_encoder_params(rng, ds.audio[0].size, hidden, embed_dim)
-    opt = _MomentumSGD(audio_p.arrays(), config.momentum)
+    flags = config.flags
     class_rows = group_rows(ds.class_id)
+    use_weak = flags.use_kl and len(class_rows) >= 2
+    if not (flags.use_at or flags.use_av or flags.use_self or use_weak):
+        raise UsageError("no loss term is enabled: set one of use_loss_at, "
+                         "use_loss_av, use_loss_self or use_loss_kl (the "
+                         "weak term needs 2 classes)")
+    rng = np.random.default_rng(config.seed)
+    audio_p = init_encoder_params(rng, ds.audio[0].size, hidden, embed_dim)
     candidates = weak_candidates(ds)
 
-    bsz = min(config.batch_size, n)
-    steps = max(n // bsz, 1)
-    main_flags = replace(config.flags, use_kl=False)
-    log: list[tuple[int, LossBreakdown]] = []
-    for epoch in range(config.epochs):
-        lr = cyclic_lr(config.lr, epoch, config.sched_period)
-        sums = np.zeros(5)
-        for _ in range(steps):
-            batch = sample_minibatch(ds, bsz, rng,
-                                     config.freq_mask_ratio,
-                                     config.time_mask_ratio)
-            # the main batch's weak pairs are never read, since its loss
-            # runs with use_kl=False; their draws stay because every later
-            # batch depends on the rng state they advance
-            for i in batch.rows:
-                rng.integers(0, len(candidates[i]))
-            t = encode_np(teacher.text, augment_bags(
-                batch.text, rng, config.text_aug_prob))
-            v = encode_np(teacher.image, batch.images)
-            an = encoder_param_nodes(audio_p)
-            a = encode_nodes(an, ad.constant(batch.audio.reshape(bsz, -1)))
-            a_aug = encode_nodes(an, ad.constant(batch.audio_aug.reshape(bsz, -1)))
-            loss, br = total_loss_node(a, a_aug, t, v, None, config.tau,
-                                       main_flags)
-            anchors, weak2 = _weak_triplet_batch(class_rows, candidates, rng)
-            bags2 = augment_bags(ds.text[anchors], rng, config.text_aug_prob)
-            kl_val = 0.0
-            if config.flags.use_kl and len(anchors) >= 2:
-                t2 = encode_np(teacher.text, bags2)
-                vw2 = encode_np(teacher.image, ds.image[weak2])
-                a2 = encode_nodes(an, ad.constant(
-                    ds.audio[anchors].reshape(len(anchors), -1)))
-                kl = weak_kl_loss_node(a2, ad.constant(vw2), t2, config.tau,
-                                       config.flags.kl_full_rows)
-                loss = ad.add(loss, kl)
-                kl_val = float(kl.value)
-            ad.backward(loss)
-            opt.step(audio_p.arrays(), {k: nd.grad for k, nd in an.items()}, lr)
-            sums += (br.nce_at, br.nce_av, br.self_aa, kl_val,
-                     br.total + kl_val)
-        mean = sums / steps
-        log.append((epoch, LossBreakdown(*(float(x) for x in mean))))
-    return audio_p, log
+    def step(bsz):
+        batch = sample_minibatch(ds, bsz, rng, config.freq_mask_ratio,
+                                 config.time_mask_ratio)
+        # the main batch's weak pairs are never read, since the weak term
+        # runs on its own batch; their draws stay because every later batch
+        # depends on the rng state they advance
+        for i in batch.rows:
+            rng.integers(0, len(candidates[i]))
+        t = encode_np(teacher.text, augment_bags(batch.text, rng,
+                                                 config.text_aug_prob))
+        v = encode_np(teacher.image, batch.images)
+        anchors, weak2 = _weak_triplet_batch(class_rows, candidates, rng)
+        bags2 = augment_bags(ds.text[anchors], rng, config.text_aug_prob)
+        weak = None
+        if use_weak:
+            weak = (ds.audio[anchors].reshape(len(anchors), -1),
+                    encode_np(teacher.image, ds.image[weak2]),
+                    encode_np(teacher.text, bags2))
+        br, grads = audio_step(audio_p, batch.audio.reshape(bsz, -1),
+                               batch.audio_aug.reshape(bsz, -1), t, v, weak,
+                               config.tau, flags)
+        return astuple(br), (grads,)
+
+    log = _descend("train-audio", config, [audio_p], len(ds), step)
+    return audio_p, [(epoch, LossBreakdown(*(float(x) for x in mean)))
+                     for epoch, mean in log]
 
 
 def loss_log_csv(log: list[tuple[int, LossBreakdown]]) -> str:

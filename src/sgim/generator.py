@@ -90,11 +90,6 @@ def sample_source_latent(seed: int, side: int = 8,
     return np.random.default_rng(seed).standard_normal((side, latent_dim))
 
 
-def lipschitz_bound(gen: GeneratorParams) -> float:
-    """Spectral norm of the (flattened latent -> image) linear map."""
-    return float(np.linalg.svd(gen.A, compute_uv=False)[0])
-
-
 @dataclass
 class GeneratorFit:
     params: GeneratorParams

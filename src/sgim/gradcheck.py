@@ -1,7 +1,10 @@
-"""Finite-difference verification of every differentiable operation and of
-the composite losses, and of the hand-derived gradient of the manipulation
-objective: with respect to the latent, with respect to the gate logits, and
-with adaptive masking off (the plain-norm regularizer).
+"""Finite-difference verification of every autodiff primitive and of the
+hand-derived gradients the pipeline runs: each training loss term (the
+three InfoNCE terms, the self term on both of its inputs, and the weak term
+in its diagonal and full-row forms), the encoder backward for each
+parameter array, and the manipulation objective with respect to the
+latent, to the gate logits, and with adaptive masking off (the plain-norm
+regularizer).
 
 Each check evaluates the analytic gradient against central differences at
 10 seeded points and reports the worst relative error. The gate is 1e-4.
@@ -15,9 +18,9 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from . import losses
-from .encoders import init_encoder_params
+from .encoders import PARAM_KEYS, encode_vjp, init_encoder_params
 from .generator import init_generator
+from .losses import info_nce, weak_kl
 from .manipulate import (ManipConfig, ModelBundle, init_identity_extractor,
                          objective_and_grad, source_reference)
 
@@ -75,33 +78,46 @@ def _primitive_checks(rng: np.random.Generator) -> list[tuple[str, Callable, tup
     ]
 
 
-def _composite_checks(rng: np.random.Generator) -> list[tuple[str, Callable, tuple, str]]:
-    t = _unit_rows(rng, 4, 8)
-    v = _unit_rows(rng, 4, 8)
-    vw = _unit_rows(rng, 4, 8)
-    aug = _unit_rows(rng, 4, 8)
+def _fd(f: Callable, grad_index: int = 1) -> Callable:
+    """x -> error of output ``grad_index`` of ``f(x)``, a gradient, against
+    central differences of output 0, the value."""
+    return lambda x: ad.max_rel_error(f(x)[grad_index], lambda y: f(y)[0], x)
+
+
+def _loss_checks(rng: np.random.Generator) -> list[tuple[str, Callable, tuple, str]]:
+    t, v, vw, aug = (_unit_rows(rng, 4, 8) for _ in range(4))
     tau = 0.3
+    terms = {  # name -> x -> (value, gradient parts for x)
+        "info_nce_audio_text": lambda a: info_nce(a, t, tau)[:2],
+        "info_nce_audio_visual": lambda a: info_nce(a, v, tau)[:2],
+        "self_supervised": lambda a: info_nce(a, aug, tau)[:2],
+        "self_supervised_augmented": lambda a_aug: info_nce(aug, a_aug, tau)[::2],
+        "weak_kl": lambda a: weak_kl(a, vw, t, tau),
+        "weak_kl_full_rows": lambda a: weak_kl(a, vw, t, tau, True),
+    }
 
-    def nce_at(x):
-        return losses.info_nce_pair_node(ad.l2_normalize_rows(x),
-                                         ad.constant(t), tau)
+    def summed(term):
+        value, parts = term
+        return value, sum(parts, 0.0)
 
-    def nce_av(x):
-        return losses.info_nce_pair_node(ad.l2_normalize_rows(x),
-                                         ad.constant(v), tau)
+    return [(name, _fd(lambda x, f=f: summed(f(x))), (4, 8), "unit_rows")
+            for name, f in terms.items()]
 
-    def self_loss(x):
-        return losses.info_nce_pair_node(ad.l2_normalize_rows(x),
-                                         ad.constant(aug), tau)
 
-    def weak_kl(x):
-        return losses.weak_kl_loss_node(ad.l2_normalize_rows(x),
-                                        ad.constant(vw), t, tau)
+def _encoder_checks(rng: np.random.Generator) -> list[tuple[str, Callable, tuple, str]]:
+    """The encoder backward for each parameter array, through the scalar
+    sum(probe * embeddings)."""
+    params = init_encoder_params(rng, 6, 5, 4)
+    x, probe = rng.standard_normal((3, 6)), rng.standard_normal((3, 4))
 
-    return [("info_nce_audio_text", nce_at, (4, 8), ""),
-            ("info_nce_audio_visual", nce_av, (4, 8), ""),
-            ("self_supervised", self_loss, (4, 8), ""),
-            ("weak_kl", weak_kl, (4, 8), "")]
+    def wrt(key):
+        def f(p):
+            y, vjp = encode_vjp(replace(params, **{key: p}), x)
+            return float((y * probe).sum()), vjp(probe)[key]
+        return f
+
+    return [(f"encoder_{k}", _fd(wrt(k)), getattr(params, k).shape, "")
+            for k in PARAM_KEYS]
 
 
 def _manipulation_checks(rng: np.random.Generator,
@@ -124,19 +140,13 @@ def _manipulation_checks(rng: np.random.Generator,
     def objective(w, g, cfg=config):
         return objective_and_grad(w, g, w_s, target, d_src, cfg, models, src_id)
 
-    def check(f, grad_index):
-        """x -> error of output ``grad_index`` of ``f(x)`` against central
-        differences of its total (output 0)."""
-        return lambda x: ad.max_rel_error(f(x)[grad_index],
-                                          lambda y: f(y)[0], x)
-
     plain = replace(config, adaptive_masking=False)
-    return [("manipulation_objective", check(lambda w: objective(w, gate), 4),
+    return [("manipulation_objective", _fd(lambda w: objective(w, gate), 4),
              (8, 32), ""),
-            ("manipulation_gate", check(lambda g: objective(w_gate, g), 5),
+            ("manipulation_gate", _fd(lambda g: objective(w_gate, g), 5),
              (8,), ""),
             ("manipulation_plain_reg",
-             check(lambda w: objective(w, gate, plain), 4), (8, 32), "")]
+             _fd(lambda w: objective(w, gate, plain), 4), (8, 32), "")]
 
 
 def _sample(rng: np.random.Generator, shape, domain: str) -> np.ndarray:
@@ -145,18 +155,20 @@ def _sample(rng: np.random.Generator, shape, domain: str) -> np.ndarray:
         return np.exp(x)
     if domain == "off_kink":
         return np.where(np.abs(x) < 0.2, x + 0.5, x)
+    if domain == "unit_rows":
+        return x / np.linalg.norm(x, axis=1, keepdims=True)
     return x
 
 
 def run_gradient_checks(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    # graph checks map a leaf Node to a scalar Node; each manipulation
-    # check maps a point to its gradient's error
+    # primitive checks map a leaf Node to a scalar Node; every other check
+    # maps a point to its gradient's error
     checks = [(name, lambda x, fn=fn: ad.finite_difference_check(fn, x),
                shape, domain)
-              for name, fn, shape, domain
-              in _primitive_checks(rng) + _composite_checks(rng)]
-    checks += _manipulation_checks(rng)
+              for name, fn, shape, domain in _primitive_checks(rng)]
+    checks += (_loss_checks(rng) + _encoder_checks(rng)
+               + _manipulation_checks(rng))
     results = []
     for name, error_at, shape, domain in checks:
         worst = 0.0

@@ -1,4 +1,5 @@
-"""The four training losses and their unweighted sum.
+"""The four training losses, each a numpy function that returns the term's
+value and the gradients of its inputs.
 
 All matrices are temperature-scaled row softmaxes of cosine scores between
 unit-norm embeddings: entry (i, j) = exp(r_i . c_j / tau) / sum_k exp(r_i . c_k / tau).
@@ -12,6 +13,12 @@ The four components:
 
 The weak term implements the literal diagonal form -p_ii * log q_ii; a full
 row-wise KL variant is available behind a flag for experiments.
+
+Forward and backward repeat the numpy expressions of the autodiff graph
+kept as the oracle in tests/graph_reference.py, so values and gradients
+match it bit for bit. A gradient comes as the tuple of its parts in the
+order the graph's backward pass adds them: ``sum(parts, 0.0)`` adds them
+the same way, onto zeros.
 """
 
 from __future__ import annotations
@@ -20,24 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Node
-from .errors import UsageError
+from .errors import DegenerateInputError, ParameterError, UsageError
 
 DEFAULT_TEMPERATURE = 0.07
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    values: np.ndarray
-    temperature: float
-
-    def __post_init__(self):
-        rowsums = self.values.sum(axis=1)
-        if np.any(np.abs(rowsums - 1.0) > 1e-9):
-            raise UsageError("similarity rows must sum to 1")
-        if np.any(self.values <= 0.0) or np.any(self.values >= 1.0):
-            raise UsageError("similarity entries must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -49,84 +41,6 @@ class LossBreakdown:
     total: float
 
 
-def _check_pair(a: np.ndarray, b: np.ndarray, min_n: int = 2) -> int:
-    if a.ndim != 2 or b.ndim != 2 or a.shape != b.shape:
-        raise UsageError(f"embedding sets must share shape, got {a.shape} {b.shape}")
-    n = a.shape[0]
-    if n < min_n:
-        raise UsageError(f"need at least {min_n} pairs, got {n}")
-    return n
-
-
-def similarity_matrix_node(rows: Node, cols: Node, tau: float) -> Node:
-    return ad.row_softmax(ad.matmul(rows, ad.transpose(cols)), tau)
-
-
-def similarity_matrix(rows: np.ndarray, cols: np.ndarray,
-                      tau: float = DEFAULT_TEMPERATURE) -> SimilarityMatrix:
-    _check_pair(np.asarray(rows), np.asarray(cols), min_n=1)
-    node = similarity_matrix_node(ad.constant(rows), ad.constant(cols), tau)
-    return SimilarityMatrix(node.value, tau)
-
-
-def _neg_mean_log_diag(m: Node) -> Node:
-    n = m.value.shape[0]
-    mask = ad.constant(np.eye(n))
-    return ad.scale(ad.sum_all(ad.mul_elementwise(ad.log(m), mask)), -1.0 / n)
-
-
-def info_nce_pair_node(a: Node, b: Node, tau: float) -> Node:
-    """(1/N) sum_i [-log M_ab[i,i] - log M_ba[i,i]]."""
-    _check_pair(a.value, b.value)
-    loss_ab = _neg_mean_log_diag(similarity_matrix_node(a, b, tau))
-    loss_ba = _neg_mean_log_diag(similarity_matrix_node(b, a, tau))
-    return ad.add(loss_ab, loss_ba)
-
-
-def info_nce_pair(a: np.ndarray, b: np.ndarray,
-                  tau: float = DEFAULT_TEMPERATURE) -> float:
-    return float(info_nce_pair_node(ad.constant(a), ad.constant(b), tau).value)
-
-
-def diag_cross_entropy_term(teacher_p: float, student_q: float) -> float:
-    """One diagonal's contribution to the weak loss: -p * log(q)."""
-    if not (0.0 < student_q <= 1.0) or not (0.0 <= teacher_p <= 1.0):
-        raise UsageError("diagonal probabilities must lie in (0, 1]")
-    return -teacher_p * float(np.log(student_q))
-
-
-def weak_kl_loss_node(a: Node, v_weak: Node, t: np.ndarray, tau: float,
-                      full_rows: bool = False) -> Node:
-    """Distillation toward the teacher's text-to-weak-image similarity.
-
-    ``t`` is plain data, never a Node: teacher targets are constants and no
-    gradient reaches them. Default is the diagonal form
-    (1/N) sum_i -M_tv[i,i] * log M_av[i,i]; ``full_rows`` switches to a
-    row-wise KL(teacher row || student row).
-    """
-    n = _check_pair(a.value, v_weak.value)
-    t = np.asarray(t)
-    if t.shape != a.value.shape:
-        raise UsageError("teacher text embeddings must match shape")
-    m_tv = similarity_matrix_node(ad.constant(t), v_weak, tau).value
-    m_av = similarity_matrix_node(a, v_weak, tau)
-    if full_rows:
-        # sum_ij p_ij (log p_ij - log q_ij) / N
-        entropy = float((m_tv * np.log(m_tv)).sum()) / n
-        cross = ad.scale(ad.sum_all(ad.mul_elementwise(
-            ad.constant(m_tv), ad.log(m_av))), -1.0 / n)
-        return ad.add(cross, ad.constant(entropy))
-    target_diag = np.diag(np.diag(m_tv))
-    return ad.scale(ad.sum_all(ad.mul_elementwise(
-        ad.constant(target_diag), ad.log(m_av))), -1.0 / n)
-
-
-def weak_kl_loss(a: np.ndarray, v_weak: np.ndarray, t: np.ndarray,
-                 tau: float = DEFAULT_TEMPERATURE, full_rows: bool = False) -> float:
-    return float(weak_kl_loss_node(ad.constant(a), ad.constant(v_weak), t, tau,
-                                   full_rows).value)
-
-
 @dataclass(frozen=True)
 class LossFlags:
     use_at: bool = True
@@ -136,31 +50,70 @@ class LossFlags:
     kl_full_rows: bool = False
 
 
-def total_loss_node(a: Node, a_aug: Node, t: np.ndarray, v: np.ndarray,
-                    v_weak: np.ndarray | None, tau: float,
-                    flags: LossFlags = LossFlags()) -> tuple[Node, LossBreakdown]:
-    """Graph plus float breakdown for one batch.
+def _check_pair(a: np.ndarray, b: np.ndarray, min_n: int = 2) -> int:
+    if a.ndim != 2 or b.ndim != 2 or a.shape != b.shape:
+        raise UsageError(f"embedding sets must share shape, got {a.shape} {b.shape}")
+    n = a.shape[0]
+    if n < min_n:
+        raise UsageError(f"need at least {min_n} pairs, got {n}")
+    return n
 
-    ``a``/``a_aug`` are student nodes; ``t``, ``v``, ``v_weak`` come from the
-    frozen teacher and enter the graph as constants. ``v_weak`` is only read
-    when ``flags.use_kl`` is set.
+
+def similarity(rows: np.ndarray, cols: np.ndarray,
+               tau: float = DEFAULT_TEMPERATURE) -> np.ndarray:
+    """The (n, n) row softmax of rows @ cols.T / tau, max-subtracted."""
+    _check_pair(rows, cols, min_n=1)
+    if tau <= 0.0:
+        raise ParameterError(f"temperature must be positive, got {tau}")
+    z = (rows @ np.ascontiguousarray(cols.T)) / tau
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _cross_entropy(rows: np.ndarray, cols: np.ndarray, target: np.ndarray,
+                   tau: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """-(1/n) sum_ij target_ij log M_ij for M = similarity(rows, cols), and
+    its gradients to rows and to cols."""
+    m = similarity(rows, cols, tau)
+    if np.any(m <= 0.0):
+        raise DegenerateInputError("log requires strictly positive input")
+    c = -1.0 / rows.shape[0]
+    value = (np.log(m) * target).sum() * c
+    g_m = c * target / m
+    dot = (g_m * m).sum(axis=1, keepdims=True)
+    # each "0.0 +" is the graph's accumulation onto zeros, which turns an
+    # underflowed -0.0 into +0.0
+    g_s = 0.0 + m * (g_m - dot) / tau
+    return (float(value), g_s @ np.ascontiguousarray(cols.T).T,
+            np.ascontiguousarray((0.0 + rows.T @ g_s).T))
+
+
+def info_nce(a: np.ndarray, b: np.ndarray, tau: float = DEFAULT_TEMPERATURE,
+             ) -> tuple[float, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """(1/N) sum_i [-log M_ab[i,i] - log M_ba[i,i]], and the gradient parts
+    for a and for b, the b-to-a direction's first."""
+    n = _check_pair(a, b)
+    l_ab, g_a1, g_b1 = _cross_entropy(a, b, np.eye(n), tau)
+    l_ba, g_b2, g_a2 = _cross_entropy(b, a, np.eye(n), tau)
+    return l_ab + l_ba, (g_a2, g_a1), (g_b2, g_b1)
+
+
+def weak_kl(a: np.ndarray, v_weak: np.ndarray, t: np.ndarray,
+            tau: float = DEFAULT_TEMPERATURE, full_rows: bool = False,
+            ) -> tuple[float, tuple[np.ndarray]]:
+    """Distillation toward the teacher's text-to-weak-image similarity, and
+    the gradient parts for ``a``.
+
+    ``t`` and ``v_weak`` come from the frozen teacher and get no gradient.
+    Default is the diagonal form (1/N) sum_i -M_tv[i,i] * log M_av[i,i];
+    ``full_rows`` switches to a row-wise KL(teacher row || student row).
     """
-    zero = ad.constant(0.0)
-    l_at = info_nce_pair_node(a, ad.constant(t), tau) if flags.use_at else zero
-    l_av = info_nce_pair_node(a, ad.constant(v), tau) if flags.use_av else zero
-    l_self = info_nce_pair_node(a, a_aug, tau) if flags.use_self else zero
-    l_kl = (weak_kl_loss_node(a, ad.constant(v_weak), t, tau, flags.kl_full_rows)
-            if flags.use_kl else zero)
-    total = ad.add(ad.add(ad.add(l_at, l_av), l_self), l_kl)
-    breakdown = LossBreakdown(float(l_at.value), float(l_av.value),
-                              float(l_self.value), float(l_kl.value),
-                              float(total.value))
-    return total, breakdown
-
-
-def total_loss(a: np.ndarray, a_aug: np.ndarray, t: np.ndarray, v: np.ndarray,
-               v_weak: np.ndarray, tau: float = DEFAULT_TEMPERATURE,
-               flags: LossFlags = LossFlags()) -> LossBreakdown:
-    _, breakdown = total_loss_node(ad.constant(a), ad.constant(a_aug), t, v,
-                                   v_weak, tau, flags)
-    return breakdown
+    n = _check_pair(a, v_weak)
+    if np.shape(t) != a.shape:
+        raise UsageError("teacher text embeddings must match shape")
+    m_tv = similarity(np.asarray(t), v_weak, tau)
+    target = m_tv if full_rows else np.diag(np.diag(m_tv))
+    value, g_a, _ = _cross_entropy(a, v_weak, target, tau)
+    if full_rows:  # sum_ij p_ij (log p_ij - log q_ij) / N
+        value = value + float((m_tv * np.log(m_tv)).sum()) / n
+    return value, (g_a,)

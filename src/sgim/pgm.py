@@ -30,19 +30,3 @@ def write_pgm(path, image: np.ndarray, maxval: int = 255) -> None:
     for row in pixels:
         lines.append(" ".join(str(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def read_pgm(path) -> np.ndarray:
-    tokens: list[str] = []
-    for line in Path(path).read_text(encoding="ascii").splitlines():
-        body = line.split("#", 1)[0]
-        tokens.extend(body.split())
-    if not tokens or tokens[0] != "P2":
-        raise UsageError(f"{path}: not a P2 graymap")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    values = np.array([int(t) for t in tokens[4:]])
-    if values.size != width * height:
-        raise UsageError(f"{path}: pixel count mismatch")
-    if values.min() < 0 or values.max() > maxval:
-        raise UsageError(f"{path}: pixel outside [0, {maxval}]")
-    return values.reshape(height, width)

@@ -4,11 +4,14 @@ Everything derives from one master seed through the same stage offsets the
 CLI uses, so numbers pinned here match `sgim` runs with --seed 7.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sgim.config import RunConfig
 from sgim.data import generate_dataset, split_by_video
+from sgim.errors import UsageError
 from sgim.encoders import pretrain_teacher, train_audio_encoder
 from sgim.generator import fit_generator_to_dataset
 from sgim.losses import LossFlags
@@ -93,3 +96,20 @@ def ablation_report(dataset, manifest, teacher, model_bundle, run_config):
 def direction_report(dataset, model_bundle, run_config):
     from sgim.evaluate import direction_stats
     return direction_stats([3, 5], 10, dataset, model_bundle, run_config)
+
+
+def read_pgm(path) -> np.ndarray:
+    """The pixels of a P2 graymap, as `sgim.pgm.write_pgm` writes it."""
+    tokens: list[str] = []
+    for line in Path(path).read_text(encoding="ascii").splitlines():
+        body = line.split("#", 1)[0]
+        tokens.extend(body.split())
+    if not tokens or tokens[0] != "P2":
+        raise UsageError(f"{path}: not a P2 graymap")
+    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    values = np.array([int(t) for t in tokens[4:]])
+    if values.size != width * height:
+        raise UsageError(f"{path}: pixel count mismatch")
+    if values.min() < 0 or values.max() > maxval:
+        raise UsageError(f"{path}: pixel outside [0, {maxval}]")
+    return values.reshape(height, width)

@@ -1,5 +1,14 @@
-"""The manipulation objective built as an autodiff graph: the reference
-oracle for the hand-derived numpy objective in `sgim.manipulate`.
+"""The encoders, the training losses and the manipulation objective built
+as autodiff graphs: the reference oracle for the hand-derived numpy
+forward and backward passes in `sgim.encoders`, `sgim.losses` and
+`sgim.manipulate`.
+
+`encode_nodes` is the encoder graph, `info_nce_pair_node`,
+`weak_kl_loss_node` and `total_loss_node` the loss graphs, and
+`graph_teacher_step` / `graph_audio_step` one training step each, built
+from them with one `autodiff.backward`; they take the arguments of
+`encoders.teacher_step` / `encoders.audio_step` and must return the same
+values and gradients bit for bit.
 
 `synthesize_node` and `objective_node` build the generator and the full
 objective from `sgim.autodiff` ops, one graph per evaluation, and
@@ -15,15 +24,135 @@ objective term, or the smoothed total, for a given latent, without a graph.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from sgim import autodiff as ad
-from sgim.encoders import EncoderParams, encode_nodes
-from sgim.errors import DimensionError, NumericsError
+from sgim.encoders import PARAM_KEYS, EncoderParams
+from sgim.errors import DimensionError, NumericsError, UsageError
 from sgim.generator import GeneratorParams, synthesize
+from sgim.losses import LossBreakdown, LossFlags
 from sgim.manipulate import (IdentityExtractor, ManipConfig, ModelBundle,
                              TrajectoryPoint, gate_softmax, identity_features,
                              source_reference)
+
+
+# ---------------------------------------------------------------------------
+# encoders and training losses
+
+
+def encoder_param_nodes(params: EncoderParams) -> dict[str, ad.Node]:
+    return {k: ad.leaf(getattr(params, k)) for k in PARAM_KEYS}
+
+
+def encode_nodes(pnodes: dict[str, ad.Node], x: ad.Node) -> ad.Node:
+    h1 = ad.tanh(ad.add(ad.matmul(x, pnodes["w1"]), pnodes["b1"]))
+    h2 = ad.tanh(ad.add(ad.matmul(h1, pnodes["w2"]), pnodes["b2"]))
+    z = ad.add(ad.matmul(h2, pnodes["w3"]), pnodes["b3"])
+    return ad.l2_normalize_rows(z)
+
+
+def similarity_matrix_node(rows: ad.Node, cols: ad.Node, tau: float) -> ad.Node:
+    return ad.row_softmax(ad.matmul(rows, ad.transpose(cols)), tau)
+
+
+def _neg_mean_log_diag(m: ad.Node) -> ad.Node:
+    n = m.value.shape[0]
+    mask = ad.constant(np.eye(n))
+    return ad.scale(ad.sum_all(ad.mul_elementwise(ad.log(m), mask)), -1.0 / n)
+
+
+def info_nce_pair_node(a: ad.Node, b: ad.Node, tau: float) -> ad.Node:
+    """(1/N) sum_i [-log M_ab[i,i] - log M_ba[i,i]]."""
+    loss_ab = _neg_mean_log_diag(similarity_matrix_node(a, b, tau))
+    loss_ba = _neg_mean_log_diag(similarity_matrix_node(b, a, tau))
+    return ad.add(loss_ab, loss_ba)
+
+
+def weak_kl_loss_node(a: ad.Node, v_weak: ad.Node, t: np.ndarray, tau: float,
+                      full_rows: bool = False) -> ad.Node:
+    """Diagonal form (1/N) sum_i -M_tv[i,i] * log M_av[i,i], or with
+    ``full_rows`` the row-wise KL(teacher row || student row); ``t`` is
+    plain data."""
+    n = a.value.shape[0]
+    m_tv = similarity_matrix_node(ad.constant(t), v_weak, tau).value
+    m_av = similarity_matrix_node(a, v_weak, tau)
+    if full_rows:
+        entropy = float((m_tv * np.log(m_tv)).sum()) / n
+        cross = ad.scale(ad.sum_all(ad.mul_elementwise(
+            ad.constant(m_tv), ad.log(m_av))), -1.0 / n)
+        return ad.add(cross, ad.constant(entropy))
+    target_diag = np.diag(np.diag(m_tv))
+    return ad.scale(ad.sum_all(ad.mul_elementwise(
+        ad.constant(target_diag), ad.log(m_av))), -1.0 / n)
+
+
+def total_loss_node(a: ad.Node, a_aug: ad.Node, t: np.ndarray, v: np.ndarray,
+                    v_weak: np.ndarray | None, tau: float,
+                    flags: LossFlags = LossFlags(),
+                    ) -> tuple[ad.Node, LossBreakdown]:
+    """Graph plus float breakdown for one batch; ``t``, ``v``, ``v_weak``
+    enter as constants, and ``v_weak`` is only read under ``flags.use_kl``."""
+    zero = ad.constant(0.0)
+    l_at = info_nce_pair_node(a, ad.constant(t), tau) if flags.use_at else zero
+    l_av = info_nce_pair_node(a, ad.constant(v), tau) if flags.use_av else zero
+    l_self = info_nce_pair_node(a, a_aug, tau) if flags.use_self else zero
+    l_kl = (weak_kl_loss_node(a, ad.constant(v_weak), t, tau, flags.kl_full_rows)
+            if flags.use_kl else zero)
+    total = ad.add(ad.add(ad.add(l_at, l_av), l_self), l_kl)
+    breakdown = LossBreakdown(float(l_at.value), float(l_av.value),
+                              float(l_self.value), float(l_kl.value),
+                              float(total.value))
+    return total, breakdown
+
+
+def graph_teacher_step(text_p: EncoderParams, image_p: EncoderParams,
+                       bags: np.ndarray, images: np.ndarray, tau: float):
+    """`encoders.teacher_step` as one graph and one backward."""
+    tn = encoder_param_nodes(text_p)
+    vn = encoder_param_nodes(image_p)
+    t = encode_nodes(tn, ad.constant(bags))
+    v = encode_nodes(vn, ad.constant(images))
+    loss = info_nce_pair_node(t, v, tau)
+    ad.backward(loss)
+    return (float(loss.value), {k: nd.grad for k, nd in tn.items()},
+            {k: nd.grad for k, nd in vn.items()})
+
+
+def graph_audio_step(params: EncoderParams, x: np.ndarray, x_aug: np.ndarray,
+                     t: np.ndarray, v: np.ndarray, weak: tuple | None,
+                     tau: float, flags: LossFlags):
+    """`encoders.audio_step` as one graph and one backward: the main
+    batch's three terms, plus the weak term on its own batch."""
+    an = encoder_param_nodes(params)
+    a = encode_nodes(an, ad.constant(x))
+    a_aug = encode_nodes(an, ad.constant(x_aug))
+    loss, br = total_loss_node(a, a_aug, t, v, None, tau,
+                               replace(flags, use_kl=False))
+    kl_val = 0.0
+    if flags.use_kl and weak is not None:
+        x_weak, v_weak, t_weak = weak
+        a2 = encode_nodes(an, ad.constant(x_weak))
+        kl = weak_kl_loss_node(a2, ad.constant(v_weak), t_weak, tau,
+                               flags.kl_full_rows)
+        loss = ad.add(loss, kl)
+        kl_val = float(kl.value)
+    ad.backward(loss)
+    return (LossBreakdown(br.nce_at, br.nce_av, br.self_aa, kl_val,
+                          br.total + kl_val),
+            {k: nd.grad for k, nd in an.items()})
+
+
+def diag_cross_entropy_term(teacher_p: float, student_q: float) -> float:
+    """One diagonal's contribution to the weak loss: -p * log(q)."""
+    if not (0.0 < student_q <= 1.0) or not (0.0 <= teacher_p <= 1.0):
+        raise UsageError("diagonal probabilities must lie in (0, 1]")
+    return -teacher_p * float(np.log(student_q))
+
+
+# ---------------------------------------------------------------------------
+# manipulation
 
 
 def synthesize_node(w: ad.Node, gen: GeneratorParams) -> ad.Node:

@@ -16,19 +16,19 @@ from sgim.cli import main as cli_main
 from sgim.config import RunConfig
 from sgim.data import (generate_dataset, load_dataset, save_dataset,
                        split_by_video)
-from sgim.encoders import (init_encoder_params, pretrain_teacher,
+from sgim.encoders import (audio_step, init_encoder_params, pretrain_teacher,
                            train_audio_encoder)
 from sgim.evaluate import (ablate_weak_loss, soft_direction_check,
                            zero_shot_classify)
 from sgim.generator import synthesize
 from sgim.gradcheck import TOLERANCE, run_gradient_checks
-from sgim.losses import (LossFlags, diag_cross_entropy_term, info_nce_pair,
-                         similarity_matrix, total_loss, weak_kl_loss)
+from sgim.losses import LossFlags, info_nce, similarity, weak_kl
 from sgim.manipulate import (ManipConfig, identity_features, interpolate,
                              optimize_latent, style_mix)
 
 from conftest import AUDIO_INDEX, MASTER_SEED, SOURCE_INDEX
-from graph_reference import hinge_from_distances, hinge_loss, moving_average
+from graph_reference import (diag_cross_entropy_term, hinge_from_distances,
+                             hinge_loss, moving_average)
 
 
 def _verdict(criterion: int, passed: bool, detail: str) -> None:
@@ -39,6 +39,20 @@ def _verdict(criterion: int, passed: bool, detail: str) -> None:
 def _unit_rows(rng, n, d):
     x = rng.standard_normal((n, d))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def info_nce_pair(a, b, tau):
+    return info_nce(a, b, tau)[0]
+
+
+def step_breakdown(seed, flags=LossFlags(), n=6):
+    """The audio step's loss breakdown for a random encoder, audio batch and
+    teacher embeddings; the weak term runs on the batch itself."""
+    rng = np.random.default_rng(seed)
+    params = init_encoder_params(rng, 10, 12, 8)
+    x, x_aug = rng.standard_normal((2, n, 10))
+    t, v, v_weak = (_unit_rows(rng, n, 8) for _ in range(3))
+    return audio_step(params, x, x_aug, t, v, (x, v_weak, t), 0.2, flags)[0]
 
 
 def test_criterion_1_gradient_oracle():
@@ -59,8 +73,8 @@ def test_criterion_2_loss_invariants():
     for _ in range(5):
         a, b = _unit_rows(rng, 6, 8), _unit_rows(rng, 6, 8)
         tau = float(rng.uniform(0.05, 1.0))
-        m = similarity_matrix(a, b, tau)
-        ok &= bool(np.all(np.abs(m.values.sum(axis=1) - 1.0) < 1e-9))
+        m = similarity(a, b, tau)
+        ok &= bool(np.all(np.abs(m.sum(axis=1) - 1.0) < 1e-9))
         loss = info_nce_pair(a, b, tau)
         ok &= loss >= 0.0
         perm = rng.permutation(6)
@@ -75,13 +89,12 @@ def test_criterion_2_loss_invariants():
     for w in (0.1, 0.5, 0.9):
         a = _unit_rows(np.random.default_rng(5), 3, 8) * (1 - w) + v * w
         a /= np.linalg.norm(a, axis=1, keepdims=True)
-        vals.append(weak_kl_loss(a, v, t, 0.3))
+        vals.append(weak_kl(a, v, t, 0.3)[0])
     ok &= vals[0] > vals[1] > vals[2]
     notes.append("weak-loss zero/monotonicity")
-    a, ah, t, v, vw = (_unit_rows(rng, 6, 8) for _ in range(5))
-    br = total_loss(a, ah, t, v, vw, 0.2)
+    br = step_breakdown(124)
     ok &= abs(br.total - (br.nce_at + br.nce_av + br.self_aa + br.kl_weak)) < 1e-9
-    ablated = total_loss(a, ah, t, v, vw, 0.2, LossFlags(use_self=False))
+    ablated = step_breakdown(124, LossFlags(use_self=False))
     ok &= ablated.self_aa == 0.0
     ok &= abs(ablated.total - (ablated.nce_at + ablated.nce_av
                                + ablated.kl_weak)) < 1e-9
@@ -94,13 +107,17 @@ def test_criterion_2_loss_invariants():
 def test_criterion_3_hand_computed_values(gen_fit, model_bundle):
     start = time.monotonic()
     e = math.e
-    m = similarity_matrix(np.eye(2), np.eye(2), tau=1.0)
-    ok = np.allclose(m.values, [[e / (e + 1), 1 / (e + 1)],
-                                [1 / (e + 1), e / (e + 1)]], atol=1e-4)
-    ok &= abs(m.values[0, 0] - 0.73106) < 1e-4
+    m = similarity(np.eye(2), np.eye(2), tau=1.0)
+    ok = np.allclose(m, [[e / (e + 1), 1 / (e + 1)],
+                         [1 / (e + 1), e / (e + 1)]], atol=1e-4)
+    ok &= abs(m[0, 0] - 0.73106) < 1e-4
     ok &= abs(info_nce_pair(np.eye(2), np.eye(2), tau=1.0) - 0.62652) < 1e-4
     ok &= abs(diag_cross_entropy_term(1.0, 0.5) - 0.69315) < 1e-4
     ok &= abs(diag_cross_entropy_term(0.5, 0.5) - 0.34657) < 1e-4
+    # the weak term itself at p_ii = q_ii = 1/2: student and teacher rows
+    # both lie halfway between the two weak images
+    half = np.full((2, 2), math.sqrt(0.5))
+    ok &= abs(weak_kl(half, np.eye(2), half, tau=1.0)[0] - 0.34657) < 1e-4
     # hinge {1, 0, 2}: tie through the real models, then the scalar cases
     w_s = gen_fit.latents[SOURCE_INDEX]
     target = np.zeros(32)

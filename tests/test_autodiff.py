@@ -1,13 +1,40 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgim
 from sgim import autodiff as ad
 from sgim.errors import (DegenerateInputError, DimensionError, ParameterError,
                          UsageError)
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Every module an import statement in ``path`` names, with each
+    ``from X import y`` also giving X.y (y may be a module)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names.add(base)
+            names.update(f"{base}.{a.name}".lstrip(".") for a in node.names)
+    return names
+
+
+def test_only_gradcheck_imports_autodiff():
+    # the pipeline differentiates by hand; the graph engine serves
+    # gradcheck's primitive checks and the test oracle alone
+    importers = sorted(
+        path.name for path in Path(sgim.__file__).parent.glob("*.py")
+        if any("autodiff" in name.split(".")
+               for name in _imported_modules(path)))
+    assert importers == ["gradcheck.py"]
 
 
 def test_array_rejects_non_finite():

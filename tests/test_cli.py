@@ -5,7 +5,8 @@ import struct
 import pytest
 
 from sgim.cli import main
-from sgim.pgm import read_pgm
+
+from conftest import read_pgm
 
 # reduced budgets: CLI plumbing is under test here, model quality is not
 FAST = ["--set", "teacher_epochs=2", "--set", "audio_epochs=2",
@@ -65,10 +66,14 @@ def test_manipulate_writes_outputs(pipeline_dir):
 
 
 def test_interpolate_and_mix(pipeline_dir):
-    base = pipeline_dir / "manip" / "demo" / "latent.ckpt"
+    # both latents are written here, so the test runs alone too
+    assert run_cli(*FAST, "manipulate", "--run", pipeline_dir,
+                   "--source-index", 96, "--audio-index", 144,
+                   "--tag", "base") == 0
     assert run_cli(*FAST, "manipulate", "--run", pipeline_dir,
                    "--source-index", 10, "--audio-index", 200,
                    "--tag", "other") == 0
+    base = pipeline_dir / "manip" / "base" / "latent.ckpt"
     other = pipeline_dir / "manip" / "other" / "latent.ckpt"
     assert run_cli(*FAST, "interpolate", "--run", pipeline_dir,
                    "--latent-a", base, "--latent-b", other,
@@ -118,7 +123,7 @@ def test_direction_stats_command(pipeline_dir):
 def test_gradcheck_exits_zero(tmp_path):
     assert run_cli("gradcheck", "--run", tmp_path / "g") == 0
     report = (tmp_path / "g" / "reports" / "gradcheck.txt").read_text()
-    assert "25/25" in report
+    assert "33/33" in report
 
 
 def test_missing_inputs_io_error(tmp_path, capsys):
@@ -251,6 +256,12 @@ BAD_TRAINING_VALUES = {
     "tau_inf": ("tau=inf", "tau must be finite and > 0, got inf"),
     "momentum_-3": ("momentum=-3", "momentum must lie in [0, 1), got -3.0"),
     "momentum_1": ("momentum=1", "momentum must lie in [0, 1), got 1.0"),
+    "teacher_epochs_0": ("teacher_epochs=0",
+                         "teacher_epochs must be >= 1, got 0"),
+    "audio_epochs_0": ("audio_epochs=0", "audio_epochs must be >= 1, got 0"),
+    "probe_epochs_0": ("probe_epochs=0", "probe_epochs must be >= 1, got 0"),
+    "probe_lr_-1": ("probe_lr=-1", "probe_lr must be finite and > 0, got -1.0"),
+    "probe_lr_nan": ("probe_lr=nan", "probe_lr must be finite and > 0, got nan"),
 }
 
 
@@ -276,6 +287,45 @@ def test_diverging_step_is_internal_error(pipeline_dir, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: internal: objective became non-finite")
     assert "\n" not in err.strip()
+
+
+# command -> flags that leave it no loss term to train on
+NO_LOSS_TERM = {
+    "train-audio": ["use_loss_at=0", "use_loss_av=0", "use_loss_self=0",
+                    "use_loss_kl=0"],
+    # the with-KL arm trains; the without-KL arm has no term left
+    "ablate": ["use_loss_at=0", "use_loss_av=0", "use_loss_self=0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NO_LOSS_TERM))
+def test_no_loss_term_validation_error(command, pipeline_dir, tmp_path,
+                                       capsys):
+    run = tmp_path / "run"
+    shutil.copytree(pipeline_dir, run)
+    before = (run / "audio.ckpt").read_bytes()
+    overrides = [a for kv in NO_LOSS_TERM[command] for a in ("--set", kv)]
+    capsys.readouterr()
+    assert run_cli(*FAST, *overrides, command, "--run", run) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation: no loss term is enabled")
+    assert "\n" not in err.strip()
+    assert (run / "audio.ckpt").read_bytes() == before
+
+
+def test_diverging_training_is_internal_error(pipeline_dir, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(pipeline_dir / "dataset", run / "dataset")
+    shutil.copy(pipeline_dir / "teacher.ckpt", run / "teacher.ckpt")
+    capsys.readouterr()
+    code = run_cli(*FAST, "--set", "audio_lr=1e308", "train-audio",
+                   "--run", run)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal: train-audio: loss or gradient "
+                          "became non-finite at epoch 0, step ")
+    assert "\n" not in err.strip()
+    assert not (run / "audio.ckpt").exists()
 
 
 def test_direction_stats_bad_attrs_validation_error(pipeline_dir, capsys):

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -13,8 +15,11 @@ from sgim.encoders import (PARAM_KEYS, EncoderParams, TeacherParams,
                            TrainConfig, cyclic_lr, encode_audio, encode_np,
                            encode_text, init_encoder_params, pretrain_teacher,
                            train_audio_encoder)
-from sgim.errors import DegenerateInputError, UsageError
-from sgim.losses import LossBreakdown, LossFlags, total_loss_node
+from sgim.errors import DegenerateInputError, NumericsError, UsageError
+from sgim.losses import LossBreakdown, LossFlags
+
+from graph_reference import (encode_nodes, encoder_param_nodes,
+                             graph_audio_step, graph_teacher_step)
 
 # regression anchor: init-loss breakdown on the seeded N=8 batch,
 # master seed 7, pinned from the reference run
@@ -44,13 +49,13 @@ def batch_total_loss(batch: MiniBatch, weak_images: np.ndarray,
                      ) -> LossBreakdown:
     """Loss breakdown for a prepared batch, no parameter updates."""
     n = len(batch.rows)
-    a = encode_np(audio_params, batch.audio.reshape(n, -1))
-    a_aug = encode_np(audio_params, batch.audio_aug.reshape(n, -1))
+    x = batch.audio.reshape(n, -1)
     t = encode_np(teacher.text, bag_matrix(batch.text))
     v = encode_np(teacher.image, batch.images)
     v_weak = encode_np(teacher.image, weak_images)
-    _, breakdown = total_loss_node(ad.constant(a), ad.constant(a_aug),
-                                   t, v, v_weak, tau, flags)
+    breakdown, _ = encoders.audio_step(audio_params, x,
+                                       batch.audio_aug.reshape(n, -1), t, v,
+                                       (x, v_weak, t), tau, flags)
     return breakdown
 
 
@@ -59,7 +64,6 @@ def test_init_params_deterministic_and_shaped():
     b = init_encoder_params(np.random.default_rng(3), 200, 64, 32)
     assert params_hash(a) == params_hash(b)
     assert a.w1.shape == (200, 64) and a.w3.shape == (64, 32)
-    assert a.in_dim == 200 and a.out_dim == 32
 
 
 def test_embeddings_unit_norm():
@@ -153,8 +157,8 @@ def test_teacher_marked_frozen(teacher):
 
 def test_audio_training_requires_frozen_teacher(splits, teacher):
     train, _ = splits
-    thawed = type(teacher[0])(text=teacher[0].text.copy(frozen=False),
-                              image=teacher[0].image.copy(frozen=False))
+    thawed = TeacherParams(text=replace(teacher[0].text, frozen=False),
+                           image=replace(teacher[0].image, frozen=False))
     with pytest.raises(UsageError):
         train_audio_encoder(train, thawed, TrainConfig(epochs=1))
 
@@ -243,3 +247,133 @@ def test_loss_log_csv_format(audio_encoder):
     first = lines[1].split(",")
     assert int(first[0]) == 0
     assert float(first[5]) > 0
+
+
+def test_encode_vjp_matches_graph_bit_exact():
+    rng = np.random.default_rng(12)
+    p = init_encoder_params(rng, 10, 16, 8)
+    x = rng.standard_normal((6, 10))
+    probe = rng.standard_normal((6, 8))
+    y, vjp = encoders.encode_vjp(p, x)
+    pnodes = encoder_param_nodes(p)
+    y_node = encode_nodes(pnodes, ad.constant(x))
+    ad.backward(ad.sum_all(ad.mul_elementwise(y_node, ad.constant(probe))))
+    assert y.tobytes() == y_node.value.tobytes()
+    grads = vjp(probe)
+    for k in PARAM_KEYS:
+        assert (0.0 + grads[k]).tobytes() == pnodes[k].grad.tobytes(), k
+
+
+@pytest.mark.parametrize("key", PARAM_KEYS)
+def test_encode_vjp_matches_fd(key):
+    rng = np.random.default_rng(13)
+    p = init_encoder_params(rng, 7, 6, 5)
+    x = rng.standard_normal((4, 7))
+    probe = rng.standard_normal((4, 5))
+
+    def value(arr):
+        return float((encode_np(replace(p, **{key: arr}), x) * probe).sum())
+
+    _, vjp = encoders.encode_vjp(p, x)
+    assert ad.max_rel_error(vjp(probe)[key], value, getattr(p, key)) < 1e-5
+
+
+_MOMENTUM_SGD = encoders._MomentumSGD
+
+
+def _recording_optimizer(monkeypatch, states: list) -> None:
+    """Make every optimizer append (params, velocities) bytes after each
+    step to ``states``."""
+    class Recording(_MOMENTUM_SGD):
+        def step(self, arrays, grads, lr):
+            super().step(arrays, grads, lr)
+            states.append([(a.tobytes(), self.velocity[k].tobytes())
+                           for k, a in arrays.items()])
+
+    monkeypatch.setattr(encoders, "_MomentumSGD", Recording)
+
+
+def _log_bytes(log) -> bytes:
+    """The loss log as float64 bytes: each epoch, then its loss or each
+    component of its breakdown."""
+    return np.array([np.hstack([e, astuple(v) if isinstance(v, LossBreakdown)
+                                else v]) for e, v in log]).tobytes()
+
+
+SIDE_BY_SIDE = TrainConfig(lr=0.1, epochs=3, batch_size=32, seed=5)
+
+
+def test_teacher_step_matches_graph_over_training(splits, monkeypatch):
+    train, _ = splits
+    runs = []
+    for step in (encoders.teacher_step, graph_teacher_step):
+        states: list = []
+        _recording_optimizer(monkeypatch, states)
+        monkeypatch.setattr(encoders, "teacher_step", step)
+        params, log = pretrain_teacher(train, SIDE_BY_SIDE, hidden=16,
+                                       embed_dim=8)
+        runs.append((states, _log_bytes(log),
+                     params_hash(params.text), params_hash(params.image)))
+    assert len(runs[0][0]) >= 2 * 20  # two optimizers, >= 20 steps each
+    assert runs[0] == runs[1]
+
+
+# every LossFlags combination with at least one term on; kl_full_rows
+# changes something only with the weak term on
+FLAG_SETS = [LossFlags(at, av, own, kl, full)
+             for at, av, own, kl in itertools.product((True, False), repeat=4)
+             if at or av or own or kl
+             for full in ((False, True) if kl else (False,))]
+
+
+def _flags_id(f: LossFlags) -> str:
+    return "+".join(name for name, on in (
+        ("at", f.use_at), ("av", f.use_av), ("self", f.use_self),
+        ("kl", f.use_kl), ("full_rows", f.kl_full_rows)) if on)
+
+
+@pytest.mark.parametrize("flags", FLAG_SETS, ids=_flags_id)
+def test_audio_step_matches_graph_over_training(flags, splits, teacher,
+                                                monkeypatch):
+    train, _ = splits
+    cfg = replace(SIDE_BY_SIDE, flags=flags)
+    runs = []
+    for step in (encoders.audio_step, graph_audio_step):
+        states: list = []
+        _recording_optimizer(monkeypatch, states)
+        monkeypatch.setattr(encoders, "audio_step", step)
+        params, log = train_audio_encoder(train, teacher[0], cfg, hidden=16)
+        runs.append((states, _log_bytes(log), params_hash(params)))
+    assert len(runs[0][0]) >= 20
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("flags, one_class", [
+    (LossFlags(False, False, False, False), False),
+    (LossFlags(False, False, False, False, kl_full_rows=True), False),
+    # the weak term's batch holds one row per class
+    (LossFlags(False, False, False, True), True)],
+    ids=["all_off", "full_rows_only", "weak_term_on_one_class"])
+def test_audio_training_rejects_no_loss_term(flags, one_class, splits,
+                                             teacher):
+    train, _ = splits
+    if one_class:
+        train = train.take(train.class_id == 0)
+    with pytest.raises(UsageError, match="no loss term is enabled"):
+        train_audio_encoder(train, teacher[0], TrainConfig(flags=flags))
+
+
+def test_training_divergence_raises_numerics_error(splits, teacher):
+    # a step of lr 1e308 overflows the velocities, so the next forward
+    # pass produces NaN
+    train, _ = splits
+    with pytest.raises(NumericsError, match=r"^pretrain-teacher: loss or "
+                       r"gradient became non-finite at epoch 0, step \d+$"):
+        pretrain_teacher(train, TrainConfig(lr=1e308, epochs=2))
+    with pytest.raises(NumericsError, match=r"^train-audio: loss or gradient "
+                       r"became non-finite at epoch 0, step \d+$"):
+        train_audio_encoder(train, teacher[0], TrainConfig(lr=1e308, epochs=2))
+    # non-finite audio fails the first step
+    bad = replace(train, audio=np.full_like(train.audio, np.inf))
+    with pytest.raises(NumericsError, match="epoch 0, step 0$"):
+        train_audio_encoder(bad, teacher[0], TrainConfig(epochs=1))

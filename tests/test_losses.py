@@ -6,15 +6,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgim import autodiff as ad
-from sgim import losses
-from sgim.errors import UsageError
-from sgim.losses import (LossFlags, diag_cross_entropy_term, info_nce_pair,
-                         similarity_matrix, total_loss, weak_kl_loss)
+from sgim.encoders import audio_step, encode_np, init_encoder_params
+from sgim.errors import DegenerateInputError, ParameterError, UsageError
+from sgim.losses import LossFlags, info_nce, similarity, weak_kl
+
+from graph_reference import (diag_cross_entropy_term, info_nce_pair_node,
+                             weak_kl_loss_node)
 
 
 def _unit_rows(rng, n, d):
     x = rng.standard_normal((n, d))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def info_nce_pair(a, b, tau):
+    return info_nce(a, b, tau)[0]
+
+
+def weak_kl_loss(a, v, t, tau, full_rows=False):
+    return weak_kl(a, v, t, tau, full_rows)[0]
+
+
+def step_breakdown(seed, flags=LossFlags(), n=6):
+    """The audio step's loss breakdown for a random encoder, audio batch and
+    teacher embeddings; the weak term runs on the batch itself."""
+    rng = np.random.default_rng(seed)
+    params = init_encoder_params(rng, 10, 12, 8)
+    x, x_aug = rng.standard_normal((2, n, 10))
+    t, v, v_weak = (_unit_rows(rng, n, 8) for _ in range(3))
+    return audio_step(params, x, x_aug, t, v, (x, v_weak, t), 0.2, flags)[0]
 
 
 def _softmax_rows(scores, tau):
@@ -28,32 +48,32 @@ E2 = np.array([[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_similarity_matrix_hand_values():
-    m = similarity_matrix(E2, E2, tau=1.0)
+    m = similarity(E2, E2, tau=1.0)
     e = math.e
     expect = np.array([[e / (e + 1), 1 / (e + 1)], [1 / (e + 1), e / (e + 1)]])
-    assert np.allclose(m.values, expect, atol=1e-12)
-    assert abs(m.values[0, 0] - 0.73106) < 1e-4
-    assert abs(m.values[0, 1] - 0.26894) < 1e-4
+    assert np.allclose(m, expect, atol=1e-12)
+    assert abs(m[0, 0] - 0.73106) < 1e-4
+    assert abs(m[0, 1] - 0.26894) < 1e-4
 
 
 def test_similarity_matrix_identical_rows_give_uniform():
     row = np.array([[0.6, 0.8]])
     a = np.repeat(row, 4, axis=0)
-    m = similarity_matrix(a, a, tau=0.3)
-    assert np.allclose(m.values, 0.25, atol=1e-12)
+    m = similarity(a, a, tau=0.3)
+    assert np.allclose(m, 0.25, atol=1e-12)
 
 
 def test_similarity_matrix_asymmetric_normalization():
     rng = np.random.default_rng(17)
     a, b = _unit_rows(rng, 3, 5), _unit_rows(rng, 3, 5)
-    m_ab = similarity_matrix(a, b, tau=0.5).values
-    m_ba = similarity_matrix(b, a, tau=0.5).values
+    m_ab = similarity(a, b, tau=0.5)
+    m_ba = similarity(b, a, tau=0.5)
     assert not np.allclose(m_ab.T, m_ba)
 
 
 def test_similarity_matrix_rejects_empty():
     with pytest.raises(UsageError):
-        similarity_matrix(np.empty((0, 3)), np.empty((0, 3)), tau=1.0)
+        similarity(np.empty((0, 3)), np.empty((0, 3)), tau=1.0)
 
 
 def test_info_nce_orthogonal_hand_value():
@@ -102,9 +122,14 @@ def test_info_nce_rotation_invariant(seed):
 
 
 def test_self_supervised_reduces_to_info_nce():
+    rng = np.random.default_rng(6)
+    params = init_encoder_params(rng, 10, 12, 8)
+    x, x_aug = rng.standard_normal((2, 6, 10))
     only_self = LossFlags(use_at=False, use_av=False, use_kl=False)
-    val = total_loss(E2, E2, E2, E2, None, tau=1.0, flags=only_self).self_aa
-    assert abs(val - info_nce_pair(E2, E2, tau=1.0)) < 1e-15
+    br, _ = audio_step(params, x, x_aug, None, None, None, 1.0, only_self)
+    assert br.self_aa == info_nce_pair(encode_np(params, x),
+                                       encode_np(params, x_aug), 1.0)
+    assert br.total == br.self_aa
 
 
 def test_self_supervised_same_class_negatives_cost_more():
@@ -115,14 +140,14 @@ def test_self_supervised_same_class_negatives_cost_more():
 
 
 def test_self_supervised_gradient_matches_fd():
+    # the self term differentiates both of its inputs
     rng = np.random.default_rng(4)
-    a_aug = _unit_rows(rng, 4, 8)
-
-    def f(x):
-        return losses.info_nce_pair_node(
-            ad.l2_normalize_rows(x), ad.constant(a_aug), 0.3)
-
-    assert ad.finite_difference_check(f, rng.standard_normal((4, 8))) < 1e-4
+    a, a_aug = _unit_rows(rng, 4, 8), _unit_rows(rng, 4, 8)
+    _, g_a, g_aug = info_nce(a, a_aug, 0.3)
+    assert ad.max_rel_error(sum(g_a, 0.0),
+                            lambda x: info_nce_pair(x, a_aug, 0.3), a) < 1e-4
+    assert ad.max_rel_error(sum(g_aug, 0.0),
+                            lambda x: info_nce_pair(a, x, 0.3), a_aug) < 1e-4
 
 
 def test_diag_cross_entropy_hand_values():
@@ -159,13 +184,13 @@ def test_weak_kl_monotone_in_student_diagonal():
 
 
 def test_weak_kl_teacher_receives_no_gradient():
+    # weak_kl returns a gradient for the student alone; moving the teacher
+    # inputs changes the value, so they are targets, not trained inputs
     rng = np.random.default_rng(5)
-    a = ad.leaf(_unit_rows(rng, 3, 6))
-    v = ad.constant(_unit_rows(rng, 3, 6))
-    t = _unit_rows(rng, 3, 6)
-    out = losses.weak_kl_loss_node(a, v, t, 0.2)
-    ad.backward(out)
-    assert np.any(a.grad != 0.0)
+    a, v, t = (_unit_rows(rng, 3, 6) for _ in range(3))
+    value, (g_a,) = weak_kl(a, v, t, 0.2)
+    assert g_a.shape == a.shape and np.any(g_a != 0.0)
+    assert weak_kl(a, v, t[::-1], 0.2)[0] != value
 
 
 def test_weak_kl_full_rows_variant_nonnegative_and_zero_at_match():
@@ -181,13 +206,11 @@ def test_weak_kl_full_rows_variant_nonnegative_and_zero_at_match():
 
 
 def test_total_loss_additivity_and_ablation():
-    rng = np.random.default_rng(2)
-    a, ah, t, v, vw = (_unit_rows(rng, 6, 8) for _ in range(5))
-    full = total_loss(a, ah, t, v, vw, 0.2)
+    full = step_breakdown(2)
     assert abs(full.total -
                (full.nce_at + full.nce_av + full.self_aa + full.kl_weak)) < 1e-9
     assert min(full.nce_at, full.nce_av, full.self_aa, full.kl_weak) >= 0.0
-    ablated = total_loss(a, ah, t, v, vw, 0.2, LossFlags(use_kl=False))
+    ablated = step_breakdown(2, LossFlags(use_kl=False))
     assert ablated.kl_weak == 0.0
     assert abs(ablated.total -
                (ablated.nce_at + ablated.nce_av + ablated.self_aa)) < 1e-9
@@ -196,23 +219,59 @@ def test_total_loss_additivity_and_ablation():
 
 def test_loss_component_gradients_match_fd():
     rng = np.random.default_rng(14)
-    t, v, vw, ah = (_unit_rows(rng, 4, 8) for _ in range(4))
-
-    def at(x):
-        return losses.info_nce_pair_node(ad.l2_normalize_rows(x),
-                                         ad.constant(t), 0.3)
-
-    def kl(x):
-        return losses.weak_kl_loss_node(ad.l2_normalize_rows(x),
-                                        ad.constant(vw), t, 0.3)
-
-    for f in (at, kl):
-        assert ad.finite_difference_check(f, rng.standard_normal((4, 8))) < 1e-4
+    t, vw, a = (_unit_rows(rng, 4, 8) for _ in range(3))
+    _, g_a, g_t = info_nce(a, t, 0.3)
+    assert ad.max_rel_error(sum(g_a, 0.0),
+                            lambda x: info_nce_pair(x, t, 0.3), a) < 1e-4
+    assert ad.max_rel_error(sum(g_t, 0.0),
+                            lambda x: info_nce_pair(a, x, 0.3), t) < 1e-4
+    for full_rows in (False, True):
+        _, g = weak_kl(a, vw, t, 0.3, full_rows)
+        assert ad.max_rel_error(sum(g, 0.0), lambda x: weak_kl_loss(
+            x, vw, t, 0.3, full_rows), a) < 1e-4
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000), st.floats(0.05, 2.0))
 def test_similarity_rows_stochastic(seed, tau):
     rng = np.random.default_rng(seed)
-    m = similarity_matrix(_unit_rows(rng, 5, 7), _unit_rows(rng, 5, 7), tau)
-    assert np.all(np.abs(m.values.sum(axis=1) - 1.0) < 1e-9)
+    m = similarity(_unit_rows(rng, 5, 7), _unit_rows(rng, 5, 7), tau)
+    assert np.all(np.abs(m.sum(axis=1) - 1.0) < 1e-9)
+    assert np.all((m > 0.0) & (m < 1.0))
+
+
+@pytest.mark.parametrize("tau", [0.07, 0.3, 1.0])
+def test_info_nce_matches_graph_bit_exact(tau):
+    rng = np.random.default_rng(31)
+    a, b = _unit_rows(rng, 6, 8), _unit_rows(rng, 6, 8)
+    value, g_a, g_b = info_nce(a, b, tau)
+    a_node, b_node = ad.leaf(a), ad.leaf(b)
+    loss = info_nce_pair_node(a_node, b_node, tau)
+    ad.backward(loss)
+    assert np.float64(value).tobytes() == loss.value.tobytes()
+    assert sum(g_a, 0.0).tobytes() == a_node.grad.tobytes()
+    assert sum(g_b, 0.0).tobytes() == b_node.grad.tobytes()
+
+
+@pytest.mark.parametrize("full_rows", [False, True])
+def test_weak_kl_matches_graph_bit_exact(full_rows):
+    rng = np.random.default_rng(32)
+    a, v, t = (_unit_rows(rng, 8, 8) for _ in range(3))
+    value, g_a = weak_kl(a, v, t, 0.07, full_rows)
+    a_node = ad.leaf(a)
+    loss = weak_kl_loss_node(a_node, ad.constant(v), t, 0.07, full_rows)
+    ad.backward(loss)
+    assert np.float64(value).tobytes() == loss.value.tobytes()
+    assert sum(g_a, 0.0).tobytes() == a_node.grad.tobytes()
+
+
+def test_loss_degenerate_inputs_keep_their_errors():
+    # a softmax entry that underflows to 0 cannot be logged, and a
+    # non-positive temperature is rejected
+    a = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    with pytest.raises(DegenerateInputError, match="strictly positive"):
+        info_nce(a, a, 5e-4)
+    with pytest.raises(ParameterError):
+        info_nce(E2, E2, 0.0)
+    with pytest.raises(UsageError):
+        weak_kl(E2, E2, np.eye(3)[:2], 0.3)

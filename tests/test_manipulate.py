@@ -277,9 +277,9 @@ def test_objective_and_grad_matches_fd(adaptive, gen_fit, model_bundle):
 
 def test_objective_and_grad_rejects_zero_norm_rows(gen_fit, model_bundle):
     at_w, _, start, _ = _objective_at(gen_fit, model_bundle, ManipConfig())
-    dead_image = model_bundle.image.copy()
-    dead_image.w3[:] = 0.0
-    dead_image.b3[:] = 0.0
+    dead_image = replace(model_bundle.image,
+                         w3=np.zeros_like(model_bundle.image.w3),
+                         b3=np.zeros_like(model_bundle.image.b3))
     dead_identity = IdentityExtractor(model_bundle.identity.w1,
                                       np.zeros_like(model_bundle.identity.w2))
     for models in (replace(model_bundle, image=dead_image),

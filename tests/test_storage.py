@@ -13,7 +13,9 @@ from sgim.encoders import TeacherParams, init_encoder_params
 from sgim.errors import ConfigError, UsageError
 from sgim.generator import GeneratorFit, init_generator
 from sgim.manipulate import ManipConfig
-from sgim.pgm import read_pgm, write_pgm
+from sgim.pgm import write_pgm
+
+from conftest import read_pgm
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
