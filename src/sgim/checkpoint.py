@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoders import EncoderParams, TeacherParams
+from .encoders import PARAM_KEYS, EncoderParams, TeacherParams
 from .errors import UsageError
 from .generator import GeneratorFit, GeneratorParams
 
@@ -97,8 +97,7 @@ def encoder_arrays(prefix: str, params: EncoderParams) -> dict[str, np.ndarray]:
 def encoder_from_arrays(prefix: str, arrays: dict[str, np.ndarray],
                         frozen: bool = False) -> EncoderParams:
     try:
-        parts = [arrays[f"{prefix}.{k}"] for k in
-                 ("w1", "b1", "w2", "b2", "w3", "b3")]
+        parts = [arrays[f"{prefix}.{k}"] for k in PARAM_KEYS]
     except KeyError as exc:
         raise UsageError(f"checkpoint missing {exc.args[0]}") from exc
     return EncoderParams(*parts, frozen=frozen)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -95,9 +96,7 @@ def cmd_gen_data(run: Path, args, config: RunConfig) -> int:
 def cmd_pretrain_teacher(run: Path, args, config: RunConfig) -> int:
     manifest, ds = _load_dataset(run)
     train, _ = split_by_video(ds, manifest)
-    teacher, log = pretrain_teacher(train, config.teacher_train_config(),
-                                    hidden=config.hidden_dim,
-                                    embed_dim=config.embed_dim)
+    teacher, log = pretrain_teacher(train, config)
     ckpt.save_checkpoint(run / "teacher.ckpt", ckpt.teacher_arrays(teacher),
                          config_to_text(config), config.master_seed)
     rows = ["epoch,loss"] + [f"{e},{v!r}" for e, v in log]
@@ -123,10 +122,7 @@ def cmd_train_audio(run: Path, args, config: RunConfig) -> int:
     manifest, ds = _load_dataset(run)
     train, _ = split_by_video(ds, manifest)
     teacher = _load_teacher(run)
-    audio, log = train_audio_encoder(train, teacher,
-                                     config.audio_train_config(),
-                                     hidden=config.hidden_dim,
-                                     embed_dim=config.embed_dim)
+    audio, log = train_audio_encoder(train, teacher, config)
     ckpt.save_checkpoint(run / "audio.ckpt", ckpt.encoder_arrays("audio", audio),
                          config_to_text(config), config.master_seed)
     (run / "audio_loss.csv").write_text(loss_log_csv(log))
@@ -148,9 +144,9 @@ def cmd_manipulate(run: Path, args, config: RunConfig) -> int:
     if not (0 <= args.audio_index < len(ds)):
         raise UsageError(f"audio index out of range [0, {len(ds)})")
     mel = ds.audio[args.audio_index]
-    manip = config.manip_config(lambda_reg=args.lambda_reg,
-                                lambda_id=args.lambda_id, steps=args.steps,
-                                step_size=args.step_size)
+    flags = {"lambda_reg": args.lambda_reg, "lambda_id": args.lambda_id,
+             "manip_steps": args.steps, "manip_step_size": args.step_size}
+    manip = replace(config, **{k: v for k, v in flags.items() if v is not None})
     w_a, gate, trajectory = optimize_latent(w_s, mel, manip, models)
     out = run / "manip" / args.tag
     out.mkdir(parents=True, exist_ok=True)

@@ -1,7 +1,8 @@
-"""One flat key=value config for the whole pipeline, plus the master-seed
-fanout. Defaults are the frozen desk-scale reference configuration; the
-paper-scale values (lr 1e-3, batch 384, lambda_reg 0.008 / lambda_id 0.004)
-are noted next to the fields they correspond to.
+"""One flat key=value config for the whole pipeline, which every stage
+reads under its own key names, plus the master-seed fanout. Defaults are
+the frozen desk-scale reference configuration; the paper-scale values (lr
+1e-3, batch 384, lambda_reg 0.008 / lambda_id 0.004) are noted next to the
+fields they correspond to.
 """
 
 from __future__ import annotations
@@ -14,10 +15,7 @@ from pathlib import Path
 
 from . import kvtext
 from .data import DatasetManifest
-from .encoders import TrainConfig
 from .errors import ConfigError, ParameterError
-from .losses import LossFlags
-from .manipulate import ManipConfig
 
 # fixed per-stage offsets applied to the master seed
 SEED_OFFSETS = {
@@ -30,7 +28,7 @@ SEED_OFFSETS = {
 }
 
 
-# training keys checked before any stage runs: key -> (test, allowed range)
+# keys checked before any stage runs: key -> (test, allowed range)
 _FRACTION = (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
 _RATIO = (lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
 _POSITIVE = (lambda v: math.isfinite(v) and v > 0.0, "be finite and > 0")
@@ -45,6 +43,10 @@ _TRAINING_RANGES = {
     "momentum": _RATIO,
     "teacher_epochs": _COUNT,
     "audio_epochs": _COUNT,
+    "sched_period": _COUNT,
+    "hidden_dim": _COUNT,
+    "embed_dim": _COUNT,
+    "latent_dim": _COUNT,
     "probe_epochs": _COUNT,
     "probe_lr": _POSITIVE,
 }
@@ -123,38 +125,10 @@ class RunConfig:
             if not ok(value):
                 raise ParameterError(f"{key} must {allowed}, got {value!r}")
 
-    def _stage_config(self, cls, **renamed):
-        """A ``cls`` whose fields take this config's fields of the same name;
-        ``renamed`` gives the rest."""
-        shared = {f.name: copy.copy(getattr(self, f.name)) for f in fields(cls)
-                  if f.name not in renamed and hasattr(self, f.name)}
-        return cls(**shared, **renamed)
-
     def dataset_manifest(self) -> DatasetManifest:
-        return self._stage_config(DatasetManifest, seed=self.seed_for("data"))
-
-    def loss_flags(self) -> LossFlags:
-        return LossFlags(use_at=self.use_loss_at, use_av=self.use_loss_av,
-                         use_self=self.use_loss_self, use_kl=self.use_loss_kl,
-                         kl_full_rows=self.kl_full_rows)
-
-    def teacher_train_config(self) -> TrainConfig:
-        return self._stage_config(TrainConfig, lr=self.teacher_lr,
-                                  epochs=self.teacher_epochs,
-                                  seed=self.seed_for("teacher"))
-
-    def audio_train_config(self) -> TrainConfig:
-        return self._stage_config(TrainConfig, lr=self.audio_lr,
-                                  epochs=self.audio_epochs,
-                                  seed=self.seed_for("audio"),
-                                  flags=self.loss_flags())
-
-    def manip_config(self, **overrides) -> ManipConfig:
-        """The manipulation settings; an override of None keeps the
-        configured value."""
-        renamed = {"steps": self.manip_steps, "step_size": self.manip_step_size}
-        renamed.update((k, v) for k, v in overrides.items() if v is not None)
-        return self._stage_config(ManipConfig, **renamed)
+        shared = {f.name: copy.copy(getattr(self, f.name))
+                  for f in fields(DatasetManifest) if f.name != "seed"}
+        return DatasetManifest(**shared, seed=self.seed_for("data"))
 
 
 def config_to_text(config: RunConfig) -> str:

@@ -216,11 +216,16 @@ def _nuisance_video_set(m: DatasetManifest, class_id: int,
     return set(range(m.videos_per_class)) - clean
 
 
+def heldout_mask(ds: Dataset, manifest: DatasetManifest) -> np.ndarray:
+    """The rows of each class's final video, the held-out split."""
+    v = manifest.videos_per_class
+    return ds.video_id % v == v - 1
+
+
 def split_by_video(ds: Dataset,
                    manifest: DatasetManifest) -> tuple[Dataset, Dataset]:
-    """Train/held-out split holding out each class's final video."""
-    v = manifest.videos_per_class
-    held = ds.video_id % v == v - 1
+    """Train/held-out split by ``heldout_mask``."""
+    held = heldout_mask(ds, manifest)
     return ds.take(~held), ds.take(held)
 
 

@@ -13,16 +13,17 @@ Optimizer: plain SGD with momentum 0.9 under a cosine cyclic schedule
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Callable
 
 import numpy as np
 
 from .augment import VOCAB_SIZE, augment_bags, bag_matrix
+from .config import RunConfig
 from .data import (Dataset, group_rows, sample_minibatch, sample_weak_pair,
                    weak_candidates)
 from .errors import DegenerateInputError, NumericsError, UsageError
-from .losses import LossBreakdown, LossFlags, info_nce, weak_kl
+from .losses import LossBreakdown, info_nce, weak_kl
 
 PARAM_KEYS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -123,21 +124,6 @@ def cyclic_lr(base_lr: float, epoch: int, period: int = 10) -> float:
     return floor + 0.5 * (base_lr - floor) * (1.0 + math.cos(2.0 * math.pi * phase))
 
 
-@dataclass
-class TrainConfig:
-    lr: float = 0.05
-    epochs: int = 80
-    batch_size: int = 64
-    tau: float = 0.07
-    momentum: float = 0.9
-    sched_period: int = 10
-    freq_mask_ratio: float = 0.15
-    time_mask_ratio: float = 0.3
-    text_aug_prob: float = 0.5
-    seed: int = 0
-    flags: LossFlags = field(default_factory=LossFlags)
-
-
 class _MomentumSGD:
     def __init__(self, arrays: dict[str, np.ndarray], momentum: float):
         self.momentum = momentum
@@ -152,20 +138,22 @@ class _MomentumSGD:
             a += v
 
 
-def _descend(stage: str, config: TrainConfig, params: list[EncoderParams],
-             n: int, step: Callable) -> list[tuple[int, np.ndarray]]:
-    """Momentum SGD on ``params`` under the cyclic schedule, max(n // batch,
-    1) steps per epoch. ``step(batch)`` draws a batch and returns its loss
-    components and one gradient dict per entry of ``params``; a non-finite
-    one raises ``NumericsError``. Returns each epoch's mean components."""
+def _descend(stage: str, config: RunConfig, lr: float, epochs: int,
+             params: list[EncoderParams], n: int,
+             step: Callable) -> list[tuple[int, np.ndarray]]:
+    """Momentum SGD on ``params`` for ``epochs`` under the cyclic schedule
+    from ``lr``, max(n // batch, 1) steps per epoch. ``step(batch)`` draws a
+    batch and returns its loss components and one gradient dict per entry
+    of ``params``; a non-finite one raises ``NumericsError``. Returns each
+    epoch's mean components."""
     opts = [_MomentumSGD(p.arrays(), config.momentum) for p in params]
     bsz = min(config.batch_size, n)
     steps = max(n // bsz, 1)
     log = []
     # divergence is reported below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(config.epochs):
-            lr = cyclic_lr(config.lr, epoch, config.sched_period)
+        for epoch in range(epochs):
+            epoch_lr = cyclic_lr(lr, epoch, config.sched_period)
             sums = 0.0
             for i in range(steps):
                 losses, grads = step(bsz)
@@ -175,7 +163,7 @@ def _descend(stage: str, config: TrainConfig, params: list[EncoderParams],
                     raise NumericsError(f"{stage}: loss or gradient became "
                                         f"non-finite at epoch {epoch}, step {i}")
                 for opt, p, g in zip(opts, params, grads):
-                    opt.step(p.arrays(), g, lr)
+                    opt.step(p.arrays(), g, epoch_lr)
                 sums = sums + np.asarray(losses)
             log.append((epoch, sums / steps))
     return log
@@ -191,9 +179,7 @@ def teacher_step(text_p: EncoderParams, image_p: EncoderParams,
     return loss, _param_grads([(t_vjp, g_t)]), _param_grads([(v_vjp, g_v)])
 
 
-def pretrain_teacher(ds: Dataset,
-                     config: TrainConfig,
-                     hidden: int = 64, embed_dim: int = 32,
+def pretrain_teacher(ds: Dataset, config: RunConfig,
                      ) -> tuple[TeacherParams, list[tuple[int, float]]]:
     """Symmetric InfoNCE over (text, image) pairs; returns frozen params
     plus the per-epoch loss log."""
@@ -201,9 +187,10 @@ def pretrain_teacher(ds: Dataset,
         raise UsageError("cannot pretrain a teacher on an empty dataset")
     if min(config.batch_size, len(ds)) < 2:
         raise UsageError("InfoNCE needs negatives: at least 2 records per batch")
-    rng = np.random.default_rng(config.seed)
-    text_p = init_encoder_params(rng, VOCAB_SIZE, hidden, embed_dim)
-    image_p = init_encoder_params(rng, ds.image.shape[1], hidden, embed_dim)
+    rng = np.random.default_rng(config.seed_for("teacher"))
+    shape = (config.hidden_dim, config.embed_dim)
+    text_p = init_encoder_params(rng, VOCAB_SIZE, *shape)
+    image_p = init_encoder_params(rng, ds.image.shape[1], *shape)
 
     def step(bsz):
         # the draw of sample_minibatch; the teacher never reads audio
@@ -213,7 +200,8 @@ def pretrain_teacher(ds: Dataset,
                                       config.tau)
         return loss, (g_t, g_v)
 
-    log = _descend("pretrain-teacher", config, [text_p, image_p], len(ds), step)
+    log = _descend("pretrain-teacher", config, config.teacher_lr,
+                   config.teacher_epochs, [text_p, image_p], len(ds), step)
     text_p.frozen = True
     image_p.frozen = True
     return (TeacherParams(text=text_p, image=image_p),
@@ -237,32 +225,34 @@ def _weak_triplet_batch(class_rows: list[np.ndarray],
 
 
 def audio_step(params: EncoderParams, x: np.ndarray, x_aug: np.ndarray,
-               t: np.ndarray, v: np.ndarray, weak: tuple | None, tau: float,
-               flags: LossFlags) -> tuple[LossBreakdown, dict]:
+               t: np.ndarray, v: np.ndarray, weak: tuple | None,
+               config: RunConfig) -> tuple[LossBreakdown, dict]:
     """The four-component loss of one batch of flattened audio ``x`` and
-    its augmented view (0.0 for a term that is off), and the gradient to
-    each parameter array. ``t``/``v`` are the teacher's embeddings of its
-    rows; ``weak`` is (x_weak, v_weak, t_weak) for the weak term, or None.
+    its augmented view (0.0 for a term that ``config``'s ``use_loss_*``
+    flags turn off), and the gradient to each parameter array. ``t``/``v``
+    are the teacher's embeddings of its rows; ``weak`` is (x_weak, v_weak,
+    t_weak) for the weak term, or None.
     """
+    tau = config.tau
     a, a_vjp = encode_vjp(params, x)
     l_at = l_av = l_self = kl = 0.0
     # the graph's backward reaches the parameters through the weak batch,
     # then the augmented view, then the batch; and reaches the batch's
     # embeddings through the self term, then a/v, then a/t
     paths, g_a = [], ()
-    if flags.use_kl and weak is not None:
+    if config.use_loss_kl and weak is not None:
         a_weak, weak_vjp = encode_vjp(params, weak[0])
-        kl, g_weak = weak_kl(a_weak, weak[1], weak[2], tau, flags.kl_full_rows)
+        kl, g_weak = weak_kl(a_weak, weak[1], weak[2], tau, config.kl_full_rows)
         paths.append((weak_vjp, g_weak))
-    if flags.use_self:
+    if config.use_loss_self:
         a_aug, aug_vjp = encode_vjp(params, x_aug)
         l_self, g_self, g_aug = info_nce(a, a_aug, tau)
         paths.append((aug_vjp, g_aug))
         g_a += g_self
-    if flags.use_av:
+    if config.use_loss_av:
         l_av, g_av, _ = info_nce(a, v, tau)
         g_a += g_av
-    if flags.use_at:
+    if config.use_loss_at:
         l_at, g_at, _ = info_nce(a, t, tau)
         g_a += g_at
     if g_a:
@@ -271,9 +261,21 @@ def audio_step(params: EncoderParams, x: np.ndarray, x_aug: np.ndarray,
             _param_grads(paths))
 
 
+def check_loss_terms(config: RunConfig, classes: int) -> bool:
+    """Whether the weak term trains, for ``classes`` classes: its batch
+    holds one row per class, so it needs 2. Raises ``UsageError`` when the
+    ``use_loss_*`` flags leave no term to train."""
+    use_weak = config.use_loss_kl and classes >= 2
+    if not (config.use_loss_at or config.use_loss_av or config.use_loss_self
+            or use_weak):
+        raise UsageError("no loss term is enabled: set one of use_loss_at, "
+                         "use_loss_av, use_loss_self or use_loss_kl (the "
+                         "weak term needs 2 classes)")
+    return use_weak
+
+
 def train_audio_encoder(ds: Dataset, teacher: TeacherParams,
-                        config: TrainConfig, hidden: int = 64,
-                        embed_dim: int = 32,
+                        config: RunConfig,
                         ) -> tuple[EncoderParams, list[tuple[int, LossBreakdown]]]:
     """Minimize the four-component loss over the audio encoder only.
 
@@ -290,15 +292,11 @@ def train_audio_encoder(ds: Dataset, teacher: TeacherParams,
         raise UsageError("InfoNCE needs negatives: batch_size >= 2")
     if len(ds) == 0:
         raise UsageError("cannot train on an empty dataset")
-    flags = config.flags
     class_rows = group_rows(ds.class_id)
-    use_weak = flags.use_kl and len(class_rows) >= 2
-    if not (flags.use_at or flags.use_av or flags.use_self or use_weak):
-        raise UsageError("no loss term is enabled: set one of use_loss_at, "
-                         "use_loss_av, use_loss_self or use_loss_kl (the "
-                         "weak term needs 2 classes)")
-    rng = np.random.default_rng(config.seed)
-    audio_p = init_encoder_params(rng, ds.audio[0].size, hidden, embed_dim)
+    use_weak = check_loss_terms(config, len(class_rows))
+    rng = np.random.default_rng(config.seed_for("audio"))
+    audio_p = init_encoder_params(rng, ds.audio[0].size, config.hidden_dim,
+                                  config.embed_dim)
     candidates = weak_candidates(ds)
 
     def step(bsz):
@@ -321,10 +319,11 @@ def train_audio_encoder(ds: Dataset, teacher: TeacherParams,
                     encode_np(teacher.text, bags2))
         br, grads = audio_step(audio_p, batch.audio.reshape(bsz, -1),
                                batch.audio_aug.reshape(bsz, -1), t, v, weak,
-                               config.tau, flags)
+                               config)
         return astuple(br), (grads,)
 
-    log = _descend("train-audio", config, [audio_p], len(ds), step)
+    log = _descend("train-audio", config, config.audio_lr, config.audio_epochs,
+                   [audio_p], len(ds), step)
     return audio_p, [(epoch, LossBreakdown(*(float(x) for x in mean)))
                      for epoch, mean in log]
 

@@ -18,10 +18,10 @@ import numpy as np
 
 from .augment import bag_matrix
 from .config import RunConfig, config_hash
-from .data import (Dataset, DatasetManifest, group_rows, label_tokens,
-                   split_by_video)
-from .encoders import (EncoderParams, TeacherParams, encode_np,
-                       train_audio_encoder)
+from .data import (Dataset, DatasetManifest, group_rows, heldout_mask,
+                   label_tokens, split_by_video)
+from .encoders import (EncoderParams, TeacherParams, check_loss_terms,
+                       encode_np, train_audio_encoder)
 from .errors import UsageError
 from .generator import sample_source_latent, synthesize
 from .manipulate import ModelBundle, optimize_latent, text_guided_latent
@@ -123,8 +123,7 @@ def probe_on_heldout_videos(ds: Dataset, manifest: DatasetManifest,
                             epochs: int = 200, lr: float = 0.1) -> EvalReport:
     """Linear probe on audio embeddings, held-out-by-video split."""
     emb = encode_np(audio_params, ds.audio.reshape(len(ds), -1))
-    v = manifest.videos_per_class
-    held = ds.video_id % v == v - 1
+    held = heldout_mask(ds, manifest)
     return linear_probe(emb, ds.class_id, np.where(~held)[0],
                         np.where(held)[0], epochs=epochs, lr=lr)
 
@@ -171,8 +170,8 @@ def _leakage_probe(ds: Dataset, manifest: DatasetManifest,
     biased = np.flatnonzero(np.isin(ds.class_id, biased_classes))
     anchors = [int(biased[i]) for rows in group_rows(ds.video_id[biased])
                for i in rows[:anchors_per_video]]
-    manip = config.manip_config(lambda_id=0.0, steps=steps,
-                                identity_enabled=False)
+    manip = replace(config, lambda_id=0.0, manip_steps=steps,
+                    identity_enabled=False)
     bundle = ModelBundle(models.generator, audio_params, models.text,
                          models.image, models.identity)
     deltas, labels, source_of = [], [], []
@@ -203,11 +202,13 @@ def ablate_weak_loss(ds: Dataset, manifest: DatasetManifest,
                      config: RunConfig) -> AblationReport:
     """Train both arms from one seed and compare alignment and leakage."""
     train, held = split_by_video(ds, manifest)
+    # the without-KL arm's terms are a subset of the with-KL arm's, so this
+    # checks both arms before either trains
+    check_loss_terms(replace(config, use_loss_kl=False), manifest.classes)
     arm = {}
     for use_kl in (True, False):
-        cfg = config.audio_train_config()
-        cfg.flags = replace(cfg.flags, use_kl=use_kl)
-        params, _ = train_audio_encoder(train, teacher, cfg)
+        params, _ = train_audio_encoder(
+            train, teacher, replace(config, use_loss_kl=use_kl))
         zs = zero_shot_classify(held, params, teacher.text, manifest.classes,
                                 config)
         cos = cross_video_audio_image_cosine(ds, params, teacher.image)
@@ -239,20 +240,19 @@ def _flat_cos(a: np.ndarray, b: np.ndarray) -> float:
 
 def direction_stats(attribute_classes: list[int], n_seeds: int,
                     ds: Dataset, models: ModelBundle,
-                    config: RunConfig, steps: int | None = None,
-                    step_size: float | None = None) -> EvalReport:
+                    config: RunConfig) -> EvalReport:
     """Mean/std cosine between source, audio-guided, and text-guided codes.
 
     Per attribute class and seed, one random source latent is optimized
     against a seeded audio record of that class and against the class label
-    text, with matched optimizer settings.
+    text, with matched optimizer settings: ``config``'s step count and step
+    size, with the identity term off.
     """
     if n_seeds < 2:
         raise UsageError("direction statistics need at least 2 seeds")
     if not attribute_classes:
         raise UsageError("need at least one attribute class")
-    manip = config.manip_config(lambda_id=0.0, steps=steps,
-                                step_size=step_size, identity_enabled=False)
+    manip = replace(config, lambda_id=0.0, identity_enabled=False)
     stats: dict[str, list[float]] = {"sa": [], "st": [], "at": []}
     extras: dict[str, float] = {}
     for attr in attribute_classes:

@@ -18,10 +18,11 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
+from .config import RunConfig
 from .encoders import PARAM_KEYS, encode_vjp, init_encoder_params
 from .generator import init_generator
 from .losses import info_nce, weak_kl
-from .manipulate import (ManipConfig, ModelBundle, init_identity_extractor,
+from .manipulate import (ModelBundle, init_identity_extractor,
                          objective_and_grad, source_reference)
 
 TOLERANCE = 1e-4
@@ -130,7 +131,7 @@ def _manipulation_checks(rng: np.random.Generator,
     target /= np.linalg.norm(target)
     w_s = rng.standard_normal((8, 32))
     gate = rng.standard_normal(8)
-    config = ManipConfig(lambda_reg=0.05, lambda_id=0.05)
+    config = RunConfig(lambda_reg=0.05, lambda_id=0.05)
     models = ModelBundle(gen, image_params, image_params, image_params, identity)
     d_src, src_id = source_reference(w_s, target, config, models)
     # the gate check needs a drifted latent; reversing the layers of w_s

@@ -41,15 +41,6 @@ class LossBreakdown:
     total: float
 
 
-@dataclass(frozen=True)
-class LossFlags:
-    use_at: bool = True
-    use_av: bool = True
-    use_self: bool = True
-    use_kl: bool = True
-    kl_full_rows: bool = False
-
-
 def _check_pair(a: np.ndarray, b: np.ndarray, min_n: int = 2) -> int:
     if a.ndim != 2 or b.ndim != 2 or a.shape != b.shape:
         raise UsageError(f"embedding sets must share shape, got {a.shape} {b.shape}")

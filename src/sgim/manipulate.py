@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .encoders import EncoderParams, encode_audio, encode_text
 from .errors import DegenerateInputError, NumericsError, ParameterError
 from .generator import GeneratorParams, synthesize
@@ -51,16 +52,6 @@ def init_identity_extractor(rng: np.random.Generator, pixels: int = 64,
 def identity_features(extractor: IdentityExtractor, image: np.ndarray) -> np.ndarray:
     feat, _ = _identity_forward(_c(image).reshape(1, -1), extractor)
     return feat[0]
-
-
-@dataclass
-class ManipConfig:
-    lambda_reg: float = 0.008
-    lambda_id: float = 0.004
-    steps: int = 300
-    step_size: float = 0.1
-    adaptive_masking: bool = True
-    identity_enabled: bool = True
 
 
 @dataclass
@@ -130,7 +121,7 @@ def _distance(w: np.ndarray, gen: GeneratorParams, enc: EncoderParams,
     return float(1.0 - (v * _c(target)[None, :]).sum())
 
 
-def source_reference(w_s: np.ndarray, target: np.ndarray, config: ManipConfig,
+def source_reference(w_s: np.ndarray, target: np.ndarray, config: RunConfig,
                      models: ModelBundle) -> tuple[float, np.ndarray | None]:
     """(d_src, source identity features or None) for ``objective_and_grad``,
     from its own forward expressions: step 0 gives hinge 1 and identity 0."""
@@ -142,7 +133,7 @@ def source_reference(w_s: np.ndarray, target: np.ndarray, config: ManipConfig,
 
 
 def objective_and_grad(w: np.ndarray, g: np.ndarray, w_s: np.ndarray,
-                       target: np.ndarray, d_src: float, config: ManipConfig,
+                       target: np.ndarray, d_src: float, config: RunConfig,
                        models: ModelBundle, source_identity: np.ndarray | None,
                        ) -> tuple[float, float, float, float,
                                   np.ndarray, np.ndarray]:
@@ -220,7 +211,7 @@ def objective_and_grad(w: np.ndarray, g: np.ndarray, w_s: np.ndarray,
             grad_w, grad_g)
 
 
-def optimize_guided(w_s: np.ndarray, target: np.ndarray, config: ManipConfig,
+def optimize_guided(w_s: np.ndarray, target: np.ndarray, config: RunConfig,
                     models: ModelBundle,
                     ) -> tuple[np.ndarray, np.ndarray, list[TrajectoryPoint]]:
     """Gradient descent on the manipulation objective from w_a = w_s.
@@ -228,9 +219,9 @@ def optimize_guided(w_s: np.ndarray, target: np.ndarray, config: ManipConfig,
     Returns the final latent, the final gate logits, and the per-step
     trajectory (values evaluated before each update).
     """
-    if config.steps < 1:
-        raise ParameterError("steps must be >= 1")
-    for name in ("step_size", "lambda_reg", "lambda_id"):
+    if config.manip_steps < 1:
+        raise ParameterError("manip_steps must be >= 1")
+    for name in ("manip_step_size", "lambda_reg", "lambda_id"):
         value = float(getattr(config, name))
         if not (np.isfinite(value) and value >= 0.0):
             raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
@@ -249,7 +240,7 @@ def optimize_guided(w_s: np.ndarray, target: np.ndarray, config: ManipConfig,
     trajectory: list[TrajectoryPoint] = []
     # divergence is reported by the checks below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(config.steps):
+        for step in range(config.manip_steps):
             total, hinge_v, reg_v, id_v, grad_w, grad_g = objective_and_grad(
                 w, g, w_s, target, d_src, config, models, source_identity)
             if not np.isfinite(total):
@@ -260,19 +251,19 @@ def optimize_guided(w_s: np.ndarray, target: np.ndarray, config: ManipConfig,
                 raise NumericsError(f"gradient became non-finite at step {step}")
             trajectory.append(TrajectoryPoint(step, hinge_v, reg_v, id_v, total,
                                               gate_softmax(g)))
-            w = w - config.step_size * grad_w
-            g = g - config.step_size * grad_g
+            w = w - config.manip_step_size * grad_w
+            g = g - config.manip_step_size * grad_g
     return w, g, trajectory
 
 
-def optimize_latent(w_s: np.ndarray, mel: np.ndarray, config: ManipConfig,
+def optimize_latent(w_s: np.ndarray, mel: np.ndarray, config: RunConfig,
                     models: ModelBundle,
                     ) -> tuple[np.ndarray, np.ndarray, list[TrajectoryPoint]]:
     """Audio-guided manipulation: guidance is the audio embedding of ``mel``."""
     return optimize_guided(w_s, encode_audio(mel, models.audio), config, models)
 
 
-def text_guided_latent(w_s: np.ndarray, ids: np.ndarray, config: ManipConfig,
+def text_guided_latent(w_s: np.ndarray, ids: np.ndarray, config: RunConfig,
                        models: ModelBundle,
                        ) -> tuple[np.ndarray, np.ndarray, list[TrajectoryPoint]]:
     """Same optimizer driven by the text embedding of a row of token ids."""

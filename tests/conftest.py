@@ -4,6 +4,7 @@ Everything derives from one master seed through the same stage offsets the
 CLI uses, so numbers pinned here match `sgim` runs with --seed 7.
 """
 
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,6 @@ from sgim.data import generate_dataset, split_by_video
 from sgim.errors import UsageError
 from sgim.encoders import pretrain_teacher, train_audio_encoder
 from sgim.generator import fit_generator_to_dataset
-from sgim.losses import LossFlags
 from sgim.manipulate import ModelBundle, init_identity_extractor
 
 MASTER_SEED = 7
@@ -48,24 +48,14 @@ def splits(dataset, manifest):
 @pytest.fixture(scope="session")
 def teacher(splits, run_config):
     train, _ = splits
-    params, log = pretrain_teacher(train, run_config.teacher_train_config())
+    params, log = pretrain_teacher(train, run_config)
     return params, log
 
 
 @pytest.fixture(scope="session")
 def audio_encoder(splits, teacher, run_config):
     train, _ = splits
-    params, log = train_audio_encoder(train, teacher[0],
-                                      run_config.audio_train_config())
-    return params, log
-
-
-@pytest.fixture(scope="session")
-def audio_encoder_no_kl(splits, teacher, run_config):
-    train, _ = splits
-    cfg = run_config.audio_train_config()
-    cfg.flags = LossFlags(use_kl=False)
-    params, log = train_audio_encoder(train, teacher[0], cfg)
+    params, log = train_audio_encoder(train, teacher[0], run_config)
     return params, log
 
 
@@ -87,9 +77,12 @@ def model_bundle(gen_fit, teacher, audio_encoder, run_config):
 
 @pytest.fixture(scope="session")
 def ablation_report(dataset, manifest, teacher, model_bundle, run_config):
+    """The weak-loss ablation report, and the seconds its run took."""
     from sgim.evaluate import ablate_weak_loss
-    return ablate_weak_loss(dataset, manifest, teacher[0], model_bundle,
-                            run_config)
+    start = time.monotonic()
+    report = ablate_weak_loss(dataset, manifest, teacher[0], model_bundle,
+                              run_config)
+    return report, time.monotonic() - start
 
 
 @pytest.fixture(scope="session")

@@ -29,11 +29,12 @@ from dataclasses import replace
 import numpy as np
 
 from sgim import autodiff as ad
+from sgim.config import RunConfig
 from sgim.encoders import PARAM_KEYS, EncoderParams
 from sgim.errors import DimensionError, NumericsError, UsageError
 from sgim.generator import GeneratorParams, synthesize
-from sgim.losses import LossBreakdown, LossFlags
-from sgim.manipulate import (IdentityExtractor, ManipConfig, ModelBundle,
+from sgim.losses import LossBreakdown
+from sgim.manipulate import (IdentityExtractor, ModelBundle,
                              TrajectoryPoint, gate_softmax, identity_features,
                              source_reference)
 
@@ -89,17 +90,21 @@ def weak_kl_loss_node(a: ad.Node, v_weak: ad.Node, t: np.ndarray, tau: float,
 
 
 def total_loss_node(a: ad.Node, a_aug: ad.Node, t: np.ndarray, v: np.ndarray,
-                    v_weak: np.ndarray | None, tau: float,
-                    flags: LossFlags = LossFlags(),
+                    v_weak: np.ndarray | None, config: RunConfig,
                     ) -> tuple[ad.Node, LossBreakdown]:
-    """Graph plus float breakdown for one batch; ``t``, ``v``, ``v_weak``
-    enter as constants, and ``v_weak`` is only read under ``flags.use_kl``."""
+    """Graph plus float breakdown for one batch under ``config``'s tau and
+    ``use_loss_*`` flags; ``t``, ``v``, ``v_weak`` enter as constants, and
+    ``v_weak`` is only read under ``use_loss_kl``."""
+    tau = config.tau
     zero = ad.constant(0.0)
-    l_at = info_nce_pair_node(a, ad.constant(t), tau) if flags.use_at else zero
-    l_av = info_nce_pair_node(a, ad.constant(v), tau) if flags.use_av else zero
-    l_self = info_nce_pair_node(a, a_aug, tau) if flags.use_self else zero
-    l_kl = (weak_kl_loss_node(a, ad.constant(v_weak), t, tau, flags.kl_full_rows)
-            if flags.use_kl else zero)
+    l_at = (info_nce_pair_node(a, ad.constant(t), tau)
+            if config.use_loss_at else zero)
+    l_av = (info_nce_pair_node(a, ad.constant(v), tau)
+            if config.use_loss_av else zero)
+    l_self = info_nce_pair_node(a, a_aug, tau) if config.use_loss_self else zero
+    l_kl = (weak_kl_loss_node(a, ad.constant(v_weak), t, tau,
+                              config.kl_full_rows)
+            if config.use_loss_kl else zero)
     total = ad.add(ad.add(ad.add(l_at, l_av), l_self), l_kl)
     breakdown = LossBreakdown(float(l_at.value), float(l_av.value),
                               float(l_self.value), float(l_kl.value),
@@ -122,20 +127,20 @@ def graph_teacher_step(text_p: EncoderParams, image_p: EncoderParams,
 
 def graph_audio_step(params: EncoderParams, x: np.ndarray, x_aug: np.ndarray,
                      t: np.ndarray, v: np.ndarray, weak: tuple | None,
-                     tau: float, flags: LossFlags):
+                     config: RunConfig):
     """`encoders.audio_step` as one graph and one backward: the main
     batch's three terms, plus the weak term on its own batch."""
     an = encoder_param_nodes(params)
     a = encode_nodes(an, ad.constant(x))
     a_aug = encode_nodes(an, ad.constant(x_aug))
-    loss, br = total_loss_node(a, a_aug, t, v, None, tau,
-                               replace(flags, use_kl=False))
+    loss, br = total_loss_node(a, a_aug, t, v, None,
+                               replace(config, use_loss_kl=False))
     kl_val = 0.0
-    if flags.use_kl and weak is not None:
+    if config.use_loss_kl and weak is not None:
         x_weak, v_weak, t_weak = weak
         a2 = encode_nodes(an, ad.constant(x_weak))
-        kl = weak_kl_loss_node(a2, ad.constant(v_weak), t_weak, tau,
-                               flags.kl_full_rows)
+        kl = weak_kl_loss_node(a2, ad.constant(v_weak), t_weak, config.tau,
+                               config.kl_full_rows)
         loss = ad.add(loss, kl)
         kl_val = float(kl.value)
     ad.backward(loss)
@@ -200,7 +205,7 @@ def _distance_node(u: ad.Node, t: np.ndarray) -> ad.Node:
 
 
 def objective_node(w: ad.Node, g: ad.Node | None, w_s: np.ndarray,
-                   target: np.ndarray, d_src: float, config: ManipConfig,
+                   target: np.ndarray, d_src: float, config: RunConfig,
                    models: ModelBundle, source_identity: np.ndarray | None,
                    ) -> tuple[ad.Node, float, float, float]:
     """Full manipulation objective; returns (total, hinge, reg, identity)."""
@@ -222,7 +227,7 @@ def objective_node(w: ad.Node, g: ad.Node | None, w_s: np.ndarray,
 
 
 def graph_optimize_guided(w_s: np.ndarray, target: np.ndarray,
-                          config: ManipConfig, models: ModelBundle,
+                          config: RunConfig, models: ModelBundle,
                           ) -> tuple[np.ndarray, np.ndarray,
                                      list[TrajectoryPoint]]:
     """The descent loop of `manipulate.optimize_guided`, one graph and one
@@ -238,7 +243,7 @@ def graph_optimize_guided(w_s: np.ndarray, target: np.ndarray,
     if config.identity_enabled and config.lambda_id > 0.0:
         source_identity = _identity_node(models.identity, img_s).value[0]
     trajectory: list[TrajectoryPoint] = []
-    for step in range(config.steps):
+    for step in range(config.manip_steps):
         w_node = ad.leaf(w)
         g_node = ad.leaf(g[None, :]) if config.adaptive_masking else None
         total, hinge_v, reg_v, id_v = objective_node(
@@ -248,9 +253,9 @@ def graph_optimize_guided(w_s: np.ndarray, target: np.ndarray,
         trajectory.append(TrajectoryPoint(step, hinge_v, reg_v, id_v,
                                           float(total.value), gate_softmax(g)))
         ad.backward(total)
-        w = w - config.step_size * w_node.grad
+        w = w - config.manip_step_size * w_node.grad
         if g_node is not None:
-            g = g - config.step_size * g_node.grad[0]
+            g = g - config.manip_step_size * g_node.grad[0]
     return w, g, trajectory
 
 
@@ -273,7 +278,7 @@ def hinge_loss(w_s: np.ndarray, w_a: np.ndarray, a: np.ndarray,
     """Hinge with d_cos(u, v) = 1 - u.v, by the objective's expressions
     (``source_reference`` gives each latent's distance)."""
     models = ModelBundle(gen, None, None, f_v, None)
-    config = ManipConfig(identity_enabled=False)
+    config = RunConfig(identity_enabled=False)
     d_src, _ = source_reference(w_s, a, config, models)
     d_manip, _ = source_reference(w_a, a, config, models)
     return hinge_from_distances(d_src, d_manip)

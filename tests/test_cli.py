@@ -4,6 +4,7 @@ import struct
 
 import pytest
 
+from sgim import evaluate
 from sgim.cli import main
 
 from conftest import read_pgm
@@ -262,20 +263,31 @@ BAD_TRAINING_VALUES = {
     "probe_epochs_0": ("probe_epochs=0", "probe_epochs must be >= 1, got 0"),
     "probe_lr_-1": ("probe_lr=-1", "probe_lr must be finite and > 0, got -1.0"),
     "probe_lr_nan": ("probe_lr=nan", "probe_lr must be finite and > 0, got nan"),
+    "sched_period_0": ("sched_period=0", "sched_period must be >= 1, got 0"),
+    "sched_period_-3": ("sched_period=-3", "sched_period must be >= 1, got -3"),
+    "hidden_dim_0": ("hidden_dim=0", "hidden_dim must be >= 1, got 0"),
+    "embed_dim_0": ("embed_dim=0", "embed_dim must be >= 1, got 0"),
+    "latent_dim_0": ("latent_dim=0", "latent_dim must be >= 1, got 0"),
 }
+
+# the stage each case runs, and the artifact it must not write; a key that
+# only the generator reads is tried on fit-generator
+TRAINING_STAGES = {"latent_dim": ("fit-generator", "generator.ckpt")}
 
 
 @pytest.mark.parametrize("name", sorted(BAD_TRAINING_VALUES))
 def test_bad_training_value_validation_error(name, tmp_path, capsys):
     override, message = BAD_TRAINING_VALUES[name]
+    command, artifact = TRAINING_STAGES.get(
+        override.partition("=")[0], ("pretrain-teacher", "teacher.ckpt"))
     run = tmp_path / "run"
     assert run_cli(*FAST, "gen-data", "--run", run) == 0
     capsys.readouterr()
-    code = run_cli(*FAST, "--set", override, "pretrain-teacher", "--run", run)
+    code = run_cli(*FAST, "--set", override, command, "--run", run)
     assert code == 2
     err = capsys.readouterr().err
     assert err == f"error: validation: {message}\n"
-    assert not (run / "teacher.ckpt").exists()
+    assert not (run / artifact).exists()
 
 
 def test_diverging_step_is_internal_error(pipeline_dir, capsys):
@@ -293,20 +305,30 @@ def test_diverging_step_is_internal_error(pipeline_dir, capsys):
 NO_LOSS_TERM = {
     "train-audio": ["use_loss_at=0", "use_loss_av=0", "use_loss_self=0",
                     "use_loss_kl=0"],
-    # the with-KL arm trains; the without-KL arm has no term left
+    # the with-KL arm has a term; the without-KL arm has none left
     "ablate": ["use_loss_at=0", "use_loss_av=0", "use_loss_self=0"],
 }
 
 
 @pytest.mark.parametrize("command", sorted(NO_LOSS_TERM))
 def test_no_loss_term_validation_error(command, pipeline_dir, tmp_path,
-                                       capsys):
+                                       capsys, monkeypatch):
     run = tmp_path / "run"
     shutil.copytree(pipeline_dir, run)
     before = (run / "audio.ckpt").read_bytes()
     overrides = [a for kv in NO_LOSS_TERM[command] for a in ("--set", kv)]
+    # ablate must reject its flags before either arm trains
+    trained = []
+    real = evaluate.train_audio_encoder
+
+    def counting(*args):
+        trained.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(evaluate, "train_audio_encoder", counting)
     capsys.readouterr()
     assert run_cli(*FAST, *overrides, command, "--run", run) == 2
+    assert trained == []
     err = capsys.readouterr().err
     assert err.startswith("error: validation: no loss term is enabled")
     assert "\n" not in err.strip()

@@ -8,15 +8,16 @@ import pytest
 from sgim import autodiff as ad
 from sgim import encoders
 from sgim.augment import VOCAB_SIZE, bag_matrix
+from sgim.config import RunConfig
 from sgim.data import (DatasetManifest, MiniBatch, generate_dataset,
                        label_tokens, sample_minibatch, sample_weak_pair,
                        split_by_video, weak_candidates)
 from sgim.encoders import (PARAM_KEYS, EncoderParams, TeacherParams,
-                           TrainConfig, cyclic_lr, encode_audio, encode_np,
-                           encode_text, init_encoder_params, pretrain_teacher,
+                           cyclic_lr, encode_audio, encode_np, encode_text,
+                           init_encoder_params, pretrain_teacher,
                            train_audio_encoder)
 from sgim.errors import DegenerateInputError, NumericsError, UsageError
-from sgim.losses import LossBreakdown, LossFlags
+from sgim.losses import LossBreakdown
 
 from graph_reference import (encode_nodes, encoder_param_nodes,
                              graph_audio_step, graph_teacher_step)
@@ -45,8 +46,7 @@ def params_hash(params: EncoderParams) -> str:
 
 def batch_total_loss(batch: MiniBatch, weak_images: np.ndarray,
                      audio_params: EncoderParams, teacher: TeacherParams,
-                     tau: float, flags: LossFlags = LossFlags(),
-                     ) -> LossBreakdown:
+                     config: RunConfig) -> LossBreakdown:
     """Loss breakdown for a prepared batch, no parameter updates."""
     n = len(batch.rows)
     x = batch.audio.reshape(n, -1)
@@ -55,7 +55,7 @@ def batch_total_loss(batch: MiniBatch, weak_images: np.ndarray,
     v_weak = encode_np(teacher.image, weak_images)
     breakdown, _ = encoders.audio_step(audio_params, x,
                                        batch.audio_aug.reshape(n, -1), t, v,
-                                       (x, v_weak, t), tau, flags)
+                                       (x, v_weak, t), config)
     return breakdown
 
 
@@ -110,9 +110,9 @@ def test_cyclic_lr_schedule():
 
 def test_pretrain_rejects_empty_and_tiny_batch(dataset):
     with pytest.raises(UsageError):
-        pretrain_teacher(dataset.take(np.arange(0)), TrainConfig())
+        pretrain_teacher(dataset.take(np.arange(0)), RunConfig())
     with pytest.raises(UsageError):
-        pretrain_teacher(dataset.take(np.arange(8)), TrainConfig(batch_size=1))
+        pretrain_teacher(dataset.take(np.arange(8)), RunConfig(batch_size=1))
 
 
 def test_teacher_loss_decreases(teacher):
@@ -160,29 +160,26 @@ def test_audio_training_requires_frozen_teacher(splits, teacher):
     thawed = TeacherParams(text=replace(teacher[0].text, frozen=False),
                            image=replace(teacher[0].image, frozen=False))
     with pytest.raises(UsageError):
-        train_audio_encoder(train, thawed, TrainConfig(epochs=1))
+        train_audio_encoder(train, thawed, RunConfig(audio_epochs=1))
 
 
 def test_audio_training_rejects_tiny_batch(splits, teacher):
     train, _ = splits
     with pytest.raises(UsageError):
-        train_audio_encoder(train, teacher[0], TrainConfig(batch_size=1))
+        train_audio_encoder(train, teacher[0], RunConfig(batch_size=1))
 
 
 def test_teacher_untouched_by_audio_stage(splits, teacher, run_config):
     train, _ = splits
     before = (params_hash(teacher[0].text), params_hash(teacher[0].image))
-    cfg = run_config.audio_train_config()
-    cfg.epochs = 1
-    train_audio_encoder(train, teacher[0], cfg)
+    train_audio_encoder(train, teacher[0], replace(run_config, audio_epochs=1))
     after = (params_hash(teacher[0].text), params_hash(teacher[0].image))
     assert before == after
 
 
 def test_audio_training_deterministic(splits, teacher, run_config):
     train, _ = splits
-    cfg = run_config.audio_train_config()
-    cfg.epochs = 3
+    cfg = replace(run_config, audio_epochs=3)
     a, _ = train_audio_encoder(train, teacher[0], cfg)
     b, _ = train_audio_encoder(train, teacher[0], cfg)
     assert params_hash(a) == params_hash(b)
@@ -198,7 +195,7 @@ def test_pinned_init_loss_breakdown(splits, teacher, run_config):
     candidates = weak_candidates(train)
     weak = [sample_weak_pair(candidates, i, brng) for i in batch.rows]
     br = batch_total_loss(batch, train.image[weak], audio_p, teacher[0],
-                          run_config.tau)
+                          run_config)
     assert br.total == pytest.approx(PINNED_INIT_TOTAL, rel=1e-9)
     assert br.total == pytest.approx(
         br.nce_at + br.nce_av + br.self_aa + br.kl_weak, abs=1e-9)
@@ -214,9 +211,9 @@ def test_training_lowers_total_loss(splits, teacher, audio_encoder, run_config):
     candidates = weak_candidates(train)
     weak = train.image[[sample_weak_pair(candidates, i, brng)
                         for i in batch.rows]]
-    before = batch_total_loss(batch, weak, init_p, teacher[0], run_config.tau)
+    before = batch_total_loss(batch, weak, init_p, teacher[0], run_config)
     after = batch_total_loss(batch, weak, audio_encoder[0], teacher[0],
-                             run_config.tau)
+                             run_config)
     assert after.total < before.total
 
 
@@ -231,8 +228,8 @@ def test_weak_pair_fallback_warns_once_per_class(caplog):
         image=init_encoder_params(rng, manifest.pixels, 16, 8))
     teacher.text.frozen = teacher.image.frozen = True
     with caplog.at_level("WARNING", logger="sgim.data"):
-        train_audio_encoder(train, teacher, TrainConfig(epochs=2), hidden=16,
-                            embed_dim=8)
+        train_audio_encoder(train, teacher, RunConfig(
+            audio_epochs=2, hidden_dim=16, embed_dim=8))
     fallbacks = [r.message for r in caplog.records if "fallback" in r.message]
     assert len(fallbacks) == manifest.classes
     assert len(set(fallbacks)) == manifest.classes
@@ -300,7 +297,10 @@ def _log_bytes(log) -> bytes:
                                 else v]) for e, v in log]).tobytes()
 
 
-SIDE_BY_SIDE = TrainConfig(lr=0.1, epochs=3, batch_size=32, seed=5)
+# both sides of each comparison train from one master seed
+SIDE_BY_SIDE = RunConfig(master_seed=5, teacher_lr=0.1, audio_lr=0.1,
+                         teacher_epochs=3, audio_epochs=3, batch_size=32,
+                         hidden_dim=16)
 
 
 def test_teacher_step_matches_graph_over_training(splits, monkeypatch):
@@ -310,49 +310,53 @@ def test_teacher_step_matches_graph_over_training(splits, monkeypatch):
         states: list = []
         _recording_optimizer(monkeypatch, states)
         monkeypatch.setattr(encoders, "teacher_step", step)
-        params, log = pretrain_teacher(train, SIDE_BY_SIDE, hidden=16,
-                                       embed_dim=8)
+        params, log = pretrain_teacher(train,
+                                       replace(SIDE_BY_SIDE, embed_dim=8))
         runs.append((states, _log_bytes(log),
                      params_hash(params.text), params_hash(params.image)))
     assert len(runs[0][0]) >= 2 * 20  # two optimizers, >= 20 steps each
     assert runs[0] == runs[1]
 
 
-# every LossFlags combination with at least one term on; kl_full_rows
+def _flags(at, av, own, kl, full=False) -> dict[str, bool]:
+    return {"use_loss_at": at, "use_loss_av": av, "use_loss_self": own,
+            "use_loss_kl": kl, "kl_full_rows": full}
+
+
+# every use_loss_* combination with at least one term on; kl_full_rows
 # changes something only with the weak term on
-FLAG_SETS = [LossFlags(at, av, own, kl, full)
+FLAG_SETS = [_flags(at, av, own, kl, full)
              for at, av, own, kl in itertools.product((True, False), repeat=4)
              if at or av or own or kl
              for full in ((False, True) if kl else (False,))]
 
 
-def _flags_id(f: LossFlags) -> str:
-    return "+".join(name for name, on in (
-        ("at", f.use_at), ("av", f.use_av), ("self", f.use_self),
-        ("kl", f.use_kl), ("full_rows", f.kl_full_rows)) if on)
+def _flags_id(flags: dict[str, bool]) -> str:
+    return "+".join(name.removeprefix("use_loss_").removeprefix("kl_")
+                    for name, on in flags.items() if on)
 
 
 @pytest.mark.parametrize("flags", FLAG_SETS, ids=_flags_id)
 def test_audio_step_matches_graph_over_training(flags, splits, teacher,
                                                 monkeypatch):
     train, _ = splits
-    cfg = replace(SIDE_BY_SIDE, flags=flags)
+    cfg = replace(SIDE_BY_SIDE, **flags)
     runs = []
     for step in (encoders.audio_step, graph_audio_step):
         states: list = []
         _recording_optimizer(monkeypatch, states)
         monkeypatch.setattr(encoders, "audio_step", step)
-        params, log = train_audio_encoder(train, teacher[0], cfg, hidden=16)
+        params, log = train_audio_encoder(train, teacher[0], cfg)
         runs.append((states, _log_bytes(log), params_hash(params)))
     assert len(runs[0][0]) >= 20
     assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("flags, one_class", [
-    (LossFlags(False, False, False, False), False),
-    (LossFlags(False, False, False, False, kl_full_rows=True), False),
+    (_flags(False, False, False, False), False),
+    (_flags(False, False, False, False, full=True), False),
     # the weak term's batch holds one row per class
-    (LossFlags(False, False, False, True), True)],
+    (_flags(False, False, False, True), True)],
     ids=["all_off", "full_rows_only", "weak_term_on_one_class"])
 def test_audio_training_rejects_no_loss_term(flags, one_class, splits,
                                              teacher):
@@ -360,7 +364,7 @@ def test_audio_training_rejects_no_loss_term(flags, one_class, splits,
     if one_class:
         train = train.take(train.class_id == 0)
     with pytest.raises(UsageError, match="no loss term is enabled"):
-        train_audio_encoder(train, teacher[0], TrainConfig(flags=flags))
+        train_audio_encoder(train, teacher[0], RunConfig(**flags))
 
 
 def test_training_divergence_raises_numerics_error(splits, teacher):
@@ -369,11 +373,12 @@ def test_training_divergence_raises_numerics_error(splits, teacher):
     train, _ = splits
     with pytest.raises(NumericsError, match=r"^pretrain-teacher: loss or "
                        r"gradient became non-finite at epoch 0, step \d+$"):
-        pretrain_teacher(train, TrainConfig(lr=1e308, epochs=2))
+        pretrain_teacher(train, RunConfig(teacher_lr=1e308, teacher_epochs=2))
     with pytest.raises(NumericsError, match=r"^train-audio: loss or gradient "
                        r"became non-finite at epoch 0, step \d+$"):
-        train_audio_encoder(train, teacher[0], TrainConfig(lr=1e308, epochs=2))
+        train_audio_encoder(train, teacher[0],
+                            RunConfig(audio_lr=1e308, audio_epochs=2))
     # non-finite audio fails the first step
     bad = replace(train, audio=np.full_like(train.audio, np.inf))
     with pytest.raises(NumericsError, match="epoch 0, step 0$"):
-        train_audio_encoder(bad, teacher[0], TrainConfig(epochs=1))
+        train_audio_encoder(bad, teacher[0], RunConfig(audio_epochs=1))

@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sgim import evaluate
+from sgim.data import heldout_mask
 from sgim.encoders import encode_np, init_encoder_params
 from sgim.errors import UsageError
 from sgim.evaluate import (EvalReport, ablation_csv, classify_by_cosine,
@@ -75,8 +78,7 @@ def test_probe_at_least_zero_shot(dataset, manifest, audio_encoder, teacher,
 def test_probe_shuffled_labels_near_chance(dataset, manifest, audio_encoder):
     emb = encode_np(audio_encoder[0], dataset.audio.reshape(len(dataset), -1))
     shuffled = np.random.default_rng(13).permutation(dataset.class_id)
-    v = manifest.videos_per_class
-    held = dataset.video_id % v == v - 1
+    held = heldout_mask(dataset, manifest)
     report = linear_probe(emb, shuffled, np.where(~held)[0], np.where(held)[0])
     lo, hi = binomial_99_interval(int(held.sum()), 1.0 / manifest.classes)
     assert report.overall * held.sum() <= hi + 8  # loose: shuffle is not iid
@@ -98,14 +100,15 @@ def test_probe_deterministic(dataset, manifest, audio_encoder):
 def test_ablation_margin_and_leakage(ablation_report):
     # the weak-loss arm aligns same-class cross-video
     # audio/image pairs better and leaks the nuisance pattern less
-    assert ablation_report.cosine_margin >= 0.05
-    assert ablation_report.leakage_with_kl < ablation_report.leakage_without_kl
-    assert ablation_report.with_kl.overall >= 0.9
-    assert ablation_report.without_kl.overall >= 0.9
+    report, _ = ablation_report
+    assert report.cosine_margin >= 0.05
+    assert report.leakage_with_kl < report.leakage_without_kl
+    assert report.with_kl.overall >= 0.9
+    assert report.without_kl.overall >= 0.9
 
 
 def test_ablation_csv_shape(ablation_report):
-    lines = ablation_csv(ablation_report).strip().splitlines()
+    lines = ablation_csv(ablation_report[0]).strip().splitlines()
     assert lines[0] == "metric,with_kl,without_kl"
     assert len(lines) == 4
 
@@ -119,11 +122,36 @@ def test_cross_video_cosine_range(dataset, audio_encoder, teacher):
 def test_direction_stats_zero_movement_gives_unit_cosines(dataset,
                                                           model_bundle,
                                                           run_config):
-    report = direction_stats([3], 2, dataset, model_bundle, run_config,
-                             steps=1, step_size=0.0)
+    config = replace(run_config, manip_steps=1, manip_step_size=0.0)
+    report = direction_stats([3], 2, dataset, model_bundle, config)
     assert report.extras["cos_sa_mean"] == 1.0
     assert report.extras["cos_st_mean"] == 1.0
     assert report.extras["cos_at_mean"] == 1.0
+
+
+def test_evaluation_manipulates_without_identity(dataset, manifest,
+                                                 model_bundle, run_config,
+                                                 monkeypatch):
+    # direction stats and the leakage probe run the configured optimizer
+    # with lambda_id 0 and the identity term off; the probe at its own
+    # step count
+    seen = []
+
+    def record(w_s, guidance, config, models):
+        seen.append(config)
+        return w_s, None, []
+
+    monkeypatch.setattr(evaluate, "optimize_latent", record)
+    monkeypatch.setattr(evaluate, "text_guided_latent", record)
+    config = replace(run_config, manip_steps=9, manip_step_size=0.3,
+                     lambda_reg=0.5, adaptive_masking=False)
+    direction_stats([3], 2, dataset, model_bundle, config)
+    evaluate._leakage_probe(dataset, manifest, model_bundle.audio,
+                            model_bundle, config, sources=2, steps=7)
+    expected = replace(config, lambda_id=0.0, identity_enabled=False)
+    assert seen[:4] == [expected] * 4
+    assert len(seen) > 4
+    assert seen[4:] == [replace(expected, manip_steps=7)] * (len(seen) - 4)
 
 
 def test_direction_stats_requires_seeds(dataset, model_bundle, run_config):

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgim import autodiff as ad
+from sgim.config import RunConfig
 from sgim.encoders import audio_step, encode_np, init_encoder_params
 from sgim.errors import DegenerateInputError, ParameterError, UsageError
-from sgim.losses import LossFlags, info_nce, similarity, weak_kl
+from sgim.losses import info_nce, similarity, weak_kl
 
 from graph_reference import (diag_cross_entropy_term, info_nce_pair_node,
                              weak_kl_loss_node)
@@ -27,14 +28,15 @@ def weak_kl_loss(a, v, t, tau, full_rows=False):
     return weak_kl(a, v, t, tau, full_rows)[0]
 
 
-def step_breakdown(seed, flags=LossFlags(), n=6):
+def step_breakdown(seed, n=6, **flags):
     """The audio step's loss breakdown for a random encoder, audio batch and
     teacher embeddings; the weak term runs on the batch itself."""
     rng = np.random.default_rng(seed)
     params = init_encoder_params(rng, 10, 12, 8)
     x, x_aug = rng.standard_normal((2, n, 10))
     t, v, v_weak = (_unit_rows(rng, n, 8) for _ in range(3))
-    return audio_step(params, x, x_aug, t, v, (x, v_weak, t), 0.2, flags)[0]
+    return audio_step(params, x, x_aug, t, v, (x, v_weak, t),
+                      RunConfig(tau=0.2, **flags))[0]
 
 
 def _softmax_rows(scores, tau):
@@ -125,8 +127,9 @@ def test_self_supervised_reduces_to_info_nce():
     rng = np.random.default_rng(6)
     params = init_encoder_params(rng, 10, 12, 8)
     x, x_aug = rng.standard_normal((2, 6, 10))
-    only_self = LossFlags(use_at=False, use_av=False, use_kl=False)
-    br, _ = audio_step(params, x, x_aug, None, None, None, 1.0, only_self)
+    only_self = RunConfig(tau=1.0, use_loss_at=False, use_loss_av=False,
+                          use_loss_kl=False)
+    br, _ = audio_step(params, x, x_aug, None, None, None, only_self)
     assert br.self_aa == info_nce_pair(encode_np(params, x),
                                        encode_np(params, x_aug), 1.0)
     assert br.total == br.self_aa
@@ -210,7 +213,7 @@ def test_total_loss_additivity_and_ablation():
     assert abs(full.total -
                (full.nce_at + full.nce_av + full.self_aa + full.kl_weak)) < 1e-9
     assert min(full.nce_at, full.nce_av, full.self_aa, full.kl_weak) >= 0.0
-    ablated = step_breakdown(2, LossFlags(use_kl=False))
+    ablated = step_breakdown(2, use_loss_kl=False)
     assert ablated.kl_weak == 0.0
     assert abs(ablated.total -
                (ablated.nce_at + ablated.nce_av + ablated.self_aa)) < 1e-9

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgim import autodiff as ad
+from sgim.config import RunConfig
 from sgim.data import label_tokens
 from sgim.encoders import encode_audio, encode_np
 from sgim.errors import DegenerateInputError, ParameterError, SgimError
 from sgim.generator import sample_source_latent, synthesize
-from sgim.manipulate import (IdentityExtractor, ManipConfig, gate_softmax,
+from sgim.manipulate import (IdentityExtractor, gate_softmax,
                              identity_features, interpolate,
                              objective_and_grad, optimize_guided,
                              optimize_latent, style_mix, text_guided_latent,
@@ -26,7 +27,7 @@ from graph_reference import (graph_optimize_guided, hinge_from_distances,
 def manip_run(gen_fit, model_bundle, dataset):
     w_s = gen_fit.latents[SOURCE_INDEX]
     mel = dataset.audio[AUDIO_INDEX]
-    config = ManipConfig()
+    config = RunConfig()
     w_a, gate, trajectory = optimize_latent(w_s, mel, config, model_bundle)
     return w_s, w_a, gate, trajectory
 
@@ -81,7 +82,7 @@ def test_identity_loss_bounds_and_zero(gen_fit, model_bundle):
 def test_optimize_rejects_bad_steps(gen_fit, model_bundle, dataset):
     with pytest.raises(ParameterError):
         optimize_latent(gen_fit.latents[0], dataset.audio[0],
-                        ManipConfig(steps=0), model_bundle)
+                        RunConfig(manip_steps=0), model_bundle)
 
 
 def test_huge_step_aborts_loudly(gen_fit, model_bundle, dataset):
@@ -89,7 +90,8 @@ def test_huge_step_aborts_loudly(gen_fit, model_bundle, dataset):
     # surfaces in the drift norms once the latent overflows float64
     with np.errstate(over="ignore"), pytest.raises(SgimError):
         optimize_latent(gen_fit.latents[0], dataset.audio[0],
-                        ManipConfig(steps=8, step_size=1e300), model_bundle)
+                        RunConfig(manip_steps=8, manip_step_size=1e300),
+                        model_bundle)
 
 
 def test_canonical_run_drives_hinge_below_one(manip_run):
@@ -118,7 +120,7 @@ def test_gate_mass_moves_to_static_fine_layers(gen_fit, model_bundle, dataset):
     # fine layers nearly untouched and the minimized penalty concentrates
     # its softmax mass there; amplified lambda_reg makes the effect visible
     w_s = gen_fit.latents[SOURCE_INDEX]
-    config = ManipConfig(lambda_reg=1.0)
+    config = RunConfig(lambda_reg=1.0)
     w_a, gate, _ = optimize_latent(w_s, dataset.audio[AUDIO_INDEX], config,
                                    model_bundle)
     softmax = gate_softmax(gate)
@@ -133,7 +135,7 @@ def test_identity_lambda_ordering(gen_fit, model_bundle, dataset):
 
     def identity_cos(lambda_id):
         w_a, _, _ = optimize_latent(w_s, mel,
-                                    ManipConfig(lambda_id=lambda_id),
+                                    RunConfig(lambda_id=lambda_id),
                                     model_bundle)
         f_s = identity_features(model_bundle.identity,
                                 synthesize(w_s, model_bundle.generator))
@@ -148,7 +150,7 @@ def test_objective_gradient_matches_fd(gen_fit, model_bundle, dataset):
     w_s = gen_fit.latents[SOURCE_INDEX]
     target = np.random.default_rng(3).standard_normal(32)
     target /= np.linalg.norm(target)
-    config = ManipConfig()
+    config = RunConfig()
     v_src = encode_np(model_bundle.image,
                       synthesize(w_s, model_bundle.generator)[None, :])[0]
     d_src = 1.0 - float(v_src @ target)
@@ -181,7 +183,7 @@ def test_one_zero_size_step_keeps_source(gen_fit, model_bundle, dataset):
     sources = [gen_fit.latents[SOURCE_INDEX],
                *(sample_source_latent(seed) for seed in range(3))]
     for case, settings_ in GRAPH_CASES.items():
-        config = ManipConfig(steps=1, step_size=0.0, **settings_)
+        config = RunConfig(manip_steps=1, manip_step_size=0.0, **settings_)
         for w_s in sources:
             w_a, _, traj = optimize_latent(w_s, mel, config, model_bundle)
             assert np.array_equal(w_a, w_s)
@@ -195,7 +197,7 @@ def test_numpy_step_matches_graph_loop_bit_exact(case, gen_fit, model_bundle,
                                                   dataset):
     w_s = gen_fit.latents[SOURCE_INDEX]
     target = encode_audio(dataset.audio[AUDIO_INDEX], model_bundle.audio)
-    config = ManipConfig(steps=60, **GRAPH_CASES[case])
+    config = RunConfig(manip_steps=60, **GRAPH_CASES[case])
     w_ref, g_ref, traj_ref = graph_optimize_guided(w_s, target, config,
                                                    model_bundle)
     w, g, traj = optimize_guided(w_s, target, config, model_bundle)
@@ -215,7 +217,7 @@ def test_objective_and_grad_matches_graph_at_edges(case, gen_fit,
     # an inactive hinge (d_src = 5) and zero drift (w = w_s) are the points
     # where signed zeros and the zero-norm subgradients show
     w_s = gen_fit.latents[SOURCE_INDEX]
-    config = ManipConfig(**GRAPH_CASES[case])
+    config = RunConfig(**GRAPH_CASES[case])
     rng = np.random.default_rng(21)
     target = rng.standard_normal(32)
     target /= np.linalg.norm(target)
@@ -265,7 +267,7 @@ def _objective_at(gen_fit, model_bundle, config):
 @pytest.mark.parametrize("adaptive", [True, False])
 def test_objective_and_grad_matches_fd(adaptive, gen_fit, model_bundle):
     at_w, at_g, start, gate = _objective_at(
-        gen_fit, model_bundle, ManipConfig(adaptive_masking=adaptive))
+        gen_fit, model_bundle, RunConfig(adaptive_masking=adaptive))
     assert ad.max_rel_error(at_w(start)[4], lambda w: at_w(w)[0], start) < 1e-4
     grad_g = at_g(gate)[5]
     if adaptive:
@@ -276,7 +278,7 @@ def test_objective_and_grad_matches_fd(adaptive, gen_fit, model_bundle):
 
 
 def test_objective_and_grad_rejects_zero_norm_rows(gen_fit, model_bundle):
-    at_w, _, start, _ = _objective_at(gen_fit, model_bundle, ManipConfig())
+    at_w, _, start, _ = _objective_at(gen_fit, model_bundle, RunConfig())
     dead_image = replace(model_bundle.image,
                          w3=np.zeros_like(model_bundle.image.w3),
                          b3=np.zeros_like(model_bundle.image.b3))
@@ -286,7 +288,7 @@ def test_objective_and_grad_rejects_zero_norm_rows(gen_fit, model_bundle):
                    replace(model_bundle, identity=dead_identity)):
         with pytest.raises(DegenerateInputError):
             objective_and_grad(start, np.zeros(8), gen_fit.latents[SOURCE_INDEX],
-                               np.eye(32)[0], 0.5, ManipConfig(), models,
+                               np.eye(32)[0], 0.5, RunConfig(), models,
                                np.eye(16)[0])
 
 
@@ -296,28 +298,31 @@ def test_objective_and_grad_rejects_zero_norm_rows(gen_fit, model_bundle):
     ("lambda_id", float("inf")), ("lambda_id", -1e-3)])
 def test_optimize_rejects_bad_settings(field, value, gen_fit, model_bundle,
                                        dataset):
-    with pytest.raises(ParameterError, match=field):
+    # the ids name the manipulate flags; step_size's config key is
+    # manip_step_size
+    key = "manip_step_size" if field == "step_size" else field
+    with pytest.raises(ParameterError, match=key):
         optimize_latent(gen_fit.latents[0], dataset.audio[0],
-                        ManipConfig(**{field: value}), model_bundle)
+                        RunConfig(**{key: value}), model_bundle)
 
 
 def test_optimize_rejects_non_finite_inputs(gen_fit, model_bundle):
     w_s = gen_fit.latents[SOURCE_INDEX]
     target = np.eye(32)[0]
     with pytest.raises(DegenerateInputError):
-        optimize_guided(w_s, np.full(32, np.nan), ManipConfig(steps=1),
+        optimize_guided(w_s, np.full(32, np.nan), RunConfig(manip_steps=1),
                         model_bundle)
     bad = w_s.copy()
     bad[0, 0] = np.inf
     with pytest.raises(DegenerateInputError):
-        optimize_guided(bad, target, ManipConfig(steps=1), model_bundle)
+        optimize_guided(bad, target, RunConfig(manip_steps=1), model_bundle)
 
 
 def test_optimizer_deterministic(gen_fit, model_bundle):
     w_s = gen_fit.latents[10]
     target = np.random.default_rng(6).standard_normal(32)
     target /= np.linalg.norm(target)
-    config = ManipConfig(steps=25)
+    config = RunConfig(manip_steps=25)
     a1, g1, _ = optimize_guided(w_s, target, config, model_bundle)
     a2, g2, _ = optimize_guided(w_s, target, config, model_bundle)
     assert np.array_equal(a1, a2)
@@ -327,7 +332,7 @@ def test_optimizer_deterministic(gen_fit, model_bundle):
 def test_text_guided_runs_and_is_finite(gen_fit, model_bundle):
     w_s = gen_fit.latents[SOURCE_INDEX]
     w_t, _, traj = text_guided_latent(w_s, label_tokens(3),
-                                      ManipConfig(steps=50), model_bundle)
+                                      RunConfig(manip_steps=50), model_bundle)
     assert np.all(np.isfinite(w_t))
     assert traj[-1].hinge < 1.0
 
