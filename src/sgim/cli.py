@@ -28,7 +28,8 @@ import numpy as np
 from . import checkpoint as ckpt
 from .config import RunConfig, config_to_text, load_config
 from .data import generate_dataset, load_dataset, save_dataset, split_by_video
-from .encoders import loss_log_csv, pretrain_teacher, train_audio_encoder
+from .encoders import (encode_audio, loss_log_csv, pretrain_teacher,
+                       train_audio_encoder)
 from .errors import (ConfigError, DegenerateInputError, DimensionError,
                      NumericsError, ParameterError, SgimError, UsageError)
 from .evaluate import (ablate_weak_loss, ablation_csv, direction_stats,
@@ -37,7 +38,7 @@ from .evaluate import (ablate_weak_loss, ablation_csv, direction_stats,
 from .generator import fit_generator_to_dataset, sample_source_latent, synthesize
 from .gradcheck import format_results, run_gradient_checks
 from .manipulate import (ModelBundle, init_identity_extractor, interpolate,
-                         optimize_latent, style_mix, trajectory_csv)
+                         optimize_guided, style_mix, trajectory_csv)
 from .pgm import write_pgm
 
 
@@ -147,16 +148,17 @@ def cmd_manipulate(run: Path, args, config: RunConfig) -> int:
     flags = {"lambda_reg": args.lambda_reg, "lambda_id": args.lambda_id,
              "manip_steps": args.steps, "manip_step_size": args.step_size}
     manip = replace(config, **{k: v for k, v in flags.items() if v is not None})
-    w_a, gate, trajectory = optimize_latent(w_s, mel, manip, models)
+    (w_a,), (gate,), trajectory = optimize_guided(
+        w_s[None], encode_audio(mel, models.audio)[None], manip, models)
     out = run / "manip" / args.tag
     out.mkdir(parents=True, exist_ok=True)
     ckpt.save_checkpoint(out / "latent.ckpt", ckpt.latent_arrays(w_a, gate),
-                         config_to_text(config), config.master_seed)
+                         config_to_text(manip), config.master_seed)
     (out / "trajectory.csv").write_text(trajectory_csv(trajectory))
     write_pgm(out / "before.pgm", synthesize(w_s, models.generator))
     write_pgm(out / "after.pgm", synthesize(w_a, models.generator))
-    print(f"hinge {trajectory[0].hinge:.4f} -> {trajectory[-1].hinge:.4f}; "
-          f"outputs in {out}")
+    hinge = trajectory.hinge[:, 0]
+    print(f"hinge {hinge[0]:.4f} -> {hinge[-1]:.4f}; outputs in {out}")
     return 0
 
 

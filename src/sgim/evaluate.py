@@ -21,10 +21,11 @@ from .config import RunConfig, config_hash
 from .data import (Dataset, DatasetManifest, group_rows, heldout_mask,
                    label_tokens, split_by_video)
 from .encoders import (EncoderParams, TeacherParams, check_loss_terms,
-                       encode_np, train_audio_encoder)
+                       encode_audio, encode_np, encode_text,
+                       train_audio_encoder)
 from .errors import UsageError
 from .generator import sample_source_latent, synthesize
-from .manipulate import ModelBundle, optimize_latent, text_guided_latent
+from .manipulate import ModelBundle, optimize_guided
 
 
 @dataclass
@@ -172,20 +173,18 @@ def _leakage_probe(ds: Dataset, manifest: DatasetManifest,
                for i in rows[:anchors_per_video]]
     manip = replace(config, lambda_id=0.0, manip_steps=steps,
                     identity_enabled=False)
-    bundle = ModelBundle(models.generator, audio_params, models.text,
-                         models.image, models.identity)
-    deltas, labels, source_of = [], [], []
-    for s in range(sources):
-        w_s = sample_source_latent(config.seed_for("eval") + s)
-        img_s = synthesize(w_s, models.generator)
-        for anchor in anchors:
-            w_a, _, _ = optimize_latent(w_s, ds.audio[anchor], manip, bundle)
-            deltas.append(synthesize(w_a, models.generator) - img_s)
-            labels.append(1 if ds.nuisance_id[anchor] >= 0 else 0)
-            source_of.append(s)
-    deltas = np.stack(deltas)
-    labels = np.array(labels)
-    source_of = np.array(source_of)
+    # one encode per anchor: a stacked encode would round differently
+    targets = np.stack([encode_audio(ds.audio[a], audio_params)
+                        for a in anchors])
+    w_s = np.stack([sample_source_latent(config.seed_for("eval") + s)
+                    for s in range(sources)])
+    # row s * len(anchors) + k manipulates source s with anchor k
+    source_of = np.repeat(np.arange(sources), len(anchors))
+    w_a, _, _ = optimize_guided(w_s[source_of], np.tile(targets, (sources, 1)),
+                                manip, models)
+    deltas = (synthesize(w_a, models.generator)
+              - synthesize(w_s, models.generator)[source_of])
+    labels = np.tile(ds.nuisance_id[anchors] >= 0, sources).astype(int)
     train_idx = np.where(source_of < sources - 1)[0]
     test_idx = np.where(source_of == sources - 1)[0]
     mean = deltas[train_idx].mean(axis=0)
@@ -253,35 +252,35 @@ def direction_stats(attribute_classes: list[int], n_seeds: int,
     if not attribute_classes:
         raise UsageError("need at least one attribute class")
     manip = replace(config, lambda_id=0.0, identity_enabled=False)
-    stats: dict[str, list[float]] = {"sa": [], "st": [], "at": []}
-    extras: dict[str, float] = {}
+    sources, audio, text = [], [], []
     for attr in attribute_classes:
         pool = np.flatnonzero(ds.class_id == attr)
         if pool.size == 0:
             raise UsageError(f"attribute class {attr} has no records")
-        local = {"sa": [], "st": [], "at": []}
         for s in range(n_seeds):
             seed = config.seed_for("eval") + 1000 * attr + s
-            w_s = sample_source_latent(seed)
-            rng = np.random.default_rng(seed)
-            anchor = pool[rng.integers(0, len(pool))]
-            w_a, _, _ = optimize_latent(w_s, ds.audio[anchor], manip, models)
-            w_t, _, _ = text_guided_latent(w_s, label_tokens(attr), manip,
-                                           models)
-            for key, val in (("sa", _flat_cos(w_s, w_a)),
-                             ("st", _flat_cos(w_s, w_t)),
-                             ("at", _flat_cos(w_a, w_t))):
-                local[key].append(val)
-                stats[key].append(val)
-        for key in local:
-            extras[f"attr{attr}_cos_{key}_mean"] = float(np.mean(local[key]))
-            extras[f"attr{attr}_cos_{key}_std"] = float(np.std(local[key]))
-    for key in stats:
-        extras[f"cos_{key}_mean"] = float(np.mean(stats[key]))
-        extras[f"cos_{key}_std"] = float(np.std(stats[key]))
+            sources.append(sample_source_latent(seed))
+            anchor = pool[np.random.default_rng(seed).integers(0, len(pool))]
+            audio.append(encode_audio(ds.audio[anchor], models.audio))
+        text += [encode_text(label_tokens(attr), models.text)] * n_seeds
+    # every audio-guided row, then every text-guided one, in one optimization
+    w_s = np.stack(sources)
+    w_at, _, _ = optimize_guided(np.concatenate([w_s, w_s]),
+                                 np.stack(audio + text), manip, models)
+    w_a, w_t = np.split(w_at, 2)
+    pairs = {"sa": (w_s, w_a), "st": (w_s, w_t), "at": (w_a, w_t)}
+    stats = {key: np.array([_flat_cos(x, y) for x, y in zip(*pair)])
+             for key, pair in pairs.items()}
+    extras: dict[str, float] = {}
+    for key, values in stats.items():
+        for attr, local in zip(attribute_classes, values.reshape(-1, n_seeds)):
+            extras[f"attr{attr}_cos_{key}_mean"] = float(np.mean(local))
+            extras[f"attr{attr}_cos_{key}_std"] = float(np.std(local))
+        extras[f"cos_{key}_mean"] = float(np.mean(values))
+        extras[f"cos_{key}_std"] = float(np.std(values))
     # overall field repurposed: fraction of seeds where the audio-guided
     # code moved at least as far from the source as the text-guided one
-    moved_more = np.mean([sa <= st for sa, st in zip(stats["sa"], stats["st"])])
+    moved_more = np.mean(stats["sa"] <= stats["st"])
     return EvalReport("direction_stats", float(moved_more), extras=extras,
                       config_hash=config_hash(config), seed=config.master_seed)
 

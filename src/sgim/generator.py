@@ -60,10 +60,11 @@ class GeneratorParams:
         return self.side
 
     def check_latent(self, w: np.ndarray) -> np.ndarray:
+        """w as float64, if it is one latent code or a stack of them."""
         w = np.asarray(w, dtype=np.float64)
-        if w.shape != (self.layers, self.latent_dim):
-            raise DimensionError(
-                f"latent must be {(self.layers, self.latent_dim)}, got {w.shape}")
+        if w.ndim not in (2, 3) or w.shape[-2:] != (self.layers, self.latent_dim):
+            raise DimensionError(f"latent must be {(self.layers, self.latent_dim)} "
+                                 f"or a stack of them, got {w.shape}")
         return w
 
 
@@ -76,13 +77,13 @@ def init_generator(rng: np.random.Generator, side: int = 8,
 
 def synthesize(w: np.ndarray, gen: GeneratorParams) -> np.ndarray:
     """Image of a latent code, bias + vec(w) @ A: shape (pixels,) for one
-    (layers, latent_dim) code, (n, pixels) for a stack of n codes."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim not in (2, 3) or w.shape[-2:] != (gen.layers, gen.latent_dim):
-        raise DimensionError(f"latent must be {(gen.layers, gen.latent_dim)} "
-                             f"or a stack of them, got {w.shape}")
-    images = gen.bias + w.reshape(-1, gen.layers * gen.latent_dim) @ gen.A
-    return images[0] if w.ndim == 2 else images
+    (layers, latent_dim) code, (n, pixels) for a stack of n codes. Row i
+    equals code i's image alone, byte for byte: the stack is multiplied one
+    (1, ·) row at a time, as a single code is, because a plain (n, ·) @ A
+    BLAS product sums in another order and rounds differently."""
+    w = gen.check_latent(w)
+    images = gen.bias + w.reshape(-1, 1, gen.layers * gen.latent_dim) @ gen.A
+    return images[0, 0] if w.ndim == 2 else images[:, 0]
 
 
 def sample_source_latent(seed: int, side: int = 8,
@@ -124,7 +125,10 @@ def fit_generator_to_dataset(images: np.ndarray, epochs: int, seed: int,
     slices = band_slices(side)
 
     def mse(gen: GeneratorParams) -> float:
-        return float(((images - synthesize(latents, gen)) ** 2).mean())
+        # one (n, ·) @ A product, not the row-exact synthesize: it rounds
+        # differently, and the mse it gives is what generator.txt records
+        recon = gen.bias + latents.reshape(n, -1) @ gen.A
+        return float(((images - recon) ** 2).mean())
 
     history = [mse(gen)]
     mods = list(gen.layer_mods)

@@ -3,8 +3,8 @@ hand-derived gradients the pipeline runs: each training loss term (the
 three InfoNCE terms, the self term on both of its inputs, and the weak term
 in its diagonal and full-row forms), the encoder backward for each
 parameter array, and the manipulation objective with respect to the
-latent, to the gate logits, and with adaptive masking off (the plain-norm
-regularizer).
+latent, to the gate logits, with adaptive masking off (the plain-norm
+regularizer), and over a batch of two latents with their own targets.
 
 Each check evaluates the analytic gradient against central differences at
 10 seeded points and reports the worst relative error. The gate is 1e-4.
@@ -133,21 +133,30 @@ def _manipulation_checks(rng: np.random.Generator,
     gate = rng.standard_normal(8)
     config = RunConfig(lambda_reg=0.05, lambda_id=0.05)
     models = ModelBundle(gen, image_params, image_params, image_params, identity)
-    d_src, src_id = source_reference(w_s, target, config, models)
-    # the gate check needs a drifted latent; reversing the layers of w_s
-    # gives one without another draw
-    w_gate = w_s[::-1].copy()
+    # row 1's source, target and gate are row 0's reversed, so no new draw;
+    # its source is also the drifted latent the gate check needs
+    sources = np.stack([w_s, w_s[::-1]])
+    targets = np.stack([target, target[::-1]])
+    gates = np.stack([gate, gate[::-1]])
+    d_src, src_id = source_reference(sources, targets, config, models)
 
-    def objective(w, g, cfg=config):
-        return objective_and_grad(w, g, w_s, target, d_src, cfg, models, src_id)
+    def objective(w, g, rows=slice(0, 1), cfg=config):
+        # the rows are independent: the sum's gradient is each row's
+        total, _, _, _, grad_w, grad_g = objective_and_grad(
+            w.reshape(-1, *w_s.shape), g.reshape(-1, len(gate)),
+            sources[rows], targets[rows], d_src[rows], cfg, models,
+            src_id[rows])
+        return total.sum(), grad_w.reshape(w.shape), grad_g.reshape(g.shape)
 
     plain = replace(config, adaptive_masking=False)
-    return [("manipulation_objective", _fd(lambda w: objective(w, gate), 4),
+    return [("manipulation_objective", _fd(lambda w: objective(w, gate)),
              (8, 32), ""),
-            ("manipulation_gate", _fd(lambda g: objective(w_gate, g), 5),
+            ("manipulation_gate", _fd(lambda g: objective(sources[1], g), 2),
              (8,), ""),
             ("manipulation_plain_reg",
-             _fd(lambda w: objective(w, gate, plain), 4), (8, 32), "")]
+             _fd(lambda w: objective(w, gate, cfg=plain)), (8, 32), ""),
+            ("manipulation_batch",
+             _fd(lambda w: objective(w, gates, slice(None))), (2, 8, 32), "")]
 
 
 def _sample(rng: np.random.Generator, shape, domain: str) -> np.ndarray:

@@ -19,6 +19,9 @@ mirrors, expression for expression, the autodiff graph kept as the oracle
 in tests/graph_reference.py, so results match that graph bit for bit at a
 fraction of the cost. The image is ``synthesize``'s one matmul through the
 generator matrix A, so the latent's gradient is one matmul through A.T.
+
+Every array carries a leading batch axis, so one call optimizes B latents,
+each toward its own target, and a single request is B = 1.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .encoders import EncoderParams, encode_audio, encode_text
-from .errors import DegenerateInputError, NumericsError, ParameterError
+from .encoders import EncoderParams
+from .errors import (DegenerateInputError, DimensionError, NumericsError,
+                     ParameterError)
 from .generator import GeneratorParams, synthesize
 
 
@@ -49,11 +53,6 @@ def init_identity_extractor(rng: np.random.Generator, pixels: int = 64,
     return IdentityExtractor(w1, w2)
 
 
-def identity_features(extractor: IdentityExtractor, image: np.ndarray) -> np.ndarray:
-    feat, _ = _identity_forward(_c(image).reshape(1, -1), extractor)
-    return feat[0]
-
-
 @dataclass
 class ModelBundle:
     generator: GeneratorParams
@@ -64,19 +63,21 @@ class ModelBundle:
 
 
 @dataclass
-class TrajectoryPoint:
-    step: int
-    hinge: float
-    reg: float
-    identity: float
-    total: float
+class Trajectory:
+    """Per-step values of a run over B latents, taken before each update:
+    the terms are (steps, B) arrays, the gate softmax is (steps, B, layers)."""
+
+    hinge: np.ndarray
+    reg: np.ndarray
+    identity: np.ndarray
+    total: np.ndarray
     gate_softmax: np.ndarray
 
 
 def gate_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
+    """Softmax over the last axis: one row of gate logits or a stack."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _c(a) -> np.ndarray:
@@ -88,7 +89,7 @@ def _c(a) -> np.ndarray:
 def _unit_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of z scaled to unit norm, and the norms (autodiff's
     ``l2_normalize_rows``)."""
-    norms = np.sqrt((z ** 2).sum(axis=1, keepdims=True))
+    norms = np.sqrt((z ** 2).sum(axis=-1, keepdims=True))
     if np.any(norms == 0.0):
         raise DegenerateInputError("l2_normalize_rows: zero-norm row")
     return z / norms, norms
@@ -96,12 +97,12 @@ def _unit_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _unit_rows_vjp(g: np.ndarray, out: np.ndarray,
                    norms: np.ndarray) -> np.ndarray:
-    dot = (g * out).sum(axis=1, keepdims=True)
+    dot = (g * out).sum(axis=-1, keepdims=True)
     return (g - out * dot) / norms
 
 
 def _image_forward(img: np.ndarray, enc: EncoderParams) -> tuple:
-    """Image embedding of a (1, pixels) image, and the activations."""
+    """Image embeddings of a (B, 1, pixels) stack, and the activations."""
     h1 = np.tanh(img @ _c(enc.w1) + _c(enc.b1))
     h2 = np.tanh(h1 @ _c(enc.w2) + _c(enc.b2))
     v, norms = _unit_rows(h2 @ _c(enc.w3) + _c(enc.b3))
@@ -109,81 +110,77 @@ def _image_forward(img: np.ndarray, enc: EncoderParams) -> tuple:
 
 
 def _identity_forward(img: np.ndarray, extractor: IdentityExtractor) -> tuple:
-    """Identity features of a (1, pixels) image, and the activations."""
+    """Identity features of a (B, 1, pixels) stack, and the activations."""
     hf = np.tanh(img @ _c(extractor.w1))
     feat, norms = _unit_rows(hf @ _c(extractor.w2))
     return feat, (hf, norms)
 
 
-def _distance(w: np.ndarray, gen: GeneratorParams, enc: EncoderParams,
-              target: np.ndarray) -> float:
-    v, _ = _image_forward(synthesize(w, gen)[None, :], enc)
-    return float(1.0 - (v * _c(target)[None, :]).sum())
-
-
-def source_reference(w_s: np.ndarray, target: np.ndarray, config: RunConfig,
-                     models: ModelBundle) -> tuple[float, np.ndarray | None]:
-    """(d_src, source identity features or None) for ``objective_and_grad``,
-    from its own forward expressions: step 0 gives hinge 1 and identity 0."""
-    gen = models.generator
-    d_src = _distance(w_s, gen, models.image, target)
+def source_reference(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
+                     models: ModelBundle) -> tuple[np.ndarray, np.ndarray | None]:
+    """(d_src, source identity features or None) of each row, shaped
+    (B, 1, 1) and (B, 1, features) for ``objective_and_grad``, from its own
+    forward expressions: step 0 gives hinge 1 and identity 0."""
+    img = synthesize(w_s, models.generator)[:, None, :]
+    v, _ = _image_forward(img, models.image)
+    d_src = 1.0 - (v * _c(targets)[:, None, :]).sum(axis=-1, keepdims=True)
     if not (config.identity_enabled and config.lambda_id > 0.0):
         return d_src, None
-    return d_src, identity_features(models.identity, synthesize(w_s, gen))
+    return d_src, _identity_forward(img, models.identity)[0]
 
 
 def objective_and_grad(w: np.ndarray, g: np.ndarray, w_s: np.ndarray,
-                       target: np.ndarray, d_src: float, config: RunConfig,
-                       models: ModelBundle, source_identity: np.ndarray | None,
-                       ) -> tuple[float, float, float, float,
-                                  np.ndarray, np.ndarray]:
-    """Manipulation objective at latent ``w`` and gate logits ``g``.
+                       targets: np.ndarray, d_src: np.ndarray,
+                       config: RunConfig, models: ModelBundle,
+                       source_identity: np.ndarray | None,
+                       ) -> tuple[np.ndarray, ...]:
+    """Manipulation objective of each row of latents ``w`` (B, layers,
+    latent_dim) and gate logits ``g`` (B, layers) toward ``targets``.
 
-    Returns (total, hinge, reg, identity, grad_w, grad_g); grad_g is zero
-    with adaptive masking off. The forward pass repeats the numpy
-    expressions of the autodiff ops the oracle graph is made of, and the
-    backward pass repeats their vjps in the order ``autodiff.backward``
-    runs them, skipping only the gradients of the frozen weights. Values
-    and gradients are therefore bit-identical to building the graph and
-    calling ``backward`` (tests/graph_reference.py keeps that graph).
+    Returns (total, hinge, reg, identity), each (B,), then grad_w and
+    grad_g; grad_g is zero with adaptive masking off. Every matmul operand
+    is a (B, 1, ·) stack and every sum reduces over the last axis, so row i
+    rounds as a B = 1 call does (see ``synthesize``). The forward and
+    backward passes repeat the numpy expressions and vjps of the autodiff
+    ops the oracle graph is made of, in the order ``autodiff.backward`` runs
+    them, so values and gradients are bit-identical to the graph's
+    (tests/graph_reference.py keeps it).
     """
     gen = models.generator
     w = _c(gen.check_latent(w))
+    batch, layers = w.shape[0], w.shape[1]
     enc = models.image
-    t = _c(target)[None, :]
+    t = _c(targets)[:, None, :]
     lam_reg = float(config.lambda_reg)
     lam_id = float(config.lambda_id)
     use_id = config.identity_enabled and lam_id > 0.0
 
-    # forward
-    img = synthesize(w, gen)[None, :]
+    # forward; the terms of each row are (B, 1, 1)
+    img = synthesize(w, gen)[:, None, :]
     v, (h1, h2, v_norms) = _image_forward(img, enc)
-    pre = (1.0 - (v * t).sum()) - d_src + 1.0
+    pre = (1.0 - (v * t).sum(axis=-1, keepdims=True)) - d_src + 1.0
     hinge = np.maximum(pre, 0.0)
 
     delta = w - _c(w_s)
-    layers = w.shape[0]
     if config.adaptive_masking:
-        norms = np.sqrt((delta ** 2).sum(axis=1, keepdims=True))     # (L, 1)
-        z = _c(g)[None, :]
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        weights = e / e.sum(axis=1, keepdims=True)                   # (1, L)
-        reg = (weights @ norms).sum() * (1.0 / layers)
+        norms = np.sqrt((delta ** 2).sum(axis=-1, keepdims=True))   # (B, L, 1)
+        weights = gate_softmax(_c(g)[:, None, :])                    # (B, 1, L)
+        reg = (weights @ norms) * (1.0 / layers)
     else:
-        reg = np.sqrt((delta * delta).sum())
+        reg = np.sqrt((delta * delta).reshape(batch, 1, -1).sum(
+            axis=-1, keepdims=True))
     total = hinge + reg * lam_reg
-    ident = 0.0
+    ident = np.zeros((batch, 1, 1))
     if use_id:
-        src = _c(source_identity)[None, :]
         feat, (hf, f_norms) = _identity_forward(img, models.identity)
-        d_id = feat - src
-        ident = (d_id * d_id).sum() * 0.5
+        d_id = feat - source_identity
+        ident = (d_id * d_id).sum(axis=-1, keepdims=True) * 0.5
         total = total + ident * lam_id
 
     # backward: hinge through the image encoder, then identity. 0.0 - x,
     # not -x: the graph accumulated every gradient onto +0.0, so an inactive
     # hinge passes +0.0 on, never -0.0
-    g_v = (0.0 - float(pre > 0.0)) * t
+    g_v = (0.0 - (pre > 0.0)) * t
     g_a2 = (_unit_rows_vjp(g_v, v, v_norms) @ _c(enc.w3).T) * (1.0 - h2 * h2)
     g_a1 = (g_a2 @ _c(enc.w2).T) * (1.0 - h1 * h1)
     g_img = g_a1 @ _c(enc.w1).T
@@ -197,27 +194,30 @@ def objective_and_grad(w: np.ndarray, g: np.ndarray, w_s: np.ndarray,
     # regularizer
     if config.adaptive_masking:
         g_mm = np.full((1, 1), lam_reg * (1.0 / layers))
-        g_weights = g_mm @ norms.T
-        dot = (g_weights * weights).sum(axis=1, keepdims=True)
-        grad_g = (weights * (g_weights - dot))[0]
+        g_weights = g_mm @ norms.swapaxes(-1, -2)
+        dot = (g_weights * weights).sum(axis=-1, keepdims=True)
+        grad_g = (weights * (g_weights - dot))[:, 0]
         safe = np.where(norms > 0.0, norms, 1.0)
-        g_delta = np.where(norms > 0.0, (weights.T @ g_mm) / safe, 0.0) * delta
+        g_delta = np.where(norms > 0.0, (weights.swapaxes(-1, -2) @ g_mm)
+                           / safe, 0.0) * delta
     else:
-        grad_g = np.zeros(layers)
-        g_sq = lam_reg / (2.0 * reg) if reg > 0.0 else 0.0
+        grad_g = np.zeros((batch, layers))
+        g_sq = np.divide(lam_reg, 2.0 * reg, out=np.zeros_like(reg),
+                         where=reg > 0.0)
         g_delta = g_sq * delta + g_sq * delta
     grad_w = grad_w + g_delta
-    return (float(total), float(hinge), float(reg), float(ident),
+    return (*(x.reshape(batch) for x in (total, hinge, reg, ident)),
             grad_w, grad_g)
 
 
-def optimize_guided(w_s: np.ndarray, target: np.ndarray, config: RunConfig,
+def optimize_guided(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
                     models: ModelBundle,
-                    ) -> tuple[np.ndarray, np.ndarray, list[TrajectoryPoint]]:
-    """Gradient descent on the manipulation objective from w_a = w_s.
-
-    Returns the final latent, the final gate logits, and the per-step
-    trajectory (values evaluated before each update).
+                    ) -> tuple[np.ndarray, np.ndarray, Trajectory]:
+    """Gradient descent on the manipulation objective from w_a = w_s, a
+    (B, layers, latent_dim) stack, each row toward its row of ``targets``
+    (B, embed), an ``encode_audio`` or ``encode_text`` embedding. Returns
+    the final latents, the final gate logits (B, layers) and the
+    trajectory; row i of each equals the run of row i alone, byte for byte.
     """
     if config.manip_steps < 1:
         raise ParameterError("manip_steps must be >= 1")
@@ -227,47 +227,46 @@ def optimize_guided(w_s: np.ndarray, target: np.ndarray, config: RunConfig,
             raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
     gen = models.generator
     w_s = gen.check_latent(w_s)
-    use_id = config.identity_enabled and config.lambda_id > 0.0
-    frozen = [w_s, target, gen.bias, gen.A, *models.image.arrays().values()]
-    if use_id:
+    targets = np.asarray(targets, dtype=np.float64)
+    if w_s.ndim != 3 or targets.shape != (len(w_s), models.image.w3.shape[1]):
+        raise DimensionError(f"need a latent stack and one target row per "
+                             f"latent, got {w_s.shape} and {targets.shape}")
+    frozen = [gen.bias, gen.A, *models.image.arrays().values()]
+    if config.identity_enabled and config.lambda_id > 0.0:
         frozen += [models.identity.w1, models.identity.w2]
     if not all(np.all(np.isfinite(a)) for a in frozen):
-        raise DegenerateInputError("manipulation inputs contain NaN or Inf")
+        raise DegenerateInputError("manipulation models contain NaN or Inf")
+    bad = ~(np.isfinite(w_s).all(axis=(1, 2)) & np.isfinite(targets).all(axis=1))
+    if bad.any():
+        raise DegenerateInputError("manipulation inputs contain NaN or Inf "
+                                   f"in row {np.argmax(bad)}")
+    batch, steps = len(w_s), config.manip_steps
     w = w_s.copy()
-    g = np.zeros(gen.layers)
-    d_src, source_identity = source_reference(w_s, target, config, models)
+    g = np.zeros((batch, gen.layers))
+    d_src, source_identity = source_reference(w_s, targets, config, models)
 
-    trajectory: list[TrajectoryPoint] = []
+    hinges, regs, idents, totals = np.empty((4, steps, batch))
+    logits = np.empty((steps, batch, gen.layers))
     # divergence is reported by the checks below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(config.manip_steps):
-            total, hinge_v, reg_v, id_v, grad_w, grad_g = objective_and_grad(
-                w, g, w_s, target, d_src, config, models, source_identity)
-            if not np.isfinite(total):
+        for step in range(steps):
+            total, hinge, reg, ident, grad_w, grad_g = objective_and_grad(
+                w, g, w_s, targets, d_src, config, models, source_identity)
+            if not np.isfinite(total).all():
+                i = np.argmax(~np.isfinite(total))
                 raise NumericsError(
-                    f"objective became non-finite at step {step}: "
-                    f"hinge={hinge_v} reg={reg_v} id={id_v}")
-            if not (np.all(np.isfinite(grad_w)) and np.all(np.isfinite(grad_g))):
-                raise NumericsError(f"gradient became non-finite at step {step}")
-            trajectory.append(TrajectoryPoint(step, hinge_v, reg_v, id_v, total,
-                                              gate_softmax(g)))
+                    f"objective became non-finite in row {i} at step {step}: "
+                    f"hinge={hinge[i]} reg={reg[i]} id={ident[i]}")
+            if not (np.isfinite(grad_w).all() and np.isfinite(grad_g).all()):
+                bad = ~(np.isfinite(grad_w).all(axis=(1, 2))
+                        & np.isfinite(grad_g).all(axis=1))
+                raise NumericsError(f"gradient became non-finite in row "
+                                    f"{np.argmax(bad)} at step {step}")
+            hinges[step], regs[step], idents[step] = hinge, reg, ident
+            totals[step], logits[step] = total, g
             w = w - config.manip_step_size * grad_w
             g = g - config.manip_step_size * grad_g
-    return w, g, trajectory
-
-
-def optimize_latent(w_s: np.ndarray, mel: np.ndarray, config: RunConfig,
-                    models: ModelBundle,
-                    ) -> tuple[np.ndarray, np.ndarray, list[TrajectoryPoint]]:
-    """Audio-guided manipulation: guidance is the audio embedding of ``mel``."""
-    return optimize_guided(w_s, encode_audio(mel, models.audio), config, models)
-
-
-def text_guided_latent(w_s: np.ndarray, ids: np.ndarray, config: RunConfig,
-                       models: ModelBundle,
-                       ) -> tuple[np.ndarray, np.ndarray, list[TrajectoryPoint]]:
-    """Same optimizer driven by the text embedding of a row of token ids."""
-    return optimize_guided(w_s, encode_text(ids, models.text), config, models)
+    return w, g, Trajectory(hinges, regs, idents, totals, gate_softmax(logits))
 
 
 def interpolate(w_a: np.ndarray, w_t: np.ndarray, alpha: float) -> np.ndarray:
@@ -297,9 +296,13 @@ def style_mix(w_a: np.ndarray, w_t: np.ndarray, split: int) -> np.ndarray:
     return np.vstack([w_a[:split], w_t[split:]])
 
 
-def trajectory_csv(trajectory: list[TrajectoryPoint]) -> str:
+def trajectory_csv(trajectory: Trajectory) -> str:
+    """The per-step terms of a single-latent (B = 1) run, one row each."""
+    terms = np.hstack([trajectory.hinge, trajectory.reg, trajectory.identity,
+                       trajectory.total])
+    if terms.shape[1] != 4:
+        raise DimensionError("trajectory_csv writes one latent's trajectory")
     lines = ["step,hinge,reg,id,total"]
-    for p in trajectory:
-        lines.append(f"{p.step},{p.hinge!r},{p.reg!r},{p.identity!r},{p.total!r}")
+    for step, row in enumerate(terms.tolist()):
+        lines.append(f"{step}," + ",".join(repr(x) for x in row))
     return "\n".join(lines) + "\n"
-

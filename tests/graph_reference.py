@@ -18,13 +18,12 @@ identity from its own graph too. `manipulate.objective_and_grad` must
 reproduce these values and gradients bit for bit.
 
 The float helpers at the end (`hinge_loss`, `hinge_from_distances`,
-`masked_regularization`, `identity_loss`, `moving_average`) give each
-objective term, or the smoothed total, for a given latent, without a graph.
+`masked_regularization`, `identity_features`, `identity_loss`,
+`moving_average`) give each objective term, or the smoothed total, for a
+given latent.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -34,9 +33,8 @@ from sgim.encoders import PARAM_KEYS, EncoderParams
 from sgim.errors import DimensionError, NumericsError, UsageError
 from sgim.generator import GeneratorParams, synthesize
 from sgim.losses import LossBreakdown
-from sgim.manipulate import (IdentityExtractor, ModelBundle,
-                             TrajectoryPoint, gate_softmax, identity_features,
-                             source_reference)
+from sgim.manipulate import (IdentityExtractor, ModelBundle, Trajectory,
+                             gate_softmax, source_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +88,11 @@ def weak_kl_loss_node(a: ad.Node, v_weak: ad.Node, t: np.ndarray, tau: float,
 
 
 def total_loss_node(a: ad.Node, a_aug: ad.Node, t: np.ndarray, v: np.ndarray,
-                    v_weak: np.ndarray | None, config: RunConfig,
-                    ) -> tuple[ad.Node, LossBreakdown]:
-    """Graph plus float breakdown for one batch under ``config``'s tau and
-    ``use_loss_*`` flags; ``t``, ``v``, ``v_weak`` enter as constants, and
-    ``v_weak`` is only read under ``use_loss_kl``."""
+                    config: RunConfig) -> tuple[ad.Node, LossBreakdown]:
+    """Graph plus float breakdown of the main batch's three terms under
+    ``config``'s tau and ``use_loss_at``/``_av``/``_self`` flags; ``t`` and
+    ``v`` enter as constants. The weak term has its own batch, so
+    ``graph_audio_step`` adds it."""
     tau = config.tau
     zero = ad.constant(0.0)
     l_at = (info_nce_pair_node(a, ad.constant(t), tau)
@@ -102,13 +100,9 @@ def total_loss_node(a: ad.Node, a_aug: ad.Node, t: np.ndarray, v: np.ndarray,
     l_av = (info_nce_pair_node(a, ad.constant(v), tau)
             if config.use_loss_av else zero)
     l_self = info_nce_pair_node(a, a_aug, tau) if config.use_loss_self else zero
-    l_kl = (weak_kl_loss_node(a, ad.constant(v_weak), t, tau,
-                              config.kl_full_rows)
-            if config.use_loss_kl else zero)
-    total = ad.add(ad.add(ad.add(l_at, l_av), l_self), l_kl)
+    total = ad.add(ad.add(l_at, l_av), l_self)
     breakdown = LossBreakdown(float(l_at.value), float(l_av.value),
-                              float(l_self.value), float(l_kl.value),
-                              float(total.value))
+                              float(l_self.value), 0.0, float(total.value))
     return total, breakdown
 
 
@@ -133,8 +127,7 @@ def graph_audio_step(params: EncoderParams, x: np.ndarray, x_aug: np.ndarray,
     an = encoder_param_nodes(params)
     a = encode_nodes(an, ad.constant(x))
     a_aug = encode_nodes(an, ad.constant(x_aug))
-    loss, br = total_loss_node(a, a_aug, t, v, None,
-                               replace(config, use_loss_kl=False))
+    loss, br = total_loss_node(a, a_aug, t, v, config)
     kl_val = 0.0
     if config.use_loss_kl and weak is not None:
         x_weak, v_weak, t_weak = weak
@@ -228,10 +221,10 @@ def objective_node(w: ad.Node, g: ad.Node | None, w_s: np.ndarray,
 
 def graph_optimize_guided(w_s: np.ndarray, target: np.ndarray,
                           config: RunConfig, models: ModelBundle,
-                          ) -> tuple[np.ndarray, np.ndarray,
-                                     list[TrajectoryPoint]]:
-    """The descent loop of `manipulate.optimize_guided`, one graph and one
-    `autodiff.backward` per step."""
+                          ) -> tuple[np.ndarray, np.ndarray, Trajectory]:
+    """The descent loop of `manipulate.optimize_guided` for one latent and
+    one target, one graph and one `autodiff.backward` per step; the
+    trajectory has the B = 1 shapes."""
     gen = models.generator
     w_s = gen.check_latent(w_s)
     w = w_s.copy()
@@ -242,7 +235,8 @@ def graph_optimize_guided(w_s: np.ndarray, target: np.ndarray,
     source_identity = None
     if config.identity_enabled and config.lambda_id > 0.0:
         source_identity = _identity_node(models.identity, img_s).value[0]
-    trajectory: list[TrajectoryPoint] = []
+    hinges, regs, idents, totals = np.empty((4, config.manip_steps, 1))
+    gates = np.empty((config.manip_steps, 1, gen.layers))
     for step in range(config.manip_steps):
         w_node = ad.leaf(w)
         g_node = ad.leaf(g[None, :]) if config.adaptive_masking else None
@@ -250,13 +244,13 @@ def graph_optimize_guided(w_s: np.ndarray, target: np.ndarray,
             w_node, g_node, w_s, target, d_src, config, models, source_identity)
         if not np.isfinite(total.value):
             raise NumericsError(f"objective became non-finite at step {step}")
-        trajectory.append(TrajectoryPoint(step, hinge_v, reg_v, id_v,
-                                          float(total.value), gate_softmax(g)))
+        hinges[step], regs[step], idents[step] = hinge_v, reg_v, id_v
+        totals[step], gates[step] = float(total.value), gate_softmax(g)
         ad.backward(total)
         w = w - config.manip_step_size * w_node.grad
         if g_node is not None:
             g = g - config.manip_step_size * g_node.grad[0]
-    return w, g, trajectory
+    return w, g, Trajectory(hinges, regs, idents, totals, gates)
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +273,9 @@ def hinge_loss(w_s: np.ndarray, w_a: np.ndarray, a: np.ndarray,
     (``source_reference`` gives each latent's distance)."""
     models = ModelBundle(gen, None, None, f_v, None)
     config = RunConfig(identity_enabled=False)
-    d_src, _ = source_reference(w_s, a, config, models)
-    d_manip, _ = source_reference(w_a, a, config, models)
-    return hinge_from_distances(d_src, d_manip)
+    d, _ = source_reference(np.stack([w_s, w_a]), np.stack([a, a]), config,
+                            models)
+    return hinge_from_distances(float(d[0, 0, 0]), float(d[1, 0, 0]))
 
 
 def masked_regularization(w_a: np.ndarray, w_s: np.ndarray,
@@ -292,6 +286,12 @@ def masked_regularization(w_a: np.ndarray, w_s: np.ndarray,
         return float(np.linalg.norm(delta))
     norms = np.linalg.norm(delta, axis=1)
     return float(gate_softmax(np.asarray(gate_logits, float)) @ norms / len(norms))
+
+
+def identity_features(extractor: IdentityExtractor,
+                      image: np.ndarray) -> np.ndarray:
+    """Unit identity features of one image."""
+    return _identity_node(extractor, ad.constant(image[None, :])).value[0]
 
 
 def identity_loss(w_s: np.ndarray, w_a: np.ndarray, gen: GeneratorParams,

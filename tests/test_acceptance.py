@@ -20,18 +20,17 @@ from sgim.cli import main as cli_main
 from sgim.config import RunConfig
 from sgim.data import (generate_dataset, load_dataset, save_dataset,
                        split_by_video)
-from sgim.encoders import (audio_step, init_encoder_params, pretrain_teacher,
-                           train_audio_encoder)
+from sgim.encoders import (audio_step, encode_audio, init_encoder_params,
+                           pretrain_teacher, train_audio_encoder)
 from sgim.evaluate import soft_direction_check, zero_shot_classify
 from sgim.generator import synthesize
 from sgim.gradcheck import TOLERANCE, run_gradient_checks
 from sgim.losses import info_nce, similarity, weak_kl
-from sgim.manipulate import (identity_features, interpolate, optimize_latent,
-                             style_mix)
+from sgim.manipulate import interpolate, optimize_guided, style_mix
 
 from conftest import AUDIO_INDEX, MASTER_SEED, SOURCE_INDEX
 from graph_reference import (diag_cross_entropy_term, hinge_from_distances,
-                             hinge_loss, moving_average)
+                             hinge_loss, identity_features, moving_average)
 
 
 def _verdict(criterion: int, passed: bool, detail: str) -> None:
@@ -178,22 +177,24 @@ def test_criterion_5_weak_loss_ablation(ablation_report):
 def test_criterion_6_manipulation(gen_fit, model_bundle, dataset):
     start = time.monotonic()
     w_s = gen_fit.latents[SOURCE_INDEX]
-    mel = dataset.audio[AUDIO_INDEX]
+    target = encode_audio(dataset.audio[AUDIO_INDEX], model_bundle.audio)
     config = RunConfig()
-    w_a, gate, trajectory = optimize_latent(w_s, mel, config, model_bundle)
-    hinges = [p.hinge for p in trajectory]
+    _, _, trajectory = optimize_guided(w_s[None], target[None], config,
+                                       model_bundle)
+    hinges = trajectory.hinge[:, 0]
     below = next((i for i, h in enumerate(hinges) if h < 1.0), None)
-    ma = moving_average([p.total for p in trajectory], 20)
-    gates_ok = all(abs(p.gate_softmax.sum() - 1.0) < 1e-12 for p in trajectory)
+    ma = moving_average(trajectory.total[:, 0], 20)
+    gates_ok = bool(np.all(
+        np.abs(trajectory.gate_softmax.sum(axis=-1) - 1.0) < 1e-12))
 
     def identity_cos(lambda_id):
-        w_x, _, _ = optimize_latent(w_s, mel,
+        w_x, _, _ = optimize_guided(w_s[None], target[None],
                                     RunConfig(lambda_id=lambda_id),
                                     model_bundle)
         f_s = identity_features(model_bundle.identity,
                                 synthesize(w_s, model_bundle.generator))
         f_x = identity_features(model_bundle.identity,
-                                synthesize(w_x, model_bundle.generator))
+                                synthesize(w_x[0], model_bundle.generator))
         return float(f_s @ f_x)
 
     id_on, id_off = identity_cos(0.5), identity_cos(0.0)

@@ -5,7 +5,9 @@ import struct
 import pytest
 
 from sgim import evaluate
+from sgim.checkpoint import load_checkpoint
 from sgim.cli import main
+from sgim.config import RunConfig, config_from_text
 
 from conftest import read_pgm
 
@@ -66,6 +68,23 @@ def test_manipulate_writes_outputs(pipeline_dir):
     assert (out / "latent.ckpt").exists()
 
 
+def test_manipulate_checkpoint_records_the_settings_it_ran(pipeline_dir):
+    # the flags override the run's config for this request, and
+    # latent.ckpt embeds the settings the optimization ran with
+    assert run_cli(*FAST, "manipulate", "--run", pipeline_dir,
+                   "--source-index", 96, "--audio-index", 144,
+                   "--steps", 4, "--lambda-id", 0.01, "--tag", "flagged") == 0
+    out = pipeline_dir / "manip" / "flagged"
+    _, text, _ = load_checkpoint(out / "latent.ckpt")
+    saved = config_from_text(text)
+    assert (saved.manip_steps, saved.lambda_id) == (4, 0.01)
+    assert saved.lambda_reg == RunConfig().lambda_reg
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 5
+    # the run's own config is left as it was
+    echoed = config_from_text((pipeline_dir / "config.txt").read_text())
+    assert (echoed.manip_steps, echoed.lambda_id) == (5, RunConfig().lambda_id)
+
+
 def test_interpolate_and_mix(pipeline_dir):
     # both latents are written here, so the test runs alone too
     assert run_cli(*FAST, "manipulate", "--run", pipeline_dir,
@@ -124,7 +143,7 @@ def test_direction_stats_command(pipeline_dir):
 def test_gradcheck_exits_zero(tmp_path):
     assert run_cli("gradcheck", "--run", tmp_path / "g") == 0
     report = (tmp_path / "g" / "reports" / "gradcheck.txt").read_text()
-    assert "33/33" in report
+    assert "34/34" in report
 
 
 def test_missing_inputs_io_error(tmp_path, capsys):

@@ -132,26 +132,29 @@ def test_direction_stats_zero_movement_gives_unit_cosines(dataset,
 def test_evaluation_manipulates_without_identity(dataset, manifest,
                                                  model_bundle, run_config,
                                                  monkeypatch):
-    # direction stats and the leakage probe run the configured optimizer
-    # with lambda_id 0 and the identity term off; the probe at its own
-    # step count
+    # direction stats and the leakage probe each make one batched call of
+    # the configured optimizer with lambda_id 0 and the identity term off;
+    # the probe at its own step count
     seen = []
 
-    def record(w_s, guidance, config, models):
-        seen.append(config)
-        return w_s, None, []
+    def record(w_s, targets, config, models):
+        seen.append((w_s.shape, targets.shape, config))
+        return w_s, None, None
 
-    monkeypatch.setattr(evaluate, "optimize_latent", record)
-    monkeypatch.setattr(evaluate, "text_guided_latent", record)
+    monkeypatch.setattr(evaluate, "optimize_guided", record)
     config = replace(run_config, manip_steps=9, manip_step_size=0.3,
                      lambda_reg=0.5, adaptive_masking=False)
     direction_stats([3], 2, dataset, model_bundle, config)
     evaluate._leakage_probe(dataset, manifest, model_bundle.audio,
                             model_bundle, config, sources=2, steps=7)
     expected = replace(config, lambda_id=0.0, identity_enabled=False)
-    assert seen[:4] == [expected] * 4
-    assert len(seen) > 4
-    assert seen[4:] == [replace(expected, manip_steps=7)] * (len(seen) - 4)
+    assert len(seen) == 2
+    # 2 seeds, each audio- and text-guided
+    assert seen[0] == ((4, 8, 32), (4, 32), expected)
+    # 2 sources, each against every anchor
+    latents, targets, probe_config = seen[1]
+    assert latents[0] == targets[0] > 0 and latents[0] % 2 == 0
+    assert probe_config == replace(expected, manip_steps=7)
 
 
 def test_direction_stats_requires_seeds(dataset, model_bundle, run_config):

@@ -8,28 +8,33 @@ from hypothesis import strategies as st
 from sgim import autodiff as ad
 from sgim.config import RunConfig
 from sgim.data import label_tokens
-from sgim.encoders import encode_audio, encode_np
-from sgim.errors import DegenerateInputError, ParameterError, SgimError
+from sgim.encoders import encode_audio, encode_np, encode_text
+from sgim.errors import (DegenerateInputError, DimensionError,
+                         NumericsError, ParameterError, SgimError)
 from sgim.generator import sample_source_latent, synthesize
-from sgim.manipulate import (IdentityExtractor, gate_softmax,
-                             identity_features, interpolate,
-                             objective_and_grad, optimize_guided,
-                             optimize_latent, style_mix, text_guided_latent,
+from sgim.manipulate import (IdentityExtractor, gate_softmax, interpolate,
+                             objective_and_grad, optimize_guided, style_mix,
                              trajectory_csv)
 
 from conftest import AUDIO_INDEX, SOURCE_INDEX
 from graph_reference import (graph_optimize_guided, hinge_from_distances,
-                             hinge_loss, identity_loss, masked_regularization,
-                             moving_average, objective_node)
+                             hinge_loss, identity_features, identity_loss,
+                             masked_regularization, moving_average,
+                             objective_node)
+
+
+def audio_target(dataset, model_bundle, index=AUDIO_INDEX):
+    """The guidance embedding of one audio record, as a B = 1 target stack."""
+    return encode_audio(dataset.audio[index], model_bundle.audio)[None]
 
 
 @pytest.fixture(scope="module")
 def manip_run(gen_fit, model_bundle, dataset):
     w_s = gen_fit.latents[SOURCE_INDEX]
-    mel = dataset.audio[AUDIO_INDEX]
-    config = RunConfig()
-    w_a, gate, trajectory = optimize_latent(w_s, mel, config, model_bundle)
-    return w_s, w_a, gate, trajectory
+    w_a, gate, trajectory = optimize_guided(
+        w_s[None], audio_target(dataset, model_bundle), RunConfig(),
+        model_bundle)
+    return w_s, w_a[0], gate[0], trajectory
 
 
 def test_hinge_hand_values(gen_fit, model_bundle):
@@ -81,7 +86,8 @@ def test_identity_loss_bounds_and_zero(gen_fit, model_bundle):
 
 def test_optimize_rejects_bad_steps(gen_fit, model_bundle, dataset):
     with pytest.raises(ParameterError):
-        optimize_latent(gen_fit.latents[0], dataset.audio[0],
+        optimize_guided(gen_fit.latents[:1],
+                        audio_target(dataset, model_bundle, 0),
                         RunConfig(manip_steps=0), model_bundle)
 
 
@@ -89,14 +95,15 @@ def test_huge_step_aborts_loudly(gen_fit, model_bundle, dataset):
     # tanh and row normalization keep embeddings finite, so the blowup
     # surfaces in the drift norms once the latent overflows float64
     with np.errstate(over="ignore"), pytest.raises(SgimError):
-        optimize_latent(gen_fit.latents[0], dataset.audio[0],
+        optimize_guided(gen_fit.latents[:1],
+                        audio_target(dataset, model_bundle, 0),
                         RunConfig(manip_steps=8, manip_step_size=1e300),
                         model_bundle)
 
 
 def test_canonical_run_drives_hinge_below_one(manip_run):
     _, _, _, trajectory = manip_run
-    hinges = [p.hinge for p in trajectory]
+    hinges = trajectory.hinge[:, 0]
     assert hinges[0] == 1.0
     assert min(hinges) < 1.0
     assert hinges[-1] < 1.0
@@ -104,15 +111,15 @@ def test_canonical_run_drives_hinge_below_one(manip_run):
 
 def test_objective_moving_average_non_increasing(manip_run):
     _, _, _, trajectory = manip_run
-    ma = moving_average([p.total for p in trajectory], 20)
+    ma = moving_average(trajectory.total[:, 0], 20)
     assert np.all(np.diff(ma) <= 1e-12)
 
 
 def test_gate_softmax_sums_to_one_every_step(manip_run):
     _, _, _, trajectory = manip_run
-    for p in trajectory:
-        assert abs(p.gate_softmax.sum() - 1.0) < 1e-12
-        assert np.all(p.gate_softmax > 0.0)
+    assert trajectory.gate_softmax.shape == (300, 1, 8)
+    assert np.all(np.abs(trajectory.gate_softmax.sum(axis=-1) - 1.0) < 1e-12)
+    assert np.all(trajectory.gate_softmax > 0.0)
 
 
 def test_gate_mass_moves_to_static_fine_layers(gen_fit, model_bundle, dataset):
@@ -121,26 +128,26 @@ def test_gate_mass_moves_to_static_fine_layers(gen_fit, model_bundle, dataset):
     # its softmax mass there; amplified lambda_reg makes the effect visible
     w_s = gen_fit.latents[SOURCE_INDEX]
     config = RunConfig(lambda_reg=1.0)
-    w_a, gate, _ = optimize_latent(w_s, dataset.audio[AUDIO_INDEX], config,
-                                   model_bundle)
-    softmax = gate_softmax(gate)
-    drift = np.linalg.norm(w_a - w_s, axis=1)
+    w_a, gate, _ = optimize_guided(
+        w_s[None], audio_target(dataset, model_bundle), config, model_bundle)
+    softmax = gate_softmax(gate[0])
+    drift = np.linalg.norm(w_a[0] - w_s, axis=1)
     assert drift[4:].mean() < drift[:4].mean()
     assert softmax[4:].sum() > 0.5
 
 
 def test_identity_lambda_ordering(gen_fit, model_bundle, dataset):
     w_s = gen_fit.latents[SOURCE_INDEX]
-    mel = dataset.audio[AUDIO_INDEX]
+    target = audio_target(dataset, model_bundle)
 
     def identity_cos(lambda_id):
-        w_a, _, _ = optimize_latent(w_s, mel,
+        w_a, _, _ = optimize_guided(w_s[None], target,
                                     RunConfig(lambda_id=lambda_id),
                                     model_bundle)
         f_s = identity_features(model_bundle.identity,
                                 synthesize(w_s, model_bundle.generator))
         f_a = identity_features(model_bundle.identity,
-                                synthesize(w_a, model_bundle.generator))
+                                synthesize(w_a[0], model_bundle.generator))
         return float(f_s @ f_a)
 
     assert identity_cos(0.5) > identity_cos(0.0)
@@ -167,11 +174,15 @@ def test_objective_gradient_matches_fd(gen_fit, model_bundle, dataset):
     assert ad.finite_difference_check(f, start) < 1e-4
 
 
-# name -> settings; each runs the graph loop and optimize_guided side by side
+# name -> settings; each runs the graph loop and optimize_guided side by
+# side, and a batch against its rows one at a time
 GRAPH_CASES = {
     "default": {},
     "no_identity": {"identity_enabled": False, "lambda_id": 0.0},
     "plain_reg": {"adaptive_masking": False},
+    "plain_reg_no_identity": {"adaptive_masking": False,
+                              "identity_enabled": False, "lambda_id": 0.0},
+    "lambda_id_zero": {"lambda_id": 0.0},
     "strong_reg": {"lambda_reg": 1.0},
 }
 
@@ -179,17 +190,18 @@ GRAPH_CASES = {
 def test_one_zero_size_step_keeps_source(gen_fit, model_bundle, dataset):
     # the source terms come from the objective's own forward expressions,
     # so step 0 compares the source with itself exactly
-    mel = dataset.audio[AUDIO_INDEX]
+    target = audio_target(dataset, model_bundle)
     sources = [gen_fit.latents[SOURCE_INDEX],
                *(sample_source_latent(seed) for seed in range(3))]
     for case, settings_ in GRAPH_CASES.items():
         config = RunConfig(manip_steps=1, manip_step_size=0.0, **settings_)
         for w_s in sources:
-            w_a, _, traj = optimize_latent(w_s, mel, config, model_bundle)
-            assert np.array_equal(w_a, w_s)
-            assert (traj[0].hinge, traj[0].reg) == (1.0, 0.0), case
+            w_a, _, traj = optimize_guided(w_s[None], target, config,
+                                           model_bundle)
+            assert np.array_equal(w_a[0], w_s)
+            assert (traj.hinge[0, 0], traj.reg[0, 0]) == (1.0, 0.0), case
             if config.identity_enabled:
-                assert traj[0].identity == 0.0, case
+                assert traj.identity[0, 0] == 0.0, case
 
 
 @pytest.mark.parametrize("case", sorted(GRAPH_CASES))
@@ -200,15 +212,41 @@ def test_numpy_step_matches_graph_loop_bit_exact(case, gen_fit, model_bundle,
     config = RunConfig(manip_steps=60, **GRAPH_CASES[case])
     w_ref, g_ref, traj_ref = graph_optimize_guided(w_s, target, config,
                                                    model_bundle)
-    w, g, traj = optimize_guided(w_s, target, config, model_bundle)
-    assert w.tobytes() == w_ref.tobytes()
-    assert g.tobytes() == g_ref.tobytes()
-    assert len(traj) == len(traj_ref) == 60
-    for p, q in zip(traj, traj_ref):
-        assert p.step == q.step
-        assert np.array([p.hinge, p.reg, p.identity, p.total]).tobytes() == \
-            np.array([q.hinge, q.reg, q.identity, q.total]).tobytes()
-        assert p.gate_softmax.tobytes() == q.gate_softmax.tobytes()
+    w, g, traj = optimize_guided(w_s[None], target[None], config, model_bundle)
+    assert w[0].tobytes() == w_ref.tobytes()
+    assert g[0].tobytes() == g_ref.tobytes()
+    assert traj.hinge.shape == traj_ref.hinge.shape == (60, 1)
+    for name in TRAJECTORY_FIELDS:
+        assert getattr(traj, name).tobytes() == \
+            getattr(traj_ref, name).tobytes(), name
+
+
+TRAJECTORY_FIELDS = ("hinge", "reg", "identity", "total", "gate_softmax")
+
+
+@pytest.mark.parametrize("case", sorted(GRAPH_CASES))
+def test_batch_rows_match_single_runs_bit_exact(case, gen_fit, model_bundle,
+                                                dataset):
+    # six rows with their own source and target, audio- and text-guided
+    sources = np.stack([gen_fit.latents[SOURCE_INDEX], gen_fit.latents[10],
+                        *(sample_source_latent(seed) for seed in range(4))])
+    targets = np.stack(
+        [encode_audio(dataset.audio[i], model_bundle.audio)
+         for i in (AUDIO_INDEX, 0, 200, 300)]
+        + [encode_text(label_tokens(c), model_bundle.text) for c in (3, 5)])
+    config = RunConfig(manip_steps=60, **GRAPH_CASES[case])
+    w, g, traj = optimize_guided(sources, targets, config, model_bundle)
+    assert w.shape == (6, 8, 32) and g.shape == (6, 8)
+    assert traj.hinge.shape == (60, 6)
+    assert traj.gate_softmax.shape == (60, 6, 8)
+    for i in range(6):
+        w1, g1, traj1 = optimize_guided(sources[i:i + 1], targets[i:i + 1],
+                                        config, model_bundle)
+        assert w[i].tobytes() == w1[0].tobytes()
+        assert g[i].tobytes() == g1[0].tobytes()
+        for name in TRAJECTORY_FIELDS:
+            assert getattr(traj, name)[:, i].tobytes() == \
+                getattr(traj1, name)[:, 0].tobytes(), (i, name)
 
 
 @pytest.mark.parametrize("case", sorted(GRAPH_CASES))
@@ -232,12 +270,21 @@ def test_objective_and_grad_matches_graph_at_edges(case, gen_fit,
                 w_node, g_node, w_s, target, d_src, config, model_bundle,
                 src_id)
             ad.backward(total)
-            got = objective_and_grad(w, g, w_s, target, d_src, config,
-                                     model_bundle, src_id)
+            got = objective_one(w, g, w_s, target, d_src, config,
+                                model_bundle, src_id)
             assert got[:4] == (float(total.value), hinge, reg, ident)
             assert got[4].tobytes() == w_node.grad.tobytes()
             if g_node is not None:
                 assert got[5].tobytes() == g_node.grad[0].tobytes()
+
+
+def objective_one(w, g, w_s, target, d_src, config, models, src_id):
+    """objective_and_grad at B = 1 on unstacked arguments, with the values
+    as floats and the gradients unstacked."""
+    out = objective_and_grad(w[None], g[None], w_s[None], target[None],
+                             np.full((1, 1, 1), d_src), config, models,
+                             src_id[None, None])
+    return (*(float(x[0]) for x in out[:4]), out[4][0], out[5][0])
 
 
 def _objective_at(gen_fit, model_bundle, config):
@@ -254,12 +301,12 @@ def _objective_at(gen_fit, model_bundle, config):
     gate = np.random.default_rng(4).standard_normal(8)
 
     def at_w(w):
-        return objective_and_grad(w, gate, w_s, target, d_src, config,
-                                  model_bundle, src_id)
+        return objective_one(w, gate, w_s, target, d_src, config,
+                             model_bundle, src_id)
 
     def at_g(g):
-        return objective_and_grad(start, g, w_s, target, d_src, config,
-                                  model_bundle, src_id)
+        return objective_one(start, g, w_s, target, d_src, config,
+                             model_bundle, src_id)
 
     return at_w, at_g, start, gate
 
@@ -287,9 +334,9 @@ def test_objective_and_grad_rejects_zero_norm_rows(gen_fit, model_bundle):
     for models in (replace(model_bundle, image=dead_image),
                    replace(model_bundle, identity=dead_identity)):
         with pytest.raises(DegenerateInputError):
-            objective_and_grad(start, np.zeros(8), gen_fit.latents[SOURCE_INDEX],
-                               np.eye(32)[0], 0.5, RunConfig(), models,
-                               np.eye(16)[0])
+            objective_one(start, np.zeros(8), gen_fit.latents[SOURCE_INDEX],
+                          np.eye(32)[0], 0.5, RunConfig(), models,
+                          np.eye(16)[0])
 
 
 @pytest.mark.parametrize("field,value", [
@@ -302,20 +349,50 @@ def test_optimize_rejects_bad_settings(field, value, gen_fit, model_bundle,
     # manip_step_size
     key = "manip_step_size" if field == "step_size" else field
     with pytest.raises(ParameterError, match=key):
-        optimize_latent(gen_fit.latents[0], dataset.audio[0],
+        optimize_guided(gen_fit.latents[:1],
+                        audio_target(dataset, model_bundle, 0),
                         RunConfig(**{key: value}), model_bundle)
 
 
 def test_optimize_rejects_non_finite_inputs(gen_fit, model_bundle):
-    w_s = gen_fit.latents[SOURCE_INDEX]
-    target = np.eye(32)[0]
+    w_s = gen_fit.latents[SOURCE_INDEX:SOURCE_INDEX + 1]
+    target = np.eye(32)[:1]
     with pytest.raises(DegenerateInputError):
-        optimize_guided(w_s, np.full(32, np.nan), RunConfig(manip_steps=1),
-                        model_bundle)
+        optimize_guided(w_s, np.full((1, 32), np.nan),
+                        RunConfig(manip_steps=1), model_bundle)
     bad = w_s.copy()
-    bad[0, 0] = np.inf
+    bad[0, 0, 0] = np.inf
     with pytest.raises(DegenerateInputError):
         optimize_guided(bad, target, RunConfig(manip_steps=1), model_bundle)
+    # in a batch, the error names the row
+    targets = np.eye(32)[:4].copy()
+    targets[2, 5] = np.nan
+    with pytest.raises(DegenerateInputError, match="in row 2$"):
+        optimize_guided(gen_fit.latents[:4], targets, RunConfig(manip_steps=1),
+                        model_bundle)
+
+
+def test_optimize_rejects_mismatched_stacks(gen_fit, model_bundle):
+    # a single latent, or targets that do not pair with the latents one to
+    # one, are shape errors, not broadcasts
+    targets = np.eye(32)[:2]
+    for w_s, t in ((gen_fit.latents[0], targets[0]),
+                   (gen_fit.latents[:2], targets[:1]),
+                   (gen_fit.latents[:2], np.eye(16)[:2])):
+        with pytest.raises(DimensionError):
+            optimize_guided(w_s, t, RunConfig(manip_steps=1), model_bundle)
+
+
+def test_diverging_row_is_named(gen_fit, model_bundle):
+    # rows 0 and 2 are scaled until the image encoder saturates, so their
+    # gradient is zero and a huge step leaves them in place; row 1 diverges
+    w_s = gen_fit.latents[:3].copy()
+    w_s[[0, 2]] *= 1e300
+    with np.errstate(over="ignore"), \
+            pytest.raises(NumericsError, match="in row 1 at step 1:"):
+        optimize_guided(w_s, np.eye(32)[:3],
+                        RunConfig(manip_steps=8, manip_step_size=1e300),
+                        model_bundle)
 
 
 def test_optimizer_deterministic(gen_fit, model_bundle):
@@ -323,18 +400,19 @@ def test_optimizer_deterministic(gen_fit, model_bundle):
     target = np.random.default_rng(6).standard_normal(32)
     target /= np.linalg.norm(target)
     config = RunConfig(manip_steps=25)
-    a1, g1, _ = optimize_guided(w_s, target, config, model_bundle)
-    a2, g2, _ = optimize_guided(w_s, target, config, model_bundle)
+    a1, g1, _ = optimize_guided(w_s[None], target[None], config, model_bundle)
+    a2, g2, _ = optimize_guided(w_s[None], target[None], config, model_bundle)
     assert np.array_equal(a1, a2)
     assert np.array_equal(g1, g2)
 
 
 def test_text_guided_runs_and_is_finite(gen_fit, model_bundle):
     w_s = gen_fit.latents[SOURCE_INDEX]
-    w_t, _, traj = text_guided_latent(w_s, label_tokens(3),
-                                      RunConfig(manip_steps=50), model_bundle)
+    target = encode_text(label_tokens(3), model_bundle.text)
+    w_t, _, traj = optimize_guided(w_s[None], target[None],
+                                   RunConfig(manip_steps=50), model_bundle)
     assert np.all(np.isfinite(w_t))
-    assert traj[-1].hinge < 1.0
+    assert traj.hinge[-1, 0] < 1.0
 
 
 def test_interpolate_endpoints_bit_exact():
@@ -393,6 +471,6 @@ def test_trajectory_csv(manip_run):
     csv = trajectory_csv(trajectory)
     lines = csv.strip().splitlines()
     assert lines[0] == "step,hinge,reg,id,total"
-    assert len(lines) == len(trajectory) + 1
+    assert len(lines) == len(trajectory.hinge) + 1
     cols = lines[1].split(",")
-    assert float(cols[1]) == trajectory[0].hinge
+    assert float(cols[1]) == trajectory.hinge[0, 0]
