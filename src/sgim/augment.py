@@ -1,7 +1,8 @@
 """Audio and text augmentation, and the text vocabulary.
 
 Audio augmentation zeroes one contiguous band of frequency rows and one of
-time columns (widths floor(ratio * dim), positions uniform).
+time columns in each grid of a batch (widths floor(ratio * dim), positions
+uniform, all drawn in one call).
 
 Text is carried as rows of token ids, indices into ``WORDS``, and reaches
 the encoders only as bags: token count rows from ``bag_matrix``. Text
@@ -52,29 +53,36 @@ SYNONYM_IDS: dict[int, tuple[int, ...]] = {
     TOKEN_ID[w]: tuple(TOKEN_ID[s] for s in syns) for w, syns in SYNONYMS.items()}
 
 
-def spec_augment(mel: np.ndarray, freq_ratio: float, time_ratio: float,
+def spec_augment(mels: np.ndarray, freq_ratio: float, time_ratio: float,
                  rng: np.random.Generator) -> np.ndarray:
-    """Zero one frequency band and one time band of a copy of ``mel``.
+    """Zero one frequency band and one time band of each grid in a copy of
+    the (n, freq_bins, time_frames) stack ``mels``.
 
     Band widths are floor(ratio * dim); zero-width bands are skipped, so
-    ratios (0, 0) return an identical copy.
+    ratios (0, 0) return an identical copy. Band starts are uniform, drawn
+    in one call in the order of one scalar draw per band: each row's
+    frequency start, then its time start. A skipped band draws nothing.
     """
     if not (0.0 <= freq_ratio < 1.0) or not (0.0 <= time_ratio < 1.0):
         raise ParameterError(
             f"mask ratios must lie in [0, 1), got ({freq_ratio}, {time_ratio})")
-    out = np.array(mel, dtype=np.float64, copy=True)
-    if out.ndim != 2:
-        raise ParameterError("mel grid must be 2-D")
-    f_bins, t_frames = out.shape
-    f_width = int(freq_ratio * f_bins)
-    t_width = int(time_ratio * t_frames)
-    if f_width > 0:
-        f0 = int(rng.integers(0, f_bins - f_width + 1))
-        out[f0:f0 + f_width, :] = 0.0
-    if t_width > 0:
-        t0 = int(rng.integers(0, t_frames - t_width + 1))
-        out[:, t0:t0 + t_width] = 0.0
-    return out
+    mels = np.asarray(mels, dtype=np.float64)
+    if mels.ndim != 3:
+        raise ParameterError("mel grids must come as an (n, F, T) stack")
+    n = len(mels)
+    bands = [(dim, int(ratio * dim))
+             for dim, ratio in zip(mels.shape[1:], (freq_ratio, time_ratio))]
+    highs = [dim - width + 1 for dim, width in bands if width > 0]
+    drawn = rng.integers(0, np.tile(highs, n).astype(np.int64))
+    starts = iter(drawn.reshape(n, len(highs)).T)
+    masks = []
+    for dim, width in bands:
+        # (n, dim) rows of the band; a skipped band's mask is one False row
+        start = next(starts)[:, None] if width > 0 else 0
+        offset = np.arange(dim) - start
+        masks.append((offset >= 0) & (offset < width))
+    f_band, t_band = masks
+    return np.where(f_band[..., :, None] | t_band[..., None, :], 0.0, mels)
 
 
 def bag_matrix(token_rows) -> np.ndarray:

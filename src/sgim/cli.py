@@ -75,9 +75,10 @@ def _load_generator(run: Path):
     return ckpt.generator_from_arrays(arrays)
 
 
-def _bundle(run: Path, config: RunConfig) -> tuple[ModelBundle, "object"]:
-    teacher = _load_teacher(run)
-    audio = _load_audio(run)
+def _bundle(run: Path, config: RunConfig, teacher,
+            audio) -> tuple[ModelBundle, "object"]:
+    """The run's models around a loaded teacher and audio encoder, and the
+    generator fit."""
     fit = _load_generator(run)
     identity = init_identity_extractor(
         np.random.default_rng(config.seed_for("manip")),
@@ -133,7 +134,7 @@ def cmd_train_audio(run: Path, args, config: RunConfig) -> int:
 
 def cmd_manipulate(run: Path, args, config: RunConfig) -> int:
     manifest, ds = _load_dataset(run)
-    models, fit = _bundle(run, config)
+    models, fit = _bundle(run, config, _load_teacher(run), _load_audio(run))
     if args.source_index is not None:
         if not (0 <= args.source_index < len(fit.latents)):
             raise UsageError(f"source index out of range "
@@ -218,7 +219,8 @@ def cmd_eval_probe(run: Path, args, config: RunConfig) -> int:
 def cmd_ablate(run: Path, args, config: RunConfig) -> int:
     manifest, ds = _load_dataset(run)
     teacher = _load_teacher(run)
-    models, _ = _bundle(run, config)
+    # each arm trains its own audio encoder, so audio.ckpt is not read
+    models, _ = _bundle(run, config, teacher, audio=None)
     report = ablate_weak_loss(ds, manifest, teacher, models, config)
     reports = run / "reports"
     reports.mkdir(parents=True, exist_ok=True)
@@ -233,7 +235,7 @@ def cmd_ablate(run: Path, args, config: RunConfig) -> int:
 
 def cmd_direction_stats(run: Path, args, config: RunConfig) -> int:
     _, ds = _load_dataset(run)
-    models, _ = _bundle(run, config)
+    models, _ = _bundle(run, config, _load_teacher(run), _load_audio(run))
     try:
         attrs = [int(a) for a in args.attrs.split(",") if a.strip()]
     except ValueError:

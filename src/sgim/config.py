@@ -41,6 +41,7 @@ _TRAINING_RANGES = {
     "audio_lr": _POSITIVE,
     "tau": _POSITIVE,
     "momentum": _RATIO,
+    "batch_size": (lambda v: v >= 2, "be >= 2"),
     "teacher_epochs": _COUNT,
     "audio_epochs": _COUNT,
     "sched_period": _COUNT,

@@ -254,13 +254,12 @@ def sample_minibatch(ds: Dataset, n: int, rng: np.random.Generator,
         raise UsageError(f"cannot draw {n} records from {len(ds)}")
     rows = rng.choice(len(ds), size=n, replace=False)
     audio = ds.audio[rows]
-    audio_aug = np.stack([
-        spec_augment(a, freq_mask_ratio, time_mask_ratio, rng) for a in audio])
+    audio_aug = spec_augment(audio, freq_mask_ratio, time_mask_ratio, rng)
     return MiniBatch(rows, audio, audio_aug, ds.image[rows], ds.text[rows])
 
 
 def weak_candidates(ds: Dataset) -> list[np.ndarray]:
-    """For each row, the rows ``sample_weak_pair`` chooses among: the
+    """For each row, the rows ``sample_weak_pairs`` chooses among: the
     same-class rows of other videos, in row order.
 
     A class with a single video falls back to all of its rows, with one
@@ -279,12 +278,19 @@ def weak_candidates(ds: Dataset) -> list[np.ndarray]:
     return per_row
 
 
-def sample_weak_pair(candidates: list[np.ndarray], row: int,
-                     rng: np.random.Generator) -> int:
-    """A same-class row from a different video, uniform over the
-    ``weak_candidates`` of ``row``."""
-    pool = candidates[row]
-    return int(pool[rng.integers(0, len(pool))])
+def sample_from_each(pools: list[np.ndarray],
+                     rng: np.random.Generator) -> np.ndarray:
+    """One element of each pool, uniform: one draw per pool, in pool order,
+    made in one call (the values and rng state of one scalar draw each)."""
+    picks = rng.integers(0, np.array([len(p) for p in pools], dtype=np.int64))
+    return np.array([p[k] for p, k in zip(pools, picks)], dtype=np.int64)
+
+
+def sample_weak_pairs(candidates: list[np.ndarray], rows,
+                      rng: np.random.Generator) -> np.ndarray:
+    """For each of ``rows``, a same-class row from a different video,
+    uniform over its ``weak_candidates``."""
+    return sample_from_each([candidates[i] for i in rows], rng)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ import numpy as np
 
 from .augment import VOCAB_SIZE, augment_bags, bag_matrix
 from .config import RunConfig
-from .data import (Dataset, group_rows, sample_minibatch, sample_weak_pair,
-                   weak_candidates)
+from .data import (Dataset, group_rows, sample_from_each, sample_minibatch,
+                   sample_weak_pairs, weak_candidates)
 from .errors import DegenerateInputError, NumericsError, UsageError
 from .losses import LossBreakdown, info_nce, weak_kl
 
@@ -218,10 +218,8 @@ def _weak_triplet_batch(class_rows: list[np.ndarray],
     class duplicates the softmax negatives would push same-class weak images
     apart, the opposite of what the weak pairing is for.
     """
-    anchors = np.array([pool[rng.integers(0, len(pool))]
-                        for pool in class_rows])
-    weak = np.array([sample_weak_pair(candidates, i, rng) for i in anchors])
-    return anchors, weak
+    anchors = sample_from_each(class_rows, rng)
+    return anchors, sample_weak_pairs(candidates, anchors, rng)
 
 
 def audio_step(params: EncoderParams, x: np.ndarray, x_aug: np.ndarray,
@@ -283,8 +281,11 @@ def train_audio_encoder(ds: Dataset, teacher: TeacherParams,
     component is evaluated on a freshly sampled class-stratified triplet
     batch each step; the other three share one uniform minibatch. All rng
     draws happen regardless of the ablation flags, so two runs that differ
-    only in flags see identical batches. Returns the trained params and the
-    per-epoch mean loss breakdown.
+    only in flags see identical batches. The frozen teacher's image
+    embeddings are computed once, for every row, and indexed per batch: a
+    row of a gemm of two or more rows comes out the same whatever the other
+    rows are. Returns the trained params and the per-epoch mean loss
+    breakdown.
     """
     if not (teacher.text.frozen and teacher.image.frozen):
         raise UsageError("teacher encoders must be frozen before audio training")
@@ -298,6 +299,7 @@ def train_audio_encoder(ds: Dataset, teacher: TeacherParams,
     audio_p = init_encoder_params(rng, ds.audio[0].size, config.hidden_dim,
                                   config.embed_dim)
     candidates = weak_candidates(ds)
+    v_all = encode_np(teacher.image, ds.image)
 
     def step(bsz):
         batch = sample_minibatch(ds, bsz, rng, config.freq_mask_ratio,
@@ -305,20 +307,19 @@ def train_audio_encoder(ds: Dataset, teacher: TeacherParams,
         # the main batch's weak pairs are never read, since the weak term
         # runs on its own batch; their draws stay because every later batch
         # depends on the rng state they advance
-        for i in batch.rows:
-            rng.integers(0, len(candidates[i]))
+        sample_weak_pairs(candidates, batch.rows, rng)
         t = encode_np(teacher.text, augment_bags(batch.text, rng,
                                                  config.text_aug_prob))
-        v = encode_np(teacher.image, batch.images)
         anchors, weak2 = _weak_triplet_batch(class_rows, candidates, rng)
         bags2 = augment_bags(ds.text[anchors], rng, config.text_aug_prob)
         weak = None
         if use_weak:
             weak = (ds.audio[anchors].reshape(len(anchors), -1),
-                    encode_np(teacher.image, ds.image[weak2]),
+                    v_all[weak2],
                     encode_np(teacher.text, bags2))
         br, grads = audio_step(audio_p, batch.audio.reshape(bsz, -1),
-                               batch.audio_aug.reshape(bsz, -1), t, v, weak,
+                               batch.audio_aug.reshape(bsz, -1), t,
+                               v_all[batch.rows], weak,
                                config)
         return astuple(br), (grads,)
 

@@ -56,7 +56,7 @@ def init_identity_extractor(rng: np.random.Generator, pixels: int = 64,
 @dataclass
 class ModelBundle:
     generator: GeneratorParams
-    audio: EncoderParams
+    audio: EncoderParams | None   # None for ablation, whose arms train their own
     text: EncoderParams
     image: EncoderParams
     identity: IdentityExtractor

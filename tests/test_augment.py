@@ -7,49 +7,75 @@ from sgim import augment
 from sgim.augment import augment_bags, bag_matrix, spec_augment
 from sgim.errors import ParameterError, UsageError
 
+from draw_reference import spec_augment_row
 from text_reference import (TokenSeq, Vocabulary, augment_text,
                             reference_augmented_bags)
 
 
 def test_spec_augment_identity_at_zero_ratios():
     rng = np.random.default_rng(0)
-    mel = np.random.default_rng(1).standard_normal((20, 10))
-    out = spec_augment(mel, 0.0, 0.0, rng)
-    assert np.array_equal(out, mel)
-    assert out is not mel
+    mels = np.random.default_rng(1).standard_normal((3, 20, 10))
+    state = rng.bit_generator.state
+    out = spec_augment(mels, 0.0, 0.0, rng)
+    assert np.array_equal(out, mels)
+    assert out is not mels
+    assert rng.bit_generator.state == state   # zero-width bands draw nothing
 
 
 def test_spec_augment_band_sizes():
     # floor(0.15*20) = 3 rows, floor(0.3*10) = 3 columns, overlap counted once
     rng = np.random.default_rng(7)
-    mel = np.ones((20, 10))
-    out = spec_augment(mel, 0.15, 0.3, rng)
-    assert out.shape == mel.shape
-    assert np.array_equal(mel, np.ones((20, 10)))  # input untouched
-    zero_rows = int(np.sum(np.all(out == 0.0, axis=1)))
-    zero_cols = int(np.sum(np.all(out == 0.0, axis=0)))
-    assert zero_rows == 3
-    assert zero_cols == 3
-    expected_zeros = 3 * 10 + 3 * 20 - 3 * 3
-    assert int(np.sum(out == 0.0)) == expected_zeros
+    mels = np.ones((5, 20, 10))
+    out = spec_augment(mels, 0.15, 0.3, rng)
+    assert out.shape == mels.shape
+    assert np.array_equal(mels, np.ones((5, 20, 10)))  # input untouched
+    for grid in out:
+        zero_rows = int(np.sum(np.all(grid == 0.0, axis=1)))
+        zero_cols = int(np.sum(np.all(grid == 0.0, axis=0)))
+        assert zero_rows == 3
+        assert zero_cols == 3
+        expected_zeros = 3 * 10 + 3 * 20 - 3 * 3
+        assert int(np.sum(grid == 0.0)) == expected_zeros
 
 
 def test_spec_augment_rejects_ratio_one():
     rng = np.random.default_rng(0)
     with pytest.raises(ParameterError):
-        spec_augment(np.ones((4, 4)), 1.0, 0.0, rng)
+        spec_augment(np.ones((2, 4, 4)), 1.0, 0.0, rng)
     with pytest.raises(ParameterError):
-        spec_augment(np.ones((4, 4)), 0.0, 1.5, rng)
+        spec_augment(np.ones((2, 4, 4)), 0.0, 1.5, rng)
+    with pytest.raises(ParameterError):
+        spec_augment(np.ones((4, 4)), 0.1, 0.1, rng)   # one grid, not a stack
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(0, 0.99), st.floats(0, 0.99))
 def test_spec_augment_pure_under_seed(seed, fr, tr):
-    mel = np.random.default_rng(5).standard_normal((12, 8))
-    a = spec_augment(mel, fr, tr, np.random.default_rng(seed))
-    b = spec_augment(mel, fr, tr, np.random.default_rng(seed))
+    mels = np.random.default_rng(5).standard_normal((3, 12, 8))
+    a = spec_augment(mels, fr, tr, np.random.default_rng(seed))
+    b = spec_augment(mels, fr, tr, np.random.default_rng(seed))
     assert np.array_equal(a, b)
-    assert a.shape == mel.shape
+    assert a.shape == mels.shape
+
+
+def test_spec_augment_matches_per_row_draws():
+    """One call per batch gives the masks and leaves the rng state of one
+    scalar draw per band, row by row, at random shapes, counts (odd ones
+    included) and ratios (zero included)."""
+    cases = np.random.default_rng(2024)
+    for _ in range(300):
+        n = int(cases.integers(0, 12))
+        f_bins, t_frames = (int(d) for d in cases.integers(1, 25, size=2))
+        fr, tr = (0.0 if cases.random() < 0.2 else float(cases.random() * 0.99)
+                  for _ in range(2))
+        mels = cases.standard_normal((n, f_bins, t_frames))
+        seed = int(cases.integers(0, 2**63))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = spec_augment(mels, fr, tr, rng)
+        want = np.array([spec_augment_row(m, fr, tr, ref_rng) for m in mels])
+        assert got.shape == mels.shape
+        assert got.tobytes() == want.reshape(mels.shape).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def _tiny_vocab():

@@ -1,10 +1,11 @@
 import filecmp
 import shutil
 import struct
+from pathlib import Path
 
 import pytest
 
-from sgim import evaluate
+from sgim import checkpoint, cli, evaluate
 from sgim.checkpoint import load_checkpoint
 from sgim.cli import main
 from sgim.config import RunConfig, config_from_text
@@ -307,6 +308,45 @@ def test_bad_training_value_validation_error(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: validation: {message}\n"
     assert not (run / artifact).exists()
+
+
+def test_small_batch_rejected_before_any_stage(tmp_path, capsys):
+    run = tmp_path / "run"
+    capsys.readouterr()
+    assert run_cli("--set", "batch_size=1", "gen-data", "--run", run) == 2
+    err = capsys.readouterr().err
+    assert err == "error: validation: batch_size must be >= 2, got 1\n"
+    assert not run.exists()
+
+
+def test_ablate_loads_teacher_once_without_audio_ckpt(pipeline_dir, tmp_path,
+                                                      capsys, monkeypatch):
+    # each ablation arm trains its own audio encoder, so audio.ckpt is
+    # neither needed nor read; the stub keeps anything from training
+    run = tmp_path / "run"
+    shutil.copytree(pipeline_dir, run)
+    (run / "audio.ckpt").unlink()
+    loaded = []
+    real_load = checkpoint.load_checkpoint
+
+    def counting_load(path):
+        loaded.append(Path(path).name)
+        return real_load(path)
+
+    def stub_ablate(ds, manifest, teacher, models, config):
+        assert models.image is teacher.image and models.text is teacher.text
+        zs = evaluate.EvalReport("zero_shot", 0.5)
+        return evaluate.AblationReport(zs, zs, 0.25, 0.125, 0.5, 0.75)
+
+    monkeypatch.setattr(checkpoint, "load_checkpoint", counting_load)
+    monkeypatch.setattr(cli, "ablate_weak_loss", stub_ablate)
+    capsys.readouterr()
+    assert run_cli(*FAST, "ablate", "--run", run) == 0
+    assert sorted(loaded) == ["generator.ckpt", "teacher.ckpt"]
+    assert capsys.readouterr().out == ("cosine margin (with - without): "
+                                       "+0.1250\nleakage with kl: 0.5000\n"
+                                       "leakage without kl: 0.7500\n")
+    assert (run / "reports" / "ablation.csv").exists()
 
 
 def test_diverging_step_is_internal_error(pipeline_dir, capsys):

@@ -7,9 +7,11 @@ import pytest
 from sgim import data
 from sgim.augment import VOCAB_SIZE
 from sgim.data import (DatasetManifest, generate_dataset, group_rows,
-                       load_dataset, sample_minibatch, sample_weak_pair,
+                       load_dataset, sample_minibatch, sample_weak_pairs,
                        save_dataset, split_by_video, weak_candidates)
 from sgim.errors import ParameterError, UsageError
+
+from draw_reference import weak_pair
 
 
 def chi2_survival_even_dof(x: float, dof: int) -> float:
@@ -47,7 +49,7 @@ def reference_split_by_video(records, manifest):
 
 def reference_weak_pair(records, index, rng):
     """The list-scan picker that ``weak_candidates`` plus
-    ``sample_weak_pair`` replaced, on row indices."""
+    ``sample_weak_pairs`` replaced, on row indices."""
     record = records[index]
     candidates = [i for i, r in enumerate(records)
                   if r.class_id == record.class_id
@@ -201,16 +203,51 @@ def test_weak_pair_matches_list_scan_reference(pool, manifest, dataset):
     candidates = weak_candidates(ds)
     rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
     for _ in range(3):
-        for i in range(len(ds)):
-            assert sample_weak_pair(candidates, i, rng) == \
-                   reference_weak_pair(records, i, ref_rng)
+        got = sample_weak_pairs(candidates, np.arange(len(ds)), rng)
+        assert got.tolist() == [reference_weak_pair(records, i, ref_rng)
+                                for i in range(len(ds))]
+
+
+def test_array_bound_draws_match_scalar_draws():
+    """``rng.integers(0, highs)`` with an array of bounds gives the values
+    of one scalar draw per bound, and leaves the same rng state: the
+    property the batched samplers rest on. Bounds span 1 (no draw), the
+    32-bit and the 64-bit paths; counts include odd ones."""
+    cases = np.random.default_rng(31)
+    for _ in range(300):
+        top = int(cases.choice([2, 50, 2**31, 2**32, 2**62]))
+        highs = cases.integers(1, top, size=int(cases.integers(0, 70)),
+                               endpoint=True)
+        seed = int(cases.integers(0, 2**63))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = rng.integers(0, highs)
+        assert got.tolist() == [int(ref_rng.integers(0, h)) for h in highs]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_sample_weak_pairs_matches_scalar_draws():
+    """One call gives the picks, and leaves the rng state, of one scalar
+    draw per row, at random pool sizes (1 included) and row counts (odd
+    ones included)."""
+    cases = np.random.default_rng(99)
+    for _ in range(300):
+        candidates = [np.sort(cases.choice(1000, replace=False,
+                                           size=int(cases.integers(1, 40))))
+                      for _ in range(int(cases.integers(1, 20)))]
+        rows = cases.integers(0, len(candidates),
+                              size=int(cases.integers(0, 130)))
+        seed = int(cases.integers(0, 2**63))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_weak_pairs(candidates, rows, rng)
+        assert got.tolist() == [weak_pair(candidates, i, ref_rng) for i in rows]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_weak_pair_contract(dataset):
     rng = np.random.default_rng(3)
     candidates = weak_candidates(dataset)
-    for i in range(0, len(dataset), 37):
-        weak = sample_weak_pair(candidates, i, rng)
+    rows = np.arange(0, len(dataset), 37)
+    for i, weak in zip(rows, sample_weak_pairs(candidates, rows, rng)):
         assert dataset.class_id[weak] == dataset.class_id[i]
         assert dataset.video_id[weak] != dataset.video_id[i]
 
@@ -219,7 +256,8 @@ def test_weak_pair_forced_choice():
     m = DatasetManifest(classes=1, videos_per_class=2, records_per_video=1,
                         bias_spec={}, seed=2)
     ds = generate_dataset(m)
-    weak = sample_weak_pair(weak_candidates(ds), 0, np.random.default_rng(0))
+    weak, = sample_weak_pairs(weak_candidates(ds), [0],
+                              np.random.default_rng(0))
     assert ds.video_id[weak] == ds.video_id[1]
 
 
@@ -229,7 +267,7 @@ def test_weak_pair_fallback_logs_warning(caplog):
     ds = generate_dataset(m)
     with caplog.at_level("WARNING"):
         candidates = weak_candidates(ds)
-    weak = sample_weak_pair(candidates, 0, np.random.default_rng(0))
+    weak, = sample_weak_pairs(candidates, [0], np.random.default_rng(0))
     assert ds.class_id[weak] == ds.class_id[0]
     assert [rec.message for rec in caplog.records] == \
            ["weak pair fallback: class 0 has a single video"]
@@ -240,8 +278,8 @@ def test_weak_pair_uniform_chi_squared(dataset):
     rng = np.random.default_rng(9)
     candidates = weak_candidates(dataset)
     counts: dict[int, int] = {}
-    for _ in range(10_000):
-        video = int(dataset.video_id[sample_weak_pair(candidates, 0, rng)])
+    for weak in sample_weak_pairs(candidates, np.zeros(10_000, int), rng):
+        video = int(dataset.video_id[weak])
         counts[video] = counts.get(video, 0) + 1
     assert len(counts) == 5
     expected = 10_000 / 5

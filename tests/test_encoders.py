@@ -10,7 +10,7 @@ from sgim import encoders
 from sgim.augment import VOCAB_SIZE, bag_matrix
 from sgim.config import RunConfig
 from sgim.data import (DatasetManifest, MiniBatch, generate_dataset,
-                       label_tokens, sample_minibatch, sample_weak_pair,
+                       label_tokens, sample_minibatch, sample_weak_pairs,
                        split_by_video, weak_candidates)
 from sgim.encoders import (PARAM_KEYS, EncoderParams, TeacherParams,
                            cyclic_lr, encode_audio, encode_np, encode_text,
@@ -150,6 +150,21 @@ def test_canonical_training_pinned(teacher, audio_encoder):
     assert got == PINNED_TRAINING_SHA256
 
 
+def test_teacher_image_rows_batch_invariant(splits, teacher):
+    """``train_audio_encoder`` encodes the teacher's images once and indexes
+    the rows of each batch: every row must be byte-equal to its encode in
+    a 64- or an 8-row batch."""
+    train, _ = splits
+    image = teacher[0].image
+    full = encode_np(image, train.image)
+    rng = np.random.default_rng(13)
+    for size in (64, 8):
+        for _ in range(100):
+            rows = rng.choice(len(train), size=size, replace=False)
+            assert (encode_np(image, train.image[rows]).tobytes()
+                    == full[rows].tobytes())
+
+
 def test_teacher_marked_frozen(teacher):
     params, _ = teacher
     assert params.text.frozen and params.image.frozen
@@ -193,7 +208,7 @@ def test_pinned_init_loss_breakdown(splits, teacher, run_config):
     brng = np.random.default_rng(0)
     batch = sample_minibatch(train, 8, brng)
     candidates = weak_candidates(train)
-    weak = [sample_weak_pair(candidates, i, brng) for i in batch.rows]
+    weak = sample_weak_pairs(candidates, batch.rows, brng)
     br = batch_total_loss(batch, train.image[weak], audio_p, teacher[0],
                           run_config)
     assert br.total == pytest.approx(PINNED_INIT_TOTAL, rel=1e-9)
@@ -209,8 +224,7 @@ def test_training_lowers_total_loss(splits, teacher, audio_encoder, run_config):
     brng = np.random.default_rng(5)
     batch = sample_minibatch(train, 32, brng)
     candidates = weak_candidates(train)
-    weak = train.image[[sample_weak_pair(candidates, i, brng)
-                        for i in batch.rows]]
+    weak = train.image[sample_weak_pairs(candidates, batch.rows, brng)]
     before = batch_total_loss(batch, weak, init_p, teacher[0], run_config)
     after = batch_total_loss(batch, weak, audio_encoder[0], teacher[0],
                              run_config)
