@@ -95,6 +95,12 @@ def bag_matrix(token_rows) -> np.ndarray:
     return bags
 
 
+def _pick(rng: np.random.Generator, n: int) -> int:
+    """``rng.integers(0, n)``, with no call for a one-element pool: that
+    draw is 0 and leaves the generator's state as it was."""
+    return rng.integers(0, n) if n > 1 else 0
+
+
 def augment_bags(token_rows, rng: np.random.Generator,
                  prob: float) -> np.ndarray:
     """Bags of the id rows, each enriched by synonym insertion, then a
@@ -115,8 +121,8 @@ def augment_bags(token_rows, rng: np.random.Generator,
         if rng.random() < prob:
             candidates = [t for t in row if t in SYNONYM_IDS]
             if candidates:
-                syns = SYNONYM_IDS[candidates[rng.integers(0, len(candidates))]]
-                bag[syns[rng.integers(0, len(syns))]] += 1.0
+                syns = SYNONYM_IDS[candidates[_pick(rng, len(candidates))]]
+                bag[syns[_pick(rng, len(syns))]] += 1.0
                 rng.integers(0, length + 1)    # insert position
                 length += 1
         if rng.random() < prob:

@@ -19,6 +19,7 @@ into the run directory by every command. Failures print one line
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -331,9 +332,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing reads the parser
+    and never changes it, so one call's arguments cannot reach the next."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = load_config(getattr(args, "config", None),
                              getattr(args, "set", None) or [])
@@ -347,7 +354,7 @@ def main(argv=None) -> int:
             # numpy rejects negative seeds; checkpoints store an int64
             if not 0 <= value < 2 ** 63:
                 raise UsageError(f"{name} must lie in [0, 2**63), got {value}")
-        config.check_training_ranges()
+        config.check_ranges()
         run = Path(args.run)
         _echo_config(run, config)
         return args.func(run, args, config)

@@ -32,8 +32,9 @@ SEED_OFFSETS = {
 _FRACTION = (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
 _RATIO = (lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
 _POSITIVE = (lambda v: math.isfinite(v) and v > 0.0, "be finite and > 0")
+_NON_NEGATIVE = (lambda v: math.isfinite(v) and v >= 0.0, "be finite and >= 0")
 _COUNT = (lambda v: v >= 1, "be >= 1")
-_TRAINING_RANGES = {
+_RANGES = {
     "text_aug_prob": _FRACTION,
     "freq_mask_ratio": _RATIO,
     "time_mask_ratio": _RATIO,
@@ -50,6 +51,11 @@ _TRAINING_RANGES = {
     "latent_dim": _COUNT,
     "probe_epochs": _COUNT,
     "probe_lr": _POSITIVE,
+    "gen_fit_epochs": (lambda v: v >= 0, "be >= 0"),   # 0: the untouched init
+    "manip_steps": _COUNT,
+    "manip_step_size": _NON_NEGATIVE,
+    "lambda_reg": _NON_NEGATIVE,
+    "lambda_id": _NON_NEGATIVE,
 }
 
 
@@ -118,10 +124,10 @@ class RunConfig:
     def seed_for(self, stage: str) -> int:
         return stage_seed(self.master_seed, stage)
 
-    def check_training_ranges(self) -> None:
-        """Raises ``ParameterError`` naming the first training key outside
-        its range."""
-        for key, (ok, allowed) in _TRAINING_RANGES.items():
+    def check_ranges(self) -> None:
+        """Raises ``ParameterError`` naming the first range-checked key
+        outside its range."""
+        for key, (ok, allowed) in _RANGES.items():
             value = getattr(self, key)
             if not ok(value):
                 raise ParameterError(f"{key} must {allowed}, got {value!r}")

@@ -240,7 +240,6 @@ class MiniBatch:
     rows: np.ndarray        # (n,) dataset rows, in draw order
     audio: np.ndarray       # (n, F, T)
     audio_aug: np.ndarray   # (n, F, T)
-    images: np.ndarray      # (n, P)
     text: np.ndarray        # (n, k) token ids
 
 
@@ -255,7 +254,7 @@ def sample_minibatch(ds: Dataset, n: int, rng: np.random.Generator,
     rows = rng.choice(len(ds), size=n, replace=False)
     audio = ds.audio[rows]
     audio_aug = spec_augment(audio, freq_mask_ratio, time_mask_ratio, rng)
-    return MiniBatch(rows, audio, audio_aug, ds.image[rows], ds.text[rows])
+    return MiniBatch(rows, audio, audio_aug, ds.text[rows])
 
 
 def weak_candidates(ds: Dataset) -> list[np.ndarray]:

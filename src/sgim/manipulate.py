@@ -13,12 +13,13 @@ drift norms (or the plain Frobenius norm with adaptive masking off). The
 identity term 0.5 * |f_a - f_s|^2 on unit identity features is their
 cosine distance 1 - f_a.f_s, but exactly 0 where they agree.
 
-Each step evaluates the objective and its gradient with
-``objective_and_grad``: a hand-derived numpy forward and backward pass that
-mirrors, expression for expression, the autodiff graph kept as the oracle
-in tests/graph_reference.py, so results match that graph bit for bit at a
-fraction of the cost. The image is ``synthesize``'s one matmul through the
-generator matrix A, so the latent's gradient is one matmul through A.T.
+Each step evaluates the objective and its gradient with the step that
+``bind_step`` builds once per optimization: a hand-derived numpy forward
+and backward pass that mirrors, expression for expression, the autodiff
+graph kept as the oracle in tests/graph_reference.py, so results match
+that graph bit for bit at a fraction of the cost. The image is
+``synthesize``'s one matmul through the generator matrix A, so the
+latent's gradient is one matmul through A.T.
 
 Every array carries a leading batch axis, so one call optimizes B latents,
 each toward its own target, and a single request is B = 1.
@@ -65,13 +66,19 @@ class ModelBundle:
 @dataclass
 class Trajectory:
     """Per-step values of a run over B latents, taken before each update:
-    the terms are (steps, B) arrays, the gate softmax is (steps, B, layers)."""
+    the terms are (steps, B) arrays, the gate logits (steps, B, layers)."""
 
     hinge: np.ndarray
     reg: np.ndarray
     identity: np.ndarray
     total: np.ndarray
-    gate_softmax: np.ndarray
+    gate_logits: np.ndarray
+
+    @property
+    def gate_softmax(self) -> np.ndarray:
+        """The gate softmax of every step, (steps, B, layers), computed on
+        each access."""
+        return gate_softmax(self.gate_logits)
 
 
 def gate_softmax(logits: np.ndarray) -> np.ndarray:
@@ -90,7 +97,8 @@ def _unit_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of z scaled to unit norm, and the norms (autodiff's
     ``l2_normalize_rows``)."""
     norms = np.sqrt((z ** 2).sum(axis=-1, keepdims=True))
-    if np.any(norms == 0.0):
+    # a NaN norm is truthy, so this is the test norms == 0.0
+    if not norms.all():
         raise DegenerateInputError("l2_normalize_rows: zero-norm row")
     return z / norms, norms
 
@@ -101,32 +109,144 @@ def _unit_rows_vjp(g: np.ndarray, out: np.ndarray,
     return (g - out * dot) / norms
 
 
-def _image_forward(img: np.ndarray, enc: EncoderParams) -> tuple:
-    """Image embeddings of a (B, 1, pixels) stack, and the activations."""
-    h1 = np.tanh(img @ _c(enc.w1) + _c(enc.b1))
-    h2 = np.tanh(h1 @ _c(enc.w2) + _c(enc.b2))
-    v, norms = _unit_rows(h2 @ _c(enc.w3) + _c(enc.b3))
+def _image_forward(img: np.ndarray, enc: tuple) -> tuple:
+    """Image embeddings of a (B, 1, pixels) stack, and the activations;
+    ``enc`` is the encoder's (w1, b1, w2, b2, w3, b3) in C order."""
+    w1, b1, w2, b2, w3, b3 = enc
+    h1 = np.tanh(img @ w1 + b1)
+    h2 = np.tanh(h1 @ w2 + b2)
+    v, norms = _unit_rows(h2 @ w3 + b3)
     return v, (h1, h2, norms)
 
 
-def _identity_forward(img: np.ndarray, extractor: IdentityExtractor) -> tuple:
+def _identity_forward(img: np.ndarray, w1: np.ndarray,
+                      w2: np.ndarray) -> tuple:
     """Identity features of a (B, 1, pixels) stack, and the activations."""
-    hf = np.tanh(img @ _c(extractor.w1))
-    feat, norms = _unit_rows(hf @ _c(extractor.w2))
+    hf = np.tanh(img @ w1)
+    feat, norms = _unit_rows(hf @ w2)
     return feat, (hf, norms)
+
+
+def _encoder_arrays(enc: EncoderParams) -> tuple[np.ndarray, ...]:
+    return tuple(_c(a) for a in enc.arrays().values())
 
 
 def source_reference(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
                      models: ModelBundle) -> tuple[np.ndarray, np.ndarray | None]:
     """(d_src, source identity features or None) of each row, shaped
-    (B, 1, 1) and (B, 1, features) for ``objective_and_grad``, from its own
+    (B, 1, 1) and (B, 1, features) for ``bind_step``, from its own
     forward expressions: step 0 gives hinge 1 and identity 0."""
     img = synthesize(w_s, models.generator)[:, None, :]
-    v, _ = _image_forward(img, models.image)
+    v, _ = _image_forward(img, _encoder_arrays(models.image))
     d_src = 1.0 - (v * _c(targets)[:, None, :]).sum(axis=-1, keepdims=True)
     if not (config.identity_enabled and config.lambda_id > 0.0):
         return d_src, None
-    return d_src, _identity_forward(img, models.identity)[0]
+    ident = models.identity
+    return d_src, _identity_forward(img, _c(ident.w1), _c(ident.w2))[0]
+
+
+def bind_step(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
+              models: ModelBundle, reference: tuple | None = None):
+    """The manipulation step toward ``targets`` (B, embed) from the source
+    stack ``w_s`` (B, layers, latent_dim), with every operand a run never
+    changes bound once: the frozen weights in C order and their
+    transposes, the generator matrix, the target stack, the settings, and
+    the source terms (d_src, source identity), which ``reference`` gives or
+    ``source_reference`` computes.
+
+    Returns ``step(w, g)``, which takes C-ordered float64 latents (B,
+    layers, latent_dim) and gate logits (B, layers) and returns (total,
+    hinge, reg, identity), each (B,), then grad_w and grad_g; grad_g is
+    zero with adaptive masking off. Every matmul operand is a (B, 1, ·)
+    stack and every sum reduces over the last axis, so row i rounds as a
+    B = 1 call does (see ``synthesize``). The forward and backward passes
+    repeat the numpy expressions and vjps of the autodiff ops the oracle
+    graph is made of, in the order ``autodiff.backward`` runs them, so
+    values and gradients are bit-identical to the graph's
+    (tests/graph_reference.py keeps it).
+    """
+    gen = models.generator
+    w_s = _c(w_s)
+    batch, layers = w_s.shape[0], w_s.shape[1]
+    enc = _encoder_arrays(models.image)
+    w1, _, w2, _, w3, _ = enc
+    w1_t, w2_t, w3_t = w1.T, w2.T, w3.T
+    gen_a, gen_a_t, bias = gen.A, gen.A.T, gen.bias
+    t = _c(targets)[:, None, :]
+    lam_reg = float(config.lambda_reg)
+    lam_id = float(config.lambda_id)
+    adaptive = config.adaptive_masking
+    use_id = config.identity_enabled and lam_id > 0.0
+    if use_id:
+        id_w1, id_w2 = _c(models.identity.w1), _c(models.identity.w2)
+        id_w1_t, id_w2_t = id_w1.T, id_w2.T
+    d_src, source_identity = (source_reference(w_s, targets, config, models)
+                              if reference is None else reference)
+    inv_layers = 1.0 / layers
+    g_mm = np.full((1, 1), lam_reg * inv_layers)
+    # returned by every step, so read-only
+    no_ident = np.zeros((batch, 1, 1))
+    no_grad_g = np.zeros((batch, layers))
+    no_ident.flags.writeable = no_grad_g.flags.writeable = False
+    # the hinge's gradient on v, (0.0 - (pre > 0.0)) * t, for an active and
+    # an inactive hinge. 0.0 - x, not -x: the graph accumulated every
+    # gradient onto +0.0, so an inactive hinge passes +0.0 on, never -0.0
+    g_v_active = (0.0 - True) * t
+    g_v_inactive = (0.0 - False) * t
+
+    def step(w: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, ...]:
+        # forward; the terms of each row are (B, 1, 1)
+        img = bias + w.reshape(batch, 1, -1) @ gen_a
+        v, (h1, h2, v_norms) = _image_forward(img, enc)
+        pre = (1.0 - (v * t).sum(axis=-1, keepdims=True)) - d_src + 1.0
+        hinge = np.maximum(pre, 0.0)
+
+        delta = w - w_s
+        if adaptive:
+            norms = np.sqrt((delta ** 2).sum(axis=-1, keepdims=True))  # (B, L, 1)
+            weights = gate_softmax(g[:, None, :])                      # (B, 1, L)
+            reg = (weights @ norms) * inv_layers
+        else:
+            reg = np.sqrt((delta * delta).reshape(batch, 1, -1).sum(
+                axis=-1, keepdims=True))
+        total = hinge + reg * lam_reg
+        ident = no_ident
+        if use_id:
+            feat, (hf, f_norms) = _identity_forward(img, id_w1, id_w2)
+            d_id = feat - source_identity
+            ident = (d_id * d_id).sum(axis=-1, keepdims=True) * 0.5
+            total = total + ident * lam_id
+
+        # backward: hinge through the image encoder, then identity
+        g_v = np.where(pre > 0.0, g_v_active, g_v_inactive)
+        g_a2 = (_unit_rows_vjp(g_v, v, v_norms) @ w3_t) * (1.0 - h2 * h2)
+        g_a1 = (g_a2 @ w2_t) * (1.0 - h1 * h1)
+        g_img = g_a1 @ w1_t
+        if use_id:
+            g_half = (lam_id * 0.5) * d_id
+            g_f = _unit_rows_vjp(g_half + g_half, feat, f_norms)
+            g_img = g_img + (((g_f @ id_w2_t) * (1.0 - hf * hf)) @ id_w1_t)
+        grad_w = (g_img @ gen_a_t).reshape(w.shape)
+
+        # regularizer
+        if adaptive:
+            g_weights = g_mm @ norms.swapaxes(-1, -2)
+            dot = (g_weights * weights).sum(axis=-1, keepdims=True)
+            grad_g = (weights * (g_weights - dot))[:, 0]
+            moved = norms > 0.0
+            safe = np.where(moved, norms, 1.0)
+            g_delta = np.where(moved, (weights.swapaxes(-1, -2) @ g_mm)
+                               / safe, 0.0) * delta
+        else:
+            grad_g = no_grad_g
+            g_sq = np.divide(lam_reg, 2.0 * reg, out=np.zeros_like(reg),
+                             where=reg > 0.0)
+            g_delta = g_sq * delta + g_sq * delta
+        grad_w = grad_w + g_delta
+        return (total.reshape(batch), hinge.reshape(batch),
+                reg.reshape(batch), ident.reshape(batch), grad_w, grad_g)
+
+    return step
 
 
 def objective_and_grad(w: np.ndarray, g: np.ndarray, w_s: np.ndarray,
@@ -135,79 +255,18 @@ def objective_and_grad(w: np.ndarray, g: np.ndarray, w_s: np.ndarray,
                        source_identity: np.ndarray | None,
                        ) -> tuple[np.ndarray, ...]:
     """Manipulation objective of each row of latents ``w`` (B, layers,
-    latent_dim) and gate logits ``g`` (B, layers) toward ``targets``.
+    latent_dim) and gate logits ``g`` (B, layers) toward ``targets``, with
+    the given source terms: one step of ``bind_step``.
 
     Returns (total, hinge, reg, identity), each (B,), then grad_w and
-    grad_g; grad_g is zero with adaptive masking off. Every matmul operand
-    is a (B, 1, ·) stack and every sum reduces over the last axis, so row i
-    rounds as a B = 1 call does (see ``synthesize``). The forward and
-    backward passes repeat the numpy expressions and vjps of the autodiff
-    ops the oracle graph is made of, in the order ``autodiff.backward`` runs
-    them, so values and gradients are bit-identical to the graph's
-    (tests/graph_reference.py keeps it).
+    grad_g; grad_g is zero with adaptive masking off.
     """
-    gen = models.generator
-    w = _c(gen.check_latent(w))
-    batch, layers = w.shape[0], w.shape[1]
-    enc = models.image
-    t = _c(targets)[:, None, :]
-    lam_reg = float(config.lambda_reg)
-    lam_id = float(config.lambda_id)
-    use_id = config.identity_enabled and lam_id > 0.0
-
-    # forward; the terms of each row are (B, 1, 1)
-    img = synthesize(w, gen)[:, None, :]
-    v, (h1, h2, v_norms) = _image_forward(img, enc)
-    pre = (1.0 - (v * t).sum(axis=-1, keepdims=True)) - d_src + 1.0
-    hinge = np.maximum(pre, 0.0)
-
-    delta = w - _c(w_s)
-    if config.adaptive_masking:
-        norms = np.sqrt((delta ** 2).sum(axis=-1, keepdims=True))   # (B, L, 1)
-        weights = gate_softmax(_c(g)[:, None, :])                    # (B, 1, L)
-        reg = (weights @ norms) * (1.0 / layers)
-    else:
-        reg = np.sqrt((delta * delta).reshape(batch, 1, -1).sum(
-            axis=-1, keepdims=True))
-    total = hinge + reg * lam_reg
-    ident = np.zeros((batch, 1, 1))
-    if use_id:
-        feat, (hf, f_norms) = _identity_forward(img, models.identity)
-        d_id = feat - source_identity
-        ident = (d_id * d_id).sum(axis=-1, keepdims=True) * 0.5
-        total = total + ident * lam_id
-
-    # backward: hinge through the image encoder, then identity. 0.0 - x,
-    # not -x: the graph accumulated every gradient onto +0.0, so an inactive
-    # hinge passes +0.0 on, never -0.0
-    g_v = (0.0 - (pre > 0.0)) * t
-    g_a2 = (_unit_rows_vjp(g_v, v, v_norms) @ _c(enc.w3).T) * (1.0 - h2 * h2)
-    g_a1 = (g_a2 @ _c(enc.w2).T) * (1.0 - h1 * h1)
-    g_img = g_a1 @ _c(enc.w1).T
-    if use_id:
-        g_half = (lam_id * 0.5) * d_id
-        g_f = _unit_rows_vjp(g_half + g_half, feat, f_norms)
-        g_img = g_img + (((g_f @ _c(models.identity.w2).T) * (1.0 - hf * hf))
-                         @ _c(models.identity.w1).T)
-    grad_w = (g_img @ gen.A.T).reshape(w.shape)
-
-    # regularizer
-    if config.adaptive_masking:
-        g_mm = np.full((1, 1), lam_reg * (1.0 / layers))
-        g_weights = g_mm @ norms.swapaxes(-1, -2)
-        dot = (g_weights * weights).sum(axis=-1, keepdims=True)
-        grad_g = (weights * (g_weights - dot))[:, 0]
-        safe = np.where(norms > 0.0, norms, 1.0)
-        g_delta = np.where(norms > 0.0, (weights.swapaxes(-1, -2) @ g_mm)
-                           / safe, 0.0) * delta
-    else:
-        grad_g = np.zeros((batch, layers))
-        g_sq = np.divide(lam_reg, 2.0 * reg, out=np.zeros_like(reg),
-                         where=reg > 0.0)
-        g_delta = g_sq * delta + g_sq * delta
-    grad_w = grad_w + g_delta
-    return (*(x.reshape(batch) for x in (total, hinge, reg, ident)),
-            grad_w, grad_g)
+    w = _c(models.generator.check_latent(w))
+    if w.shape != np.shape(w_s):
+        raise DimensionError(f"latents {w.shape} do not pair with sources "
+                             f"{np.shape(w_s)}")
+    step = bind_step(w_s, targets, config, models, (d_src, source_identity))
+    return step(w, _c(g))
 
 
 def optimize_guided(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
@@ -241,17 +300,17 @@ def optimize_guided(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
         raise DegenerateInputError("manipulation inputs contain NaN or Inf "
                                    f"in row {np.argmax(bad)}")
     batch, steps = len(w_s), config.manip_steps
+    step_size = config.manip_step_size
     w = w_s.copy()
     g = np.zeros((batch, gen.layers))
-    d_src, source_identity = source_reference(w_s, targets, config, models)
+    objective = bind_step(w_s, targets, config, models)
 
     hinges, regs, idents, totals = np.empty((4, steps, batch))
     logits = np.empty((steps, batch, gen.layers))
     # divergence is reported by the checks below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
-            total, hinge, reg, ident, grad_w, grad_g = objective_and_grad(
-                w, g, w_s, targets, d_src, config, models, source_identity)
+            total, hinge, reg, ident, grad_w, grad_g = objective(w, g)
             if not np.isfinite(total).all():
                 i = np.argmax(~np.isfinite(total))
                 raise NumericsError(
@@ -264,9 +323,9 @@ def optimize_guided(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
                                     f"{np.argmax(bad)} at step {step}")
             hinges[step], regs[step], idents[step] = hinge, reg, ident
             totals[step], logits[step] = total, g
-            w = w - config.manip_step_size * grad_w
-            g = g - config.manip_step_size * grad_g
-    return w, g, Trajectory(hinges, regs, idents, totals, gate_softmax(logits))
+            w = w - step_size * grad_w
+            g = g - step_size * grad_g
+    return w, g, Trajectory(hinges, regs, idents, totals, logits)
 
 
 def interpolate(w_a: np.ndarray, w_t: np.ndarray, alpha: float) -> np.ndarray:

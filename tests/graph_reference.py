@@ -236,7 +236,7 @@ def graph_optimize_guided(w_s: np.ndarray, target: np.ndarray,
     if config.identity_enabled and config.lambda_id > 0.0:
         source_identity = _identity_node(models.identity, img_s).value[0]
     hinges, regs, idents, totals = np.empty((4, config.manip_steps, 1))
-    gates = np.empty((config.manip_steps, 1, gen.layers))
+    logits = np.empty((config.manip_steps, 1, gen.layers))
     for step in range(config.manip_steps):
         w_node = ad.leaf(w)
         g_node = ad.leaf(g[None, :]) if config.adaptive_masking else None
@@ -245,12 +245,12 @@ def graph_optimize_guided(w_s: np.ndarray, target: np.ndarray,
         if not np.isfinite(total.value):
             raise NumericsError(f"objective became non-finite at step {step}")
         hinges[step], regs[step], idents[step] = hinge_v, reg_v, id_v
-        totals[step], gates[step] = float(total.value), gate_softmax(g)
+        totals[step], logits[step] = float(total.value), g
         ad.backward(total)
         w = w - config.manip_step_size * w_node.grad
         if g_node is not None:
             g = g - config.manip_step_size * g_node.grad[0]
-    return w, g, Trajectory(hinges, regs, idents, totals, gates)
+    return w, g, Trajectory(hinges, regs, idents, totals, logits)
 
 
 # ---------------------------------------------------------------------------

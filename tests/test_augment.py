@@ -181,6 +181,18 @@ def test_augment_bags_matches_reference_on_any_rows(seed, prob, rows):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("seed", [0, 7, 11, 80861023])
+def test_one_element_pool_draw_is_zero_and_keeps_rng_state(seed):
+    # augment_bags skips the draw from a one-element pool (one synonym
+    # candidate, one synonym) on the strength of this: the draw is 0 and
+    # the generator does not move
+    rng = np.random.default_rng(seed)
+    rng.random()
+    before = rng.bit_generator.state
+    assert rng.integers(0, 1) == 0
+    assert rng.bit_generator.state == before
+
+
 def test_augment_bags_keeps_original_counts(dataset):
     base = bag_matrix(dataset.text)
     assert np.array_equal(augment_bags(dataset.text,

@@ -1,6 +1,9 @@
 import filecmp
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,7 +11,7 @@ import pytest
 from sgim import checkpoint, cli, evaluate
 from sgim.checkpoint import load_checkpoint
 from sgim.cli import main
-from sgim.config import RunConfig, config_from_text
+from sgim.config import RunConfig, config_from_text, config_to_text
 
 from conftest import read_pgm
 
@@ -288,11 +291,14 @@ BAD_TRAINING_VALUES = {
     "hidden_dim_0": ("hidden_dim=0", "hidden_dim must be >= 1, got 0"),
     "embed_dim_0": ("embed_dim=0", "embed_dim must be >= 1, got 0"),
     "latent_dim_0": ("latent_dim=0", "latent_dim must be >= 1, got 0"),
+    "gen_fit_epochs_-1": ("gen_fit_epochs=-1",
+                          "gen_fit_epochs must be >= 0, got -1"),
 }
 
 # the stage each case runs, and the artifact it must not write; a key that
 # only the generator reads is tried on fit-generator
-TRAINING_STAGES = {"latent_dim": ("fit-generator", "generator.ckpt")}
+TRAINING_STAGES = {"latent_dim": ("fit-generator", "generator.ckpt"),
+                   "gen_fit_epochs": ("fit-generator", "generator.ckpt")}
 
 
 @pytest.mark.parametrize("name", sorted(BAD_TRAINING_VALUES))
@@ -317,6 +323,61 @@ def test_small_batch_rejected_before_any_stage(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: validation: batch_size must be >= 2, got 1\n"
     assert not run.exists()
+
+
+# --set override -> the error line after "error: validation: "; the
+# manipulation keys are checked before any stage runs, gen-data included
+BAD_MANIPULATION_VALUES = {
+    "manip_steps_0": ("manip_steps=0", "manip_steps must be >= 1, got 0"),
+    "manip_step_size_-0.1": ("manip_step_size=-0.1", "manip_step_size must "
+                             "be finite and >= 0, got -0.1"),
+    "manip_step_size_inf": ("manip_step_size=inf", "manip_step_size must be "
+                            "finite and >= 0, got inf"),
+    "lambda_reg_nan": ("lambda_reg=nan",
+                       "lambda_reg must be finite and >= 0, got nan"),
+    "lambda_reg_-5": ("lambda_reg=-5",
+                      "lambda_reg must be finite and >= 0, got -5.0"),
+    "lambda_id_inf": ("lambda_id=inf",
+                      "lambda_id must be finite and >= 0, got inf"),
+    "lambda_id_-0.001": ("lambda_id=-0.001",
+                         "lambda_id must be finite and >= 0, got -0.001"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_MANIPULATION_VALUES))
+def test_bad_manipulation_value_rejected_before_any_stage(name, tmp_path,
+                                                          capsys):
+    override, message = BAD_MANIPULATION_VALUES[name]
+    run = tmp_path / "run"
+    capsys.readouterr()
+    assert run_cli("--set", override, "gen-data", "--run", run) == 2
+    assert capsys.readouterr().err == f"error: validation: {message}\n"
+    assert not run.exists()
+
+
+def test_range_check_accepts_lower_bounds():
+    # 0 fit epochs keeps the generator's init; zero weights and a zero step
+    # size are allowed settings, one step the fewest
+    RunConfig(gen_fit_epochs=0, manip_steps=1, manip_step_size=0.0,
+              lambda_reg=0.0, lambda_id=0.0).check_ranges()
+
+
+def test_reused_parser_leaks_nothing_into_the_next_call(tmp_path):
+    # main builds its parser once per process: a call with --set overrides
+    # and --seed must leave nothing behind for a later call that passes
+    # neither
+    assert run_cli("--set", "classes=4", "--set", "audio_epochs=3",
+                   "gen-data", "--seed", 11, "--run", tmp_path / "a") == 0
+    assert run_cli("gen-data", "--run", tmp_path / "b") == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    subprocess.run([sys.executable, "-m", "sgim.cli", "gen-data", "--run",
+                    str(tmp_path / "fresh")], check=True, env=env,
+                   capture_output=True, timeout=120)
+    text = (tmp_path / "b" / "config.txt").read_text()
+    assert text == (tmp_path / "fresh" / "config.txt").read_text()
+    assert text == config_to_text(RunConfig())
+    first = (tmp_path / "a" / "config.txt").read_text()
+    assert "master_seed=11\n" in first and "classes=4\n" in first
 
 
 def test_ablate_loads_teacher_once_without_audio_ckpt(pipeline_dir, tmp_path,

@@ -155,7 +155,6 @@ def test_sample_minibatch_basics(dataset):
     rng = np.random.default_rng(5)
     batch = sample_minibatch(dataset, 8, rng)
     assert batch.audio.shape == (8, 20, 10)
-    assert batch.images.shape == (8, 64)
     assert batch.text.shape == (8, 2)
     assert len(set(batch.rows.tolist())) == 8
     with pytest.raises(UsageError):
@@ -184,7 +183,6 @@ def test_sample_minibatch_seeded_ids_pinned(dataset):
     expected = np.random.default_rng(77).choice(len(dataset), 6, replace=False)
     assert np.array_equal(batch.rows, expected)
     assert np.array_equal(batch.audio, dataset.audio[expected])
-    assert np.array_equal(batch.images, dataset.image[expected])
     assert np.array_equal(batch.text, dataset.text[expected])
 
 

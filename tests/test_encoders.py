@@ -44,14 +44,16 @@ def params_hash(params: EncoderParams) -> str:
     return h.hexdigest()
 
 
-def batch_total_loss(batch: MiniBatch, weak_images: np.ndarray,
-                     audio_params: EncoderParams, teacher: TeacherParams,
+def batch_total_loss(batch: MiniBatch, images: np.ndarray,
+                     weak_images: np.ndarray, audio_params: EncoderParams,
+                     teacher: TeacherParams,
                      config: RunConfig) -> LossBreakdown:
-    """Loss breakdown for a prepared batch, no parameter updates."""
+    """Loss breakdown for a prepared batch of the dataset whose image column
+    is ``images``, no parameter updates."""
     n = len(batch.rows)
     x = batch.audio.reshape(n, -1)
     t = encode_np(teacher.text, bag_matrix(batch.text))
-    v = encode_np(teacher.image, batch.images)
+    v = encode_np(teacher.image, images[batch.rows])
     v_weak = encode_np(teacher.image, weak_images)
     breakdown, _ = encoders.audio_step(audio_params, x,
                                        batch.audio_aug.reshape(n, -1), t, v,
@@ -209,8 +211,8 @@ def test_pinned_init_loss_breakdown(splits, teacher, run_config):
     batch = sample_minibatch(train, 8, brng)
     candidates = weak_candidates(train)
     weak = sample_weak_pairs(candidates, batch.rows, brng)
-    br = batch_total_loss(batch, train.image[weak], audio_p, teacher[0],
-                          run_config)
+    br = batch_total_loss(batch, train.image, train.image[weak], audio_p,
+                          teacher[0], run_config)
     assert br.total == pytest.approx(PINNED_INIT_TOTAL, rel=1e-9)
     assert br.total == pytest.approx(
         br.nce_at + br.nce_av + br.self_aa + br.kl_weak, abs=1e-9)
@@ -225,9 +227,10 @@ def test_training_lowers_total_loss(splits, teacher, audio_encoder, run_config):
     batch = sample_minibatch(train, 32, brng)
     candidates = weak_candidates(train)
     weak = train.image[sample_weak_pairs(candidates, batch.rows, brng)]
-    before = batch_total_loss(batch, weak, init_p, teacher[0], run_config)
-    after = batch_total_loss(batch, weak, audio_encoder[0], teacher[0],
-                             run_config)
+    before = batch_total_loss(batch, train.image, weak, init_p, teacher[0],
+                              run_config)
+    after = batch_total_loss(batch, train.image, weak, audio_encoder[0],
+                             teacher[0], run_config)
     assert after.total < before.total
 
 

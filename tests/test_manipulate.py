@@ -221,7 +221,8 @@ def test_numpy_step_matches_graph_loop_bit_exact(case, gen_fit, model_bundle,
             getattr(traj_ref, name).tobytes(), name
 
 
-TRAJECTORY_FIELDS = ("hinge", "reg", "identity", "total", "gate_softmax")
+TRAJECTORY_FIELDS = ("hinge", "reg", "identity", "total", "gate_logits",
+                     "gate_softmax")
 
 
 @pytest.mark.parametrize("case", sorted(GRAPH_CASES))
@@ -381,6 +382,16 @@ def test_optimize_rejects_mismatched_stacks(gen_fit, model_bundle):
                    (gen_fit.latents[:2], np.eye(16)[:2])):
         with pytest.raises(DimensionError):
             optimize_guided(w_s, t, RunConfig(manip_steps=1), model_bundle)
+
+
+def test_objective_and_grad_rejects_unpaired_latents(gen_fit, model_bundle):
+    # the step's shapes come from the sources, so latents of another batch
+    # size are a shape error, not a broadcast
+    with pytest.raises(DimensionError):
+        objective_and_grad(gen_fit.latents[:2], np.zeros((2, 8)),
+                           gen_fit.latents[:1], np.eye(32)[:1],
+                           np.zeros((1, 1, 1)), RunConfig(), model_bundle,
+                           np.eye(16)[:1, None, :])
 
 
 def test_diverging_row_is_named(gen_fit, model_bundle):
