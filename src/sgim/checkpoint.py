@@ -15,6 +15,7 @@ Loading a saved checkpoint reproduces every byte of every array.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -29,24 +30,28 @@ MAGIC = b"SGIM1\x00"
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], config_text: str,
                     seed: int) -> None:
+    """Writes the checkpoint atomically: the whole blob goes to a temp file
+    beside ``path``, which then replaces it, so a write that fails leaves
+    any old file whole and no temp file behind."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<q", seed))
-        blob = config_text.encode("utf-8")
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays.items():
-            arr = np.asarray(arr, dtype=np.float64, order="C")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<i", d))
-            fh.write(arr.astype("<f8").tobytes())
+    blob = config_text.encode("utf-8")
+    parts = [MAGIC, struct.pack("<q", seed), struct.pack("<I", len(blob)),
+             blob, struct.pack("<I", len(arrays))]
+    for name, arr in arrays.items():
+        arr = np.asarray(arr, dtype=np.float64, order="C")
+        encoded = name.encode("utf-8")
+        parts += [struct.pack("<H", len(encoded)), encoded,
+                  struct.pack("<B", arr.ndim),
+                  *(struct.pack("<i", d) for d in arr.shape),
+                  arr.astype("<f8", copy=False).data]
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(b"".join(parts))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read(fh, n: int, path: Path) -> bytes:

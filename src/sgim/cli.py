@@ -259,13 +259,15 @@ def cmd_gradcheck(run: Path, args, config: RunConfig) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _config_options(parser: argparse.ArgumentParser) -> None:
+def _config_options(parser: argparse.ArgumentParser, set_dest: str) -> None:
     # SUPPRESS keeps subcommand-level parsing from clobbering values given
-    # before the subcommand; --set lists accumulate across both positions
+    # before the subcommand. argparse copies the subcommand's namespace over
+    # the top level's, so each position keeps its --set list under its own
+    # dest, and main joins them
     parser.add_argument("--config", default=argparse.SUPPRESS,
                         help="key=value config file")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
-                        default=argparse.SUPPRESS,
+                        dest=set_dest, default=argparse.SUPPRESS,
                         help="override one config key (repeatable)")
     parser.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="master seed override")
@@ -275,12 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sgim",
         description="desk-scale sound-guided image manipulation pipeline")
-    _config_options(parser)
+    _config_options(parser, "set_top")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        _config_options(p)
+        _config_options(p, "set_sub")
         p.add_argument("--run", default="sgim-run", help="run directory")
         p.set_defaults(func=fn)
         return p
@@ -342,8 +344,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        # overrides given before the subcommand apply first
         config = load_config(getattr(args, "config", None),
-                             getattr(args, "set", None) or [])
+                             getattr(args, "set_top", [])
+                             + getattr(args, "set_sub", []))
         seed = getattr(args, "seed", None)
         if seed is not None:
             config.master_seed = seed

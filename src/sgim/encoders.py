@@ -8,13 +8,29 @@ teacher with the four-component loss.
 
 Optimizer: plain SGD with momentum 0.9 under a cosine cyclic schedule
 (period 10 epochs, floor lr/10).
+
+Each training step is a draw and a learn. The draw makes every rng call
+and all the frozen teacher's work, and returns the batch's row indexes
+with what it made; the learn gathers the rows and runs the step on the
+trained parameters. No draw reads those parameters, so ``_descend`` forks
+once and a child process makes every draw, in the order a single process
+would, while the parent learns from the batch before. The child starts
+from the parent's rng state and numpy error state and runs the same
+numpy calls, and pickling carries each array's bytes unchanged, so every
+batch, and so every trained byte, is what the draws would give in
+process. Training therefore needs ``os.fork`` (POSIX).
 """
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import math
+import os
+import pickle
+import signal
 from dataclasses import astuple, dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -138,25 +154,81 @@ class _MomentumSGD:
             a += v
 
 
+@contextlib.contextmanager
+def _forked_draws(stage: str, draw: Callable, bsz: int,
+                  count: int) -> Iterator[Callable]:
+    """Makes ``count`` calls of ``draw(bsz)``, in order, in a forked child
+    that streams each batch to the parent over a pipe as soon as it is
+    drawn; yields the function that returns the next batch.
+
+    A draw that raises sends its exception, which the parent raises in
+    place of that batch. A child that exits before sending a batch gives
+    ``NumericsError``. On leaving, the child is killed and reaped.
+    """
+    read_fd, write_fd = os.pipe()
+    # a pipe that holds several batches lets the child run ahead of the
+    # parent; elsewhere than Linux, or past the user's pipe quota, the
+    # default size stays
+    with contextlib.suppress(AttributeError, OSError):
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 1 << 20)
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as sink:
+                for _ in range(count):
+                    try:
+                        batch = draw(bsz)
+                    except Exception as exc:  # the parent raises it
+                        pickle.dump((False, exc), sink)
+                        break
+                    pickle.dump((True, batch), sink, pickle.HIGHEST_PROTOCOL)
+                    sink.flush()
+        finally:
+            os._exit(0)  # never returns into the parent's code
+    try:
+        os.close(write_fd)
+        with open(read_fd, "rb") as source:
+
+            def receive():
+                try:
+                    drawn, value = pickle.load(source)
+                except (EOFError, pickle.UnpicklingError):
+                    raise NumericsError(f"{stage}: the batch producer exited "
+                                        "before sending a batch") from None
+                if not drawn:
+                    raise value
+                return value
+
+            yield receive
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
 def _descend(stage: str, config: RunConfig, lr: float, epochs: int,
-             params: list[EncoderParams], n: int,
-             step: Callable) -> list[tuple[int, np.ndarray]]:
+             params: list[EncoderParams], n: int, draw: Callable,
+             learn: Callable) -> list[tuple[int, np.ndarray]]:
     """Momentum SGD on ``params`` for ``epochs`` under the cyclic schedule
-    from ``lr``, max(n // batch, 1) steps per epoch. ``step(batch)`` draws a
-    batch and returns its loss components and one gradient dict per entry
-    of ``params``; a non-finite one raises ``NumericsError``. Returns each
-    epoch's mean components."""
+    from ``lr``, max(n // batch, 1) steps per epoch. ``draw(bsz)`` makes a
+    step's batch and must not read ``params``; the draws run ahead in a
+    forked child (``_forked_draws``). ``learn(batch)`` returns the batch's
+    loss components and one gradient dict per entry of ``params``; a
+    non-finite one raises ``NumericsError``. Returns each epoch's mean
+    components."""
     opts = [_MomentumSGD(p.arrays(), config.momentum) for p in params]
     bsz = min(config.batch_size, n)
     steps = max(n // bsz, 1)
     log = []
-    # divergence is reported below, not as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
+    # divergence is reported below, not as numpy warnings; the child draws
+    # under the same error state
+    with np.errstate(over="ignore", invalid="ignore"), \
+            _forked_draws(stage, draw, bsz, epochs * steps) as next_batch:
         for epoch in range(epochs):
             epoch_lr = cyclic_lr(lr, epoch, config.sched_period)
             sums = 0.0
             for i in range(steps):
-                losses, grads = step(bsz)
+                losses, grads = learn(next_batch())
                 if not (np.all(np.isfinite(losses)) and all(
                         np.all(np.isfinite(g)) for d in grads
                         for g in d.values())):
@@ -192,16 +264,20 @@ def pretrain_teacher(ds: Dataset, config: RunConfig,
     text_p = init_encoder_params(rng, VOCAB_SIZE, *shape)
     image_p = init_encoder_params(rng, ds.image.shape[1], *shape)
 
-    def step(bsz):
+    def draw(bsz):
         # the draw of sample_minibatch; the teacher never reads audio
         rows = rng.choice(len(ds), size=bsz, replace=False)
-        bags = augment_bags(ds.text[rows], rng, config.text_aug_prob)
+        return rows, augment_bags(ds.text[rows], rng, config.text_aug_prob)
+
+    def learn(batch):
+        rows, bags = batch
         loss, g_t, g_v = teacher_step(text_p, image_p, bags, ds.image[rows],
                                       config.tau)
         return loss, (g_t, g_v)
 
     log = _descend("pretrain-teacher", config, config.teacher_lr,
-                   config.teacher_epochs, [text_p, image_p], len(ds), step)
+                   config.teacher_epochs, [text_p, image_p], len(ds), draw,
+                   learn)
     text_p.frozen = True
     image_p.frozen = True
     return (TeacherParams(text=text_p, image=image_p),
@@ -301,7 +377,7 @@ def train_audio_encoder(ds: Dataset, teacher: TeacherParams,
     candidates = weak_candidates(ds)
     v_all = encode_np(teacher.image, ds.image)
 
-    def step(bsz):
+    def draw(bsz):
         batch = sample_minibatch(ds, bsz, rng, config.freq_mask_ratio,
                                  config.time_mask_ratio)
         # the main batch's weak pairs are never read, since the weak term
@@ -312,19 +388,22 @@ def train_audio_encoder(ds: Dataset, teacher: TeacherParams,
                                                  config.text_aug_prob))
         anchors, weak2 = _weak_triplet_batch(class_rows, candidates, rng)
         bags2 = augment_bags(ds.text[anchors], rng, config.text_aug_prob)
+        t_weak = encode_np(teacher.text, bags2) if use_weak else None
+        return batch.rows, batch.audio_aug, t, anchors, weak2, t_weak
+
+    def learn(batch):
+        rows, audio_aug, t, anchors, weak2, t_weak = batch
         weak = None
         if use_weak:
-            weak = (ds.audio[anchors].reshape(len(anchors), -1),
-                    v_all[weak2],
-                    encode_np(teacher.text, bags2))
-        br, grads = audio_step(audio_p, batch.audio.reshape(bsz, -1),
-                               batch.audio_aug.reshape(bsz, -1), t,
-                               v_all[batch.rows], weak,
-                               config)
+            weak = (ds.audio[anchors].reshape(len(anchors), -1), v_all[weak2],
+                    t_weak)
+        br, grads = audio_step(audio_p, ds.audio[rows].reshape(len(rows), -1),
+                               audio_aug.reshape(len(rows), -1), t,
+                               v_all[rows], weak, config)
         return astuple(br), (grads,)
 
     log = _descend("train-audio", config, config.audio_lr, config.audio_epochs,
-                   [audio_p], len(ds), step)
+                   [audio_p], len(ds), draw, learn)
     return audio_p, [(epoch, LossBreakdown(*(float(x) for x in mean)))
                      for epoch, mean in log]
 

@@ -22,8 +22,8 @@ from .config import RunConfig
 from .encoders import PARAM_KEYS, encode_vjp, init_encoder_params
 from .generator import init_generator
 from .losses import info_nce, weak_kl
-from .manipulate import (ModelBundle, init_identity_extractor,
-                         objective_and_grad, source_reference)
+from .manipulate import (ModelBundle, bind_step, init_identity_extractor,
+                         source_reference)
 
 TOLERANCE = 1e-4
 POINTS = 10
@@ -140,23 +140,28 @@ def _manipulation_checks(rng: np.random.Generator,
     gates = np.stack([gate, gate[::-1]])
     d_src, src_id = source_reference(sources, targets, config, models)
 
-    def objective(w, g, rows=slice(0, 1), cfg=config):
-        # the rows are independent: the sum's gradient is each row's
-        total, _, _, _, grad_w, grad_g = objective_and_grad(
-            w.reshape(-1, *w_s.shape), g.reshape(-1, len(gate)),
-            sources[rows], targets[rows], d_src[rows], cfg, models,
-            src_id[rows])
-        return total.sum(), grad_w.reshape(w.shape), grad_g.reshape(g.shape)
+    def objective(rows, cfg=config):
+        # one step bound per (rows, config), reused by every evaluation; the
+        # rows are independent, so the sum's gradient is each row's
+        step = bind_step(sources[rows], targets[rows], cfg, models,
+                         (d_src[rows], src_id[rows]))
 
-    plain = replace(config, adaptive_masking=False)
-    return [("manipulation_objective", _fd(lambda w: objective(w, gate)),
+        def f(w, g):
+            total, _, _, _, grad_w, grad_g = step(
+                w.reshape(-1, *w_s.shape), g.reshape(-1, len(gate)))
+            return total.sum(), grad_w.reshape(w.shape), grad_g.reshape(g.shape)
+        return f
+
+    one, both = objective(slice(0, 1)), objective(slice(None))
+    plain = objective(slice(0, 1), replace(config, adaptive_masking=False))
+    return [("manipulation_objective", _fd(lambda w: one(w, gate)),
              (8, 32), ""),
-            ("manipulation_gate", _fd(lambda g: objective(sources[1], g), 2),
+            ("manipulation_gate", _fd(lambda g: one(sources[1], g), 2),
              (8,), ""),
-            ("manipulation_plain_reg",
-             _fd(lambda w: objective(w, gate, cfg=plain)), (8, 32), ""),
-            ("manipulation_batch",
-             _fd(lambda w: objective(w, gates, slice(None))), (2, 8, 32), "")]
+            ("manipulation_plain_reg", _fd(lambda w: plain(w, gate)),
+             (8, 32), ""),
+            ("manipulation_batch", _fd(lambda w: both(w, gates)),
+             (2, 8, 32), "")]
 
 
 def _sample(rng: np.random.Generator, shape, domain: str) -> np.ndarray:

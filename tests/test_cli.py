@@ -455,6 +455,16 @@ def test_no_loss_term_validation_error(command, pipeline_dir, tmp_path,
     assert (run / "audio.ckpt").read_bytes() == before
 
 
+def test_set_overrides_from_both_positions_apply(tmp_path):
+    # the top-level list applies first, so the subcommand's wins a clash
+    assert run_cli("--set", "classes=4", "--set", "audio_epochs=5",
+                   "gen-data", "--set", "audio_epochs=3", "--set",
+                   "records_per_video=6", "--run", tmp_path) == 0
+    lines = (tmp_path / "config.txt").read_text().splitlines()
+    for line in ("classes=4", "audio_epochs=3", "records_per_video=6"):
+        assert line in lines
+
+
 def test_diverging_training_is_internal_error(pipeline_dir, tmp_path, capsys):
     run = tmp_path / "run"
     shutil.copytree(pipeline_dir / "dataset", run / "dataset")

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import itertools
 from dataclasses import astuple, replace
 
@@ -399,3 +400,74 @@ def test_training_divergence_raises_numerics_error(splits, teacher):
     bad = replace(train, audio=np.full_like(train.audio, np.inf))
     with pytest.raises(NumericsError, match="epoch 0, step 0$"):
         train_audio_encoder(bad, teacher[0], RunConfig(audio_epochs=1))
+
+
+# the draws of both training loops run in a forked child; these tests
+# check that the parent hears of every way the child can end
+
+FEW_STEPS = RunConfig(teacher_epochs=2, audio_epochs=2)
+
+
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_training_leaves_no_child_process(splits, teacher):
+    train, _ = splits
+    pretrain_teacher(train, FEW_STEPS)
+    train_audio_encoder(train, teacher[0], FEW_STEPS)
+    _assert_no_child_left()
+    with pytest.raises(NumericsError, match="non-finite at epoch 0"):
+        train_audio_encoder(train, teacher[0],
+                            replace(FEW_STEPS, audio_lr=1e308))
+    _assert_no_child_left()
+
+
+def _draw_patches(monkeypatch, on_draw) -> list:
+    """Calls ``on_draw(k)`` at the start of the teacher's draw k (one
+    ``augment_bags`` call each), and returns the list that gets one entry
+    per learned step."""
+    parent, drawn, learned = os.getpid(), [0], []
+    augment_bags, teacher_step = encoders.augment_bags, encoders.teacher_step
+
+    def patched_bags(*args):
+        assert os.getpid() != parent, "a draw ran in the parent"
+        on_draw(drawn[0])
+        drawn[0] += 1
+        return augment_bags(*args)
+
+    def counted_step(*args):
+        learned.append(None)
+        return teacher_step(*args)
+
+    monkeypatch.setattr(encoders, "augment_bags", patched_bags)
+    monkeypatch.setattr(encoders, "teacher_step", counted_step)
+    return learned
+
+
+@pytest.mark.parametrize("k", [0, 7])
+def test_draw_error_reaches_the_parent_at_its_step(k, splits, monkeypatch):
+    def refuse(step):
+        if step == k:
+            raise UsageError(f"draw {step} refused")
+
+    learned = _draw_patches(monkeypatch, refuse)
+    with pytest.raises(UsageError, match=f"^draw {k} refused$") as exc:
+        pretrain_teacher(splits[0], FEW_STEPS)
+    assert type(exc.value) is UsageError
+    assert len(learned) == k
+    _assert_no_child_left()
+
+
+def test_producer_that_exits_early_is_numerics_error(splits, monkeypatch):
+    def leave(step):
+        if step == 3:
+            os._exit(0)
+
+    learned = _draw_patches(monkeypatch, leave)
+    with pytest.raises(NumericsError, match="^pretrain-teacher: the batch "
+                       "producer exited before sending a batch$"):
+        pretrain_teacher(splits[0], FEW_STEPS)
+    assert len(learned) == 3
+    _assert_no_child_left()

@@ -1,4 +1,6 @@
 import ast
+import errno
+import os
 from dataclasses import fields
 from pathlib import Path
 
@@ -38,6 +40,33 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     path2 = tmp_path / "y.ckpt"
     ckpt.save_checkpoint(path2, loaded, text, seed)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _half_write(self, data):
+    # a disk that fills up halfway through the write
+    with open(self, "wb") as fh:
+        fh.write(data[:len(data) // 2])
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _refuse_replace(src, dst):
+    raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+
+@pytest.mark.parametrize("target, fault", [
+    ("pathlib.Path.write_bytes", _half_write),
+    ("os.replace", _refuse_replace)], ids=["half_write", "replace"])
+def test_failed_checkpoint_write_keeps_the_old_file(target, fault, tmp_path,
+                                                     monkeypatch):
+    path = tmp_path / "x.ckpt"
+    ckpt.save_checkpoint(path, {"a": np.arange(6.0)}, "master_seed=1\n", 1)
+    before = path.read_bytes()
+    monkeypatch.setattr(target, fault)
+    with pytest.raises(OSError):
+        ckpt.save_checkpoint(path, {"a": np.ones((64, 64))},
+                             "master_seed=2\n", 2)
+    assert path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["x.ckpt"]
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
