@@ -15,7 +15,6 @@ Loading a saved checkpoint reproduces every byte of every array.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from pathlib import Path
 
@@ -23,6 +22,7 @@ import numpy as np
 
 from .encoders import PARAM_KEYS, EncoderParams, TeacherParams
 from .errors import UsageError
+from .files import write_atomic
 from .generator import GeneratorFit, GeneratorParams
 
 MAGIC = b"SGIM1\x00"
@@ -30,11 +30,7 @@ MAGIC = b"SGIM1\x00"
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], config_text: str,
                     seed: int) -> None:
-    """Writes the checkpoint atomically: the whole blob goes to a temp file
-    beside ``path``, which then replaces it, so a write that fails leaves
-    any old file whole and no temp file behind."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Writes the checkpoint atomically (``files.write_atomic``)."""
     blob = config_text.encode("utf-8")
     parts = [MAGIC, struct.pack("<q", seed), struct.pack("<I", len(blob)),
              blob, struct.pack("<I", len(arrays))]
@@ -45,13 +41,7 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], config_text: str,
                   struct.pack("<B", arr.ndim),
                   *(struct.pack("<i", d) for d in arr.shape),
                   arr.astype("<f8", copy=False).data]
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_bytes(b"".join(parts))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_atomic(path, b"".join(parts))
 
 
 def _read(fh, n: int, path: Path) -> bytes:

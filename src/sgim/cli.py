@@ -36,6 +36,7 @@ from .errors import (ConfigError, DegenerateInputError, DimensionError,
 from .evaluate import (ablate_weak_loss, ablation_csv, direction_stats,
                        probe_on_heldout_videos, report_csv, report_text,
                        soft_direction_check, zero_shot_classify)
+from .files import write_atomic
 from .generator import fit_generator_to_dataset, sample_source_latent, synthesize
 from .gradcheck import format_results, run_gradient_checks
 from .manipulate import (ModelBundle, init_identity_extractor, interpolate,
@@ -44,8 +45,7 @@ from .pgm import write_pgm
 
 
 def _echo_config(run: Path, config: RunConfig) -> None:
-    run.mkdir(parents=True, exist_ok=True)
-    (run / "config.txt").write_text(config_to_text(config), encoding="utf-8")
+    write_atomic(run / "config.txt", config_to_text(config))
 
 
 def _require(path: Path, hint: str) -> Path:
@@ -58,22 +58,23 @@ def _load_dataset(run: Path):
     return load_dataset(_require(run / "dataset", "gen-data"))
 
 
+def _arrays(path: Path, hint: str) -> dict[str, np.ndarray]:
+    return ckpt.load_checkpoint(_require(path, hint))[0]
+
+
 def _load_teacher(run: Path):
-    arrays, _, _ = ckpt.load_checkpoint(_require(run / "teacher.ckpt",
-                                                 "pretrain-teacher"))
-    return ckpt.teacher_from_arrays(arrays)
+    return ckpt.teacher_from_arrays(_arrays(run / "teacher.ckpt",
+                                            "pretrain-teacher"))
 
 
 def _load_audio(run: Path):
-    arrays, _, _ = ckpt.load_checkpoint(_require(run / "audio.ckpt",
-                                                 "train-audio"))
-    return ckpt.encoder_from_arrays("audio", arrays)
+    return ckpt.encoder_from_arrays("audio", _arrays(run / "audio.ckpt",
+                                                     "train-audio"))
 
 
 def _load_generator(run: Path):
-    arrays, _, _ = ckpt.load_checkpoint(_require(run / "generator.ckpt",
-                                                 "fit-generator"))
-    return ckpt.generator_from_arrays(arrays)
+    return ckpt.generator_from_arrays(_arrays(run / "generator.ckpt",
+                                              "fit-generator"))
 
 
 def _bundle(run: Path, config: RunConfig, teacher,
@@ -103,7 +104,7 @@ def cmd_pretrain_teacher(run: Path, args, config: RunConfig) -> int:
     ckpt.save_checkpoint(run / "teacher.ckpt", ckpt.teacher_arrays(teacher),
                          config_to_text(config), config.master_seed)
     rows = ["epoch,loss"] + [f"{e},{v!r}" for e, v in log]
-    (run / "teacher_loss.csv").write_text("\n".join(rows) + "\n")
+    write_atomic(run / "teacher_loss.csv", "\n".join(rows) + "\n")
     print(f"teacher loss {log[0][1]:.4f} -> {log[-1][1]:.4f}")
     return 0
 
@@ -115,8 +116,8 @@ def cmd_fit_generator(run: Path, args, config: RunConfig) -> int:
                                    latent_dim=config.latent_dim)
     ckpt.save_checkpoint(run / "generator.ckpt", ckpt.generator_arrays(fit),
                          config_to_text(config), config.master_seed)
-    (run / "generator.txt").write_text(
-        f"mse_initial={fit.mse_history[0]!r}\nmse_final={fit.final_mse!r}\n")
+    write_atomic(run / "generator.txt", f"mse_initial={fit.mse_history[0]!r}\n"
+                 f"mse_final={fit.final_mse!r}\n")
     print(f"reconstruction mse {fit.mse_history[0]:.4g} -> {fit.final_mse:.4g}")
     return 0
 
@@ -128,7 +129,7 @@ def cmd_train_audio(run: Path, args, config: RunConfig) -> int:
     audio, log = train_audio_encoder(train, teacher, config)
     ckpt.save_checkpoint(run / "audio.ckpt", ckpt.encoder_arrays("audio", audio),
                          config_to_text(config), config.master_seed)
-    (run / "audio_loss.csv").write_text(loss_log_csv(log))
+    write_atomic(run / "audio_loss.csv", loss_log_csv(log))
     print(f"total loss {log[0][1].total:.4f} -> {log[-1][1].total:.4f}")
     return 0
 
@@ -153,10 +154,9 @@ def cmd_manipulate(run: Path, args, config: RunConfig) -> int:
     (w_a,), (gate,), trajectory = optimize_guided(
         w_s[None], encode_audio(mel, models.audio)[None], manip, models)
     out = run / "manip" / args.tag
-    out.mkdir(parents=True, exist_ok=True)
     ckpt.save_checkpoint(out / "latent.ckpt", ckpt.latent_arrays(w_a, gate),
                          config_to_text(manip), config.master_seed)
-    (out / "trajectory.csv").write_text(trajectory_csv(trajectory))
+    write_atomic(out / "trajectory.csv", trajectory_csv(trajectory))
     write_pgm(out / "before.pgm", synthesize(w_s, models.generator))
     write_pgm(out / "after.pgm", synthesize(w_a, models.generator))
     hinge = trajectory.hinge[:, 0]
@@ -164,22 +164,16 @@ def cmd_manipulate(run: Path, args, config: RunConfig) -> int:
     return 0
 
 
-def _load_latent(path: Path) -> np.ndarray:
-    arrays, _, _ = ckpt.load_checkpoint(_require(Path(path), "manipulate"))
-    w, _ = ckpt.latent_from_arrays(arrays)
-    return w
-
-
 def cmd_combine(run: Path, args, config: RunConfig) -> int:
     """`interpolate` or `mix` two saved latent codes."""
     gen = _load_generator(run).params
-    w_a, w_b = _load_latent(args.latent_a), _load_latent(args.latent_b)
+    w_a, w_b = (ckpt.latent_from_arrays(_arrays(Path(p), "manipulate"))[0]
+                for p in (args.latent_a, args.latent_b))
     if args.command == "interpolate":
         w, done = interpolate(w_a, w_b, args.alpha), "interpolated"
     else:
         w, done = style_mix(w_a, w_b, args.split), "style-mixed"
     out = run / "mix" / args.tag
-    out.mkdir(parents=True, exist_ok=True)
     ckpt.save_checkpoint(out / "latent.ckpt", ckpt.latent_arrays(w),
                          config_to_text(config), config.master_seed)
     write_pgm(out / "image.pgm", synthesize(w, gen))
@@ -188,10 +182,8 @@ def cmd_combine(run: Path, args, config: RunConfig) -> int:
 
 
 def _write_report(run: Path, name: str, report) -> None:
-    reports = run / "reports"
-    reports.mkdir(parents=True, exist_ok=True)
-    (reports / f"{name}.csv").write_text(report_csv(report))
-    (reports / f"{name}.txt").write_text(report_text(report))
+    write_atomic(run / "reports" / f"{name}.csv", report_csv(report))
+    write_atomic(run / "reports" / f"{name}.txt", report_text(report))
 
 
 def cmd_eval_zeroshot(run: Path, args, config: RunConfig) -> int:
@@ -223,13 +215,11 @@ def cmd_ablate(run: Path, args, config: RunConfig) -> int:
     # each arm trains its own audio encoder, so audio.ckpt is not read
     models, _ = _bundle(run, config, teacher, audio=None)
     report = ablate_weak_loss(ds, manifest, teacher, models, config)
-    reports = run / "reports"
-    reports.mkdir(parents=True, exist_ok=True)
-    (reports / "ablation.csv").write_text(ablation_csv(report))
     summary = (f"cosine margin (with - without): {report.cosine_margin:+.4f}\n"
                f"leakage with kl: {report.leakage_with_kl:.4f}\n"
                f"leakage without kl: {report.leakage_without_kl:.4f}\n")
-    (reports / "ablation.txt").write_text(summary)
+    write_atomic(run / "reports" / "ablation.csv", ablation_csv(report))
+    write_atomic(run / "reports" / "ablation.txt", summary)
     print(summary, end="")
     return 0
 
@@ -252,9 +242,7 @@ def cmd_direction_stats(run: Path, args, config: RunConfig) -> int:
 def cmd_gradcheck(run: Path, args, config: RunConfig) -> int:
     results = run_gradient_checks(args.gradcheck_seed)
     text = format_results(results)
-    reports = run / "reports"
-    reports.mkdir(parents=True, exist_ok=True)
-    (reports / "gradcheck.txt").write_text(text)
+    write_atomic(run / "reports" / "gradcheck.txt", text)
     print(text, end="")
     return 0 if all(r.passed for r in results) else 1
 

@@ -126,11 +126,16 @@ class RunConfig:
 
     def check_ranges(self) -> None:
         """Raises ``ParameterError`` naming the first range-checked key
-        outside its range."""
+        outside its range, or the dataset keys' first fault
+        (``DatasetManifest.validate``)."""
         for key, (ok, allowed) in _RANGES.items():
             value = getattr(self, key)
             if not ok(value):
                 raise ParameterError(f"{key} must {allowed}, got {value!r}")
+        try:
+            self.dataset_manifest().validate()
+        except ParameterError as exc:
+            raise ParameterError(f"dataset keys: {exc}") from None
 
     def dataset_manifest(self) -> DatasetManifest:
         shared = {f.name: copy.copy(getattr(self, f.name))

@@ -30,6 +30,7 @@ from . import kvtext
 from .augment import CLASS_LABEL_WORDS, TOKEN_ID, VOCAB_SIZE, spec_augment
 from .basis import band_of_rows, cosine_basis, image_side
 from .errors import ParameterError, UsageError
+from .files import write_atomic
 
 log = logging.getLogger(__name__)
 
@@ -304,7 +305,7 @@ def _write_tmd(path: Path, arr: np.ndarray) -> None:
     header = struct.pack(f"<4sii{arr.ndim - 1}i", _MAGIC, arr.shape[0],
                          arr.ndim - 1, *arr.shape[1:])
     body = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
-    Path(path).write_bytes(header + body)
+    write_atomic(path, header + body)
 
 
 def _read_tmd(path: Path, dtype, expected: tuple[int, ...]) -> np.ndarray:
@@ -341,8 +342,7 @@ def manifest_from_text(text: str, source: str = "manifest") -> DatasetManifest:
 
 def save_dataset(dirpath, manifest: DatasetManifest, ds: Dataset) -> None:
     d = Path(dirpath)
-    d.mkdir(parents=True, exist_ok=True)
-    (d / "manifest.txt").write_text(manifest_to_text(manifest), encoding="utf-8")
+    write_atomic(d / "manifest.txt", manifest_to_text(manifest))
     _write_tmd(d / "audio.tmd", ds.audio)
     _write_tmd(d / "image.tmd", ds.image)
     _write_tmd(d / "text.tmd", ds.text)

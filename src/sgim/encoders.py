@@ -39,6 +39,7 @@ from .config import RunConfig
 from .data import (Dataset, group_rows, sample_from_each, sample_minibatch,
                    sample_weak_pairs, weak_candidates)
 from .errors import DegenerateInputError, NumericsError, UsageError
+from .generator import gemm_rows
 from .losses import LossBreakdown, info_nce, weak_kl
 
 PARAM_KEYS = ("w1", "b1", "w2", "b2", "w3", "b3")
@@ -106,8 +107,10 @@ def encode_vjp(params: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, Callab
 
 
 def encode_np(params: EncoderParams, x: np.ndarray) -> np.ndarray:
-    """Unit-norm embeddings for a (n, in_dim) batch."""
-    return encode_vjp(params, x)[0]
+    """Unit-norm embeddings for a (n, in_dim) batch; one row runs as two
+    copies of itself (``generator.gemm_rows``), as in any stacked call."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    return encode_vjp(params, gemm_rows(x))[0][:len(x)]
 
 
 def _param_grads(paths: list[tuple[Callable, tuple]]) -> dict[str, np.ndarray]:

@@ -21,8 +21,7 @@ from .config import RunConfig, config_hash
 from .data import (Dataset, DatasetManifest, group_rows, heldout_mask,
                    label_tokens, split_by_video)
 from .encoders import (EncoderParams, TeacherParams, check_loss_terms,
-                       encode_audio, encode_np, encode_text,
-                       train_audio_encoder)
+                       encode_np, train_audio_encoder)
 from .errors import UsageError
 from .generator import sample_source_latent, synthesize
 from .manipulate import ModelBundle, optimize_guided
@@ -173,9 +172,8 @@ def _leakage_probe(ds: Dataset, manifest: DatasetManifest,
                for i in rows[:anchors_per_video]]
     manip = replace(config, lambda_id=0.0, manip_steps=steps,
                     identity_enabled=False)
-    # one encode per anchor: a stacked encode would round differently
-    targets = np.stack([encode_audio(ds.audio[a], audio_params)
-                        for a in anchors])
+    targets = encode_np(audio_params,
+                        ds.audio[anchors].reshape(len(anchors), -1))
     w_s = np.stack([sample_source_latent(config.seed_for("eval") + s)
                     for s in range(sources)])
     # row s * len(anchors) + k manipulates source s with anchor k
@@ -252,7 +250,7 @@ def direction_stats(attribute_classes: list[int], n_seeds: int,
     if not attribute_classes:
         raise UsageError("need at least one attribute class")
     manip = replace(config, lambda_id=0.0, identity_enabled=False)
-    sources, audio, text = [], [], []
+    sources, anchors = [], []
     for attr in attribute_classes:
         pool = np.flatnonzero(ds.class_id == attr)
         if pool.size == 0:
@@ -260,13 +258,16 @@ def direction_stats(attribute_classes: list[int], n_seeds: int,
         for s in range(n_seeds):
             seed = config.seed_for("eval") + 1000 * attr + s
             sources.append(sample_source_latent(seed))
-            anchor = pool[np.random.default_rng(seed).integers(0, len(pool))]
-            audio.append(encode_audio(ds.audio[anchor], models.audio))
-        text += [encode_text(label_tokens(attr), models.text)] * n_seeds
+            anchors.append(pool[np.random.default_rng(seed).integers(
+                0, len(pool))])
+    audio = encode_np(models.audio,
+                      ds.audio[anchors].reshape(len(anchors), -1))
+    labels = class_label_embeddings(models.text, max(attribute_classes) + 1)
+    text = np.repeat(labels[attribute_classes], n_seeds, axis=0)
     # every audio-guided row, then every text-guided one, in one optimization
     w_s = np.stack(sources)
     w_at, _, _ = optimize_guided(np.concatenate([w_s, w_s]),
-                                 np.stack(audio + text), manip, models)
+                                 np.concatenate([audio, text]), manip, models)
     w_a, w_t = np.split(w_at, 2)
     pairs = {"sa": (w_s, w_a), "st": (w_s, w_t), "at": (w_a, w_t)}
     stats = {key: np.array([_flat_cos(x, y) for x, y in zip(*pair)])

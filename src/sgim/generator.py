@@ -75,15 +75,27 @@ def init_generator(rng: np.random.Generator, side: int = 8,
     return GeneratorParams(side, latent_dim, mods, np.zeros(side * side))
 
 
+def gemm_rows(x: np.ndarray) -> np.ndarray:
+    """A one-row left operand as two copies of its row (the caller keeps
+    row 0), under the product rule of ``synthesize``; more rows as given."""
+    return np.concatenate([x, x]) if len(x) == 1 else x
+
+
 def synthesize(w: np.ndarray, gen: GeneratorParams) -> np.ndarray:
     """Image of a latent code, bias + vec(w) @ A: shape (pixels,) for one
-    (layers, latent_dim) code, (n, pixels) for a stack of n codes. Row i
-    equals code i's image alone, byte for byte: the stack is multiplied one
-    (1, ·) row at a time, as a single code is, because a plain (n, ·) @ A
-    BLAS product sums in another order and rounds differently."""
+    (layers, latent_dim) code, (n, pixels) for a stack of n codes.
+
+    The product rule: every product is a plain 2-D gemm of two or more rows
+    whose right operand is C-contiguous. On the BLAS pinned in
+    tests/test_generator.py, a row of such a product rounds the same
+    whatever the other rows are, so row i is code i's image alone, byte for
+    byte. One code runs as two copies of its row (``gemm_rows``), since a
+    one-row product rounds differently. The manipulation step folds A into
+    the encoders' first layer instead (``manipulate.bind_step``)."""
     w = gen.check_latent(w)
-    images = gen.bias + w.reshape(-1, 1, gen.layers * gen.latent_dim) @ gen.A
-    return images[0, 0] if w.ndim == 2 else images[:, 0]
+    flat = w.reshape(-1, gen.layers * gen.latent_dim)
+    images = gen.bias + gemm_rows(flat) @ gen.A
+    return images[0] if w.ndim == 2 else images[:len(flat)]
 
 
 def sample_source_latent(seed: int, side: int = 8,
@@ -125,10 +137,7 @@ def fit_generator_to_dataset(images: np.ndarray, epochs: int, seed: int,
     slices = band_slices(side)
 
     def mse(gen: GeneratorParams) -> float:
-        # one (n, ·) @ A product, not the row-exact synthesize: it rounds
-        # differently, and the mse it gives is what generator.txt records
-        recon = gen.bias + latents.reshape(n, -1) @ gen.A
-        return float(((images - recon) ** 2).mean())
+        return float(((images - synthesize(latents, gen)) ** 2).mean())
 
     history = [mse(gen)]
     mods = list(gen.layer_mods)

@@ -22,8 +22,7 @@ from .config import RunConfig
 from .encoders import PARAM_KEYS, encode_vjp, init_encoder_params
 from .generator import init_generator
 from .losses import info_nce, weak_kl
-from .manipulate import (ModelBundle, bind_step, init_identity_extractor,
-                         source_reference)
+from .manipulate import ModelBundle, bind_step, init_identity_extractor
 
 TOLERANCE = 1e-4
 POINTS = 10
@@ -138,13 +137,11 @@ def _manipulation_checks(rng: np.random.Generator,
     sources = np.stack([w_s, w_s[::-1]])
     targets = np.stack([target, target[::-1]])
     gates = np.stack([gate, gate[::-1]])
-    d_src, src_id = source_reference(sources, targets, config, models)
 
     def objective(rows, cfg=config):
         # one step bound per (rows, config), reused by every evaluation; the
         # rows are independent, so the sum's gradient is each row's
-        step = bind_step(sources[rows], targets[rows], cfg, models,
-                         (d_src[rows], src_id[rows]))
+        step = bind_step(sources[rows], targets[rows], cfg, models)
 
         def f(w, g):
             total, _, _, _, grad_w, grad_g = step(

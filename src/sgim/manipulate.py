@@ -16,13 +16,20 @@ cosine distance 1 - f_a.f_s, but exactly 0 where they agree.
 Each step evaluates the objective and its gradient with the step that
 ``bind_step`` builds once per optimization: a hand-derived numpy forward
 and backward pass that mirrors, expression for expression, the autodiff
-graph kept as the oracle in tests/graph_reference.py, so results match
-that graph bit for bit at a fraction of the cost. The image is
-``synthesize``'s one matmul through the generator matrix A, so the
-latent's gradient is one matmul through A.T.
+graph kept as the oracle in tests/graph_reference.py, bit for bit. The
+generator is folded into the first layer of the frozen encoders the image
+feeds, the image encoder and (with the identity term on) the identity
+extractor: both are linear in the image bias + vec(w) @ A, so the step
+binds F = A @ [image.w1 | identity.w1] and c0 = bias @ [image.w1 |
+identity.w1] + [image.b1 | 0], opens its forward with vec(w) @ F + c0 and
+closes its backward with one product by F.T.
 
 Every array carries a leading batch axis, so one call optimizes B latents,
-each toward its own target, and a single request is B = 1.
+each toward its own target. Every product follows the product rule of
+``generator.synthesize``: a plain 2-D gemm of two or more rows whose right
+operand is C-contiguous (the backward's transposes are bound as copies).
+B = 1 runs as two copies of its row and keeps row 0, so row i of any
+batch equals its B = 1 run byte for byte.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from .config import RunConfig
 from .encoders import EncoderParams
 from .errors import (DegenerateInputError, DimensionError, NumericsError,
                      ParameterError)
-from .generator import GeneratorParams, synthesize
+from .generator import GeneratorParams, gemm_rows
 
 
 @dataclass
@@ -88,8 +95,7 @@ def gate_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _c(a) -> np.ndarray:
-    """float64 in C order, the layout the autodiff graph gave every operand,
-    so each matmul below rounds as the graph's did."""
+    """float64 in C order, the layout every product's operands take."""
     return np.asarray(a, dtype=np.float64, order="C")
 
 
@@ -109,164 +115,142 @@ def _unit_rows_vjp(g: np.ndarray, out: np.ndarray,
     return (g - out * dot) / norms
 
 
-def _image_forward(img: np.ndarray, enc: tuple) -> tuple:
-    """Image embeddings of a (B, 1, pixels) stack, and the activations;
-    ``enc`` is the encoder's (w1, b1, w2, b2, w3, b3) in C order."""
-    w1, b1, w2, b2, w3, b3 = enc
-    h1 = np.tanh(img @ w1 + b1)
-    h2 = np.tanh(h1 @ w2 + b2)
-    v, norms = _unit_rows(h2 @ w3 + b3)
-    return v, (h1, h2, norms)
+def _bind_forward(config: RunConfig, models: ModelBundle) -> tuple:
+    """The objective's forward pass with the generator folded in (see the
+    module docstring), and (F, w2, w3, identity.w2 or None, the image
+    encoder's width). ``forward(wf)`` takes R >= 2 flattened latents and
+    returns the first layers' activations, the image encoder's second, v
+    and its norms, and the identity features and norms (or None). Products
+    are spelled x.dot(m): the gemm of x @ m, with less call overhead."""
+    enc, gen = models.image, models.generator
+    w1, b1 = _c(enc.w1), _c(enc.b1)
+    hidden = w1.shape[1]
+    id_w2 = None
+    if config.identity_enabled and config.lambda_id > 0.0:
+        id_w1, id_w2 = _c(models.identity.w1), _c(models.identity.w2)
+        w1 = np.hstack([w1, id_w1])
+        b1 = np.hstack([b1, np.zeros((1, id_w1.shape[1]))])
+    first, c0 = gen.A @ w1, gen.bias @ w1 + b1
+    w2, b2, w3, b3 = (_c(a) for a in (enc.w2, enc.b2, enc.w3, enc.b3))
 
+    def forward(wf: np.ndarray) -> tuple:
+        h = np.tanh(wf.dot(first) + c0)
+        h2 = np.tanh(h[:, :hidden].dot(w2) + b2)
+        v, v_norms = _unit_rows(h2.dot(w3) + b3)
+        if id_w2 is None:
+            return h, h2, v, v_norms, None, None
+        return (h, h2, v, v_norms, *_unit_rows(h[:, hidden:].dot(id_w2)))
 
-def _identity_forward(img: np.ndarray, w1: np.ndarray,
-                      w2: np.ndarray) -> tuple:
-    """Identity features of a (B, 1, pixels) stack, and the activations."""
-    hf = np.tanh(img @ w1)
-    feat, norms = _unit_rows(hf @ w2)
-    return feat, (hf, norms)
-
-
-def _encoder_arrays(enc: EncoderParams) -> tuple[np.ndarray, ...]:
-    return tuple(_c(a) for a in enc.arrays().values())
+    return forward, (first, w2, w3, id_w2, hidden)
 
 
 def source_reference(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
                      models: ModelBundle) -> tuple[np.ndarray, np.ndarray | None]:
-    """(d_src, source identity features or None) of each row, shaped
-    (B, 1, 1) and (B, 1, features) for ``bind_step``, from its own
-    forward expressions: step 0 gives hinge 1 and identity 0."""
-    img = synthesize(w_s, models.generator)[:, None, :]
-    v, _ = _image_forward(img, _encoder_arrays(models.image))
-    d_src = 1.0 - (v * _c(targets)[:, None, :]).sum(axis=-1, keepdims=True)
-    if not (config.identity_enabled and config.lambda_id > 0.0):
-        return d_src, None
-    ident = models.identity
-    return d_src, _identity_forward(img, _c(ident.w1), _c(ident.w2))[0]
+    """(d_src, source identity features or None) of each row of the source
+    stack, shaped (B, 1) and (B, features), by the step's own forward: step
+    0 gives hinge 1 and identity 0 exactly."""
+    batch = len(w_s)
+    forward = _bind_forward(config, models)[0]
+    _, _, v, _, feat, _ = forward(gemm_rows(_c(w_s).reshape(batch, -1)))
+    d_src = 1.0 - (v[:batch] * _c(targets)).sum(axis=-1, keepdims=True)
+    return d_src, None if feat is None else feat[:batch]
 
 
 def bind_step(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
               models: ModelBundle, reference: tuple | None = None):
     """The manipulation step toward ``targets`` (B, embed) from the source
     stack ``w_s`` (B, layers, latent_dim), with every operand a run never
-    changes bound once: the frozen weights in C order and their
-    transposes, the generator matrix, the target stack, the settings, and
-    the source terms (d_src, source identity), which ``reference`` gives or
-    ``source_reference`` computes.
+    changes bound once: the folded first layers, the other frozen weights,
+    C-contiguous copies of every transposed operand, the targets, the
+    settings, and the source terms (d_src, source identity), which
+    ``reference`` gives or ``source_reference`` computes.
 
     Returns ``step(w, g)``, which takes C-ordered float64 latents (B,
     layers, latent_dim) and gate logits (B, layers) and returns (total,
     hinge, reg, identity), each (B,), then grad_w and grad_g; grad_g is
-    zero with adaptive masking off. Every matmul operand is a (B, 1, ·)
-    stack and every sum reduces over the last axis, so row i rounds as a
-    B = 1 call does (see ``synthesize``). The forward and backward passes
-    repeat the numpy expressions and vjps of the autodiff ops the oracle
+    zero with adaptive masking off. B = 1 runs as two copies of its row.
+    The passes repeat the numpy expressions and vjps of the ops the oracle
     graph is made of, in the order ``autodiff.backward`` runs them, so
-    values and gradients are bit-identical to the graph's
-    (tests/graph_reference.py keeps it).
+    values and gradients are bit-identical to the graph's.
     """
-    gen = models.generator
-    w_s = _c(w_s)
+    w_s, targets = _c(w_s), _c(targets)
+    if len(w_s) == 1:
+        # the product rule: one row runs as two copies of itself
+        pair = bind_step(gemm_rows(w_s), gemm_rows(targets), config, models,
+                         reference and tuple(None if r is None else gemm_rows(r)
+                                             for r in reference))
+        return lambda w, g: tuple(out[:1] for out in pair(gemm_rows(w),
+                                                          gemm_rows(g)))
     batch, layers = w_s.shape[0], w_s.shape[1]
-    enc = _encoder_arrays(models.image)
-    w1, _, w2, _, w3, _ = enc
-    w1_t, w2_t, w3_t = w1.T, w2.T, w3.T
-    gen_a, gen_a_t, bias = gen.A, gen.A.T, gen.bias
-    t = _c(targets)[:, None, :]
-    lam_reg = float(config.lambda_reg)
-    lam_id = float(config.lambda_id)
+    forward, (first, w2, w3, id_w2, hidden) = _bind_forward(config, models)
+    first_t, w2_t, w3_t = (np.ascontiguousarray(a.T) for a in (first, w2, w3))
+    lam_reg, lam_id = float(config.lambda_reg), float(config.lambda_id)
     adaptive = config.adaptive_masking
-    use_id = config.identity_enabled and lam_id > 0.0
-    if use_id:
-        id_w1, id_w2 = _c(models.identity.w1), _c(models.identity.w2)
-        id_w1_t, id_w2_t = id_w1.T, id_w2.T
-    d_src, source_identity = (source_reference(w_s, targets, config, models)
-                              if reference is None else reference)
+    use_id = id_w2 is not None
+    id_w2_t = np.ascontiguousarray(id_w2.T) if use_id else None
+    d_src, source_identity = reference or source_reference(
+        w_s, targets, config, models)
     inv_layers = 1.0 / layers
-    g_mm = np.full((1, 1), lam_reg * inv_layers)
+    c_reg = lam_reg * inv_layers
     # returned by every step, so read-only
-    no_ident = np.zeros((batch, 1, 1))
+    no_ident = np.zeros((batch, 1))
     no_grad_g = np.zeros((batch, layers))
     no_ident.flags.writeable = no_grad_g.flags.writeable = False
     # the hinge's gradient on v, (0.0 - (pre > 0.0)) * t, for an active and
     # an inactive hinge. 0.0 - x, not -x: the graph accumulated every
     # gradient onto +0.0, so an inactive hinge passes +0.0 on, never -0.0
-    g_v_active = (0.0 - True) * t
-    g_v_inactive = (0.0 - False) * t
+    g_v_active = (0.0 - True) * targets
+    g_v_inactive = (0.0 - False) * targets
 
     def step(w: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, ...]:
-        # forward; the terms of each row are (B, 1, 1)
-        img = bias + w.reshape(batch, 1, -1) @ gen_a
-        v, (h1, h2, v_norms) = _image_forward(img, enc)
-        pre = (1.0 - (v * t).sum(axis=-1, keepdims=True)) - d_src + 1.0
+        # forward; the terms of each row are (B, 1)
+        h, h2, v, v_norms, feat, f_norms = forward(w.reshape(batch, -1))
+        pre = (1.0 - (v * targets).sum(axis=-1, keepdims=True)) - d_src + 1.0
         hinge = np.maximum(pre, 0.0)
 
         delta = w - w_s
         if adaptive:
-            norms = np.sqrt((delta ** 2).sum(axis=-1, keepdims=True))  # (B, L, 1)
-            weights = gate_softmax(g[:, None, :])                      # (B, 1, L)
-            reg = (weights @ norms) * inv_layers
+            norms = np.sqrt((delta ** 2).sum(axis=-1))              # (B, L)
+            weights = gate_softmax(g)                               # (B, L)
+            reg = (weights * norms).sum(axis=-1, keepdims=True) * inv_layers
         else:
-            reg = np.sqrt((delta * delta).reshape(batch, 1, -1).sum(
+            reg = np.sqrt((delta * delta).reshape(batch, -1).sum(
                 axis=-1, keepdims=True))
         total = hinge + reg * lam_reg
         ident = no_ident
         if use_id:
-            feat, (hf, f_norms) = _identity_forward(img, id_w1, id_w2)
             d_id = feat - source_identity
             ident = (d_id * d_id).sum(axis=-1, keepdims=True) * 0.5
             total = total + ident * lam_id
 
-        # backward: hinge through the image encoder, then identity
+        # backward: the hinge to h, then the identity term to h, then
+        # through the first layer
         g_v = np.where(pre > 0.0, g_v_active, g_v_inactive)
-        g_a2 = (_unit_rows_vjp(g_v, v, v_norms) @ w3_t) * (1.0 - h2 * h2)
-        g_a1 = (g_a2 @ w2_t) * (1.0 - h1 * h1)
-        g_img = g_a1 @ w1_t
+        g_a2 = _unit_rows_vjp(g_v, v, v_norms).dot(w3_t) * (1.0 - h2 * h2)
+        g_h = g_a2.dot(w2_t)
         if use_id:
             g_half = (lam_id * 0.5) * d_id
             g_f = _unit_rows_vjp(g_half + g_half, feat, f_norms)
-            g_img = g_img + (((g_f @ id_w2_t) * (1.0 - hf * hf)) @ id_w1_t)
-        grad_w = (g_img @ gen_a_t).reshape(w.shape)
+            g_h = np.concatenate([g_h, g_f.dot(id_w2_t)], axis=1)
+        grad_w = (g_h * (1.0 - h * h)).dot(first_t).reshape(w.shape)
 
         # regularizer
         if adaptive:
-            g_weights = g_mm @ norms.swapaxes(-1, -2)
+            g_weights = c_reg * norms
             dot = (g_weights * weights).sum(axis=-1, keepdims=True)
-            grad_g = (weights * (g_weights - dot))[:, 0]
-            moved = norms > 0.0
-            safe = np.where(moved, norms, 1.0)
-            g_delta = np.where(moved, (weights.swapaxes(-1, -2) @ g_mm)
-                               / safe, 0.0) * delta
+            grad_g = weights * (g_weights - dot)
+            # a layer that has not moved passes no gradient
+            g_norms = (c_reg * weights) / np.where(norms > 0.0, norms, np.inf)
+            g_delta = g_norms[..., None] * delta
         else:
             grad_g = no_grad_g
             g_sq = np.divide(lam_reg, 2.0 * reg, out=np.zeros_like(reg),
-                             where=reg > 0.0)
+                             where=reg > 0.0)[..., None]
             g_delta = g_sq * delta + g_sq * delta
-        grad_w = grad_w + g_delta
-        return (total.reshape(batch), hinge.reshape(batch),
-                reg.reshape(batch), ident.reshape(batch), grad_w, grad_g)
+        return (total[:, 0], hinge[:, 0], reg[:, 0], ident[:, 0],
+                grad_w + g_delta, grad_g)
 
     return step
-
-
-def objective_and_grad(w: np.ndarray, g: np.ndarray, w_s: np.ndarray,
-                       targets: np.ndarray, d_src: np.ndarray,
-                       config: RunConfig, models: ModelBundle,
-                       source_identity: np.ndarray | None,
-                       ) -> tuple[np.ndarray, ...]:
-    """Manipulation objective of each row of latents ``w`` (B, layers,
-    latent_dim) and gate logits ``g`` (B, layers) toward ``targets``, with
-    the given source terms: one step of ``bind_step``.
-
-    Returns (total, hinge, reg, identity), each (B,), then grad_w and
-    grad_g; grad_g is zero with adaptive masking off.
-    """
-    w = _c(models.generator.check_latent(w))
-    if w.shape != np.shape(w_s):
-        raise DimensionError(f"latents {w.shape} do not pair with sources "
-                             f"{np.shape(w_s)}")
-    step = bind_step(w_s, targets, config, models, (d_src, source_identity))
-    return step(w, _c(g))
 
 
 def optimize_guided(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
@@ -278,12 +262,7 @@ def optimize_guided(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
     the final latents, the final gate logits (B, layers) and the
     trajectory; row i of each equals the run of row i alone, byte for byte.
     """
-    if config.manip_steps < 1:
-        raise ParameterError("manip_steps must be >= 1")
-    for name in ("manip_step_size", "lambda_reg", "lambda_id"):
-        value = float(getattr(config, name))
-        if not (np.isfinite(value) and value >= 0.0):
-            raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
+    config.check_ranges()
     gen = models.generator
     w_s = gen.check_latent(w_s)
     targets = np.asarray(targets, dtype=np.float64)
@@ -300,13 +279,14 @@ def optimize_guided(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
         raise DegenerateInputError("manipulation inputs contain NaN or Inf "
                                    f"in row {np.argmax(bad)}")
     batch, steps = len(w_s), config.manip_steps
-    step_size = config.manip_step_size
-    w = w_s.copy()
-    g = np.zeros((batch, gen.layers))
+    # the product rule: B = 1 runs as two copies of its row, duplicated
+    # here once rather than by bind_step in every step
+    w_s, targets = gemm_rows(w_s), gemm_rows(targets)
+    w, g = w_s.copy(), np.zeros(w_s.shape[:2])
     objective = bind_step(w_s, targets, config, models)
 
-    hinges, regs, idents, totals = np.empty((4, steps, batch))
-    logits = np.empty((steps, batch, gen.layers))
+    hinges, regs, idents, totals = np.empty((4, steps, len(w_s)))
+    logits = np.empty((steps, *w_s.shape[:2]))
     # divergence is reported by the checks below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
@@ -323,9 +303,10 @@ def optimize_guided(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
                                     f"{np.argmax(bad)} at step {step}")
             hinges[step], regs[step], idents[step] = hinge, reg, ident
             totals[step], logits[step] = total, g
-            w = w - step_size * grad_w
-            g = g - step_size * grad_g
-    return w, g, Trajectory(hinges, regs, idents, totals, logits)
+            w = w - config.manip_step_size * grad_w
+            g = g - config.manip_step_size * grad_g
+    terms = (x[:, :batch] for x in (hinges, regs, idents, totals, logits))
+    return w[:batch], g[:batch], Trajectory(*terms)
 
 
 def interpolate(w_a: np.ndarray, w_t: np.ndarray, alpha: float) -> np.ndarray:

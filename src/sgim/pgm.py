@@ -6,11 +6,10 @@ is preserved in a comment line so nothing is lost for later inspection.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from .errors import UsageError
+from .files import write_atomic
 
 
 def write_pgm(path, image: np.ndarray, maxval: int = 255) -> None:
@@ -29,4 +28,4 @@ def write_pgm(path, image: np.ndarray, maxval: int = 255) -> None:
              str(maxval)]
     for row in pixels:
         lines.append(" ".join(str(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_atomic(path, "\n".join(lines) + "\n")

@@ -10,12 +10,16 @@ from them with one `autodiff.backward`; they take the arguments of
 `encoders.teacher_step` / `encoders.audio_step` and must return the same
 values and gradients bit for bit.
 
-`synthesize_node` and `objective_node` build the generator and the full
-objective from `sgim.autodiff` ops, one graph per evaluation, and
-`graph_optimize_guided` runs the descent loop on them with
-`autodiff.backward`; it takes the source terms d_src and the source
-identity from its own graph too. `manipulate.objective_and_grad` must
-reproduce these values and gradients bit for bit.
+`synthesize_node` builds the generator from `sgim.autodiff` ops.
+`objective_node` builds the manipulation objective of a stack of latents
+from the same products the step takes: the generator folded into the
+encoders' first layer (`folded_first_layer`), plain 2-D products, and
+backward products by bound C-contiguous transposes (`_matmul_bound`).
+`graph_objective_and_grad` runs one graph and one `autodiff.backward`, and
+`graph_optimize_guided` the descent loop on it, with the source terms from
+its own graph; like the step, both run a one-row stack as two copies of
+its row. `objective_and_grad`, one step of `manipulate.bind_step`, must
+reproduce their values and gradients bit for bit.
 
 The float helpers at the end (`hinge_loss`, `hinge_from_distances`,
 `masked_regularization`, `identity_features`, `identity_loss`,
@@ -31,10 +35,10 @@ from sgim import autodiff as ad
 from sgim.config import RunConfig
 from sgim.encoders import PARAM_KEYS, EncoderParams
 from sgim.errors import DimensionError, NumericsError, UsageError
-from sgim.generator import GeneratorParams, synthesize
+from sgim.generator import GeneratorParams, gemm_rows, synthesize
 from sgim.losses import LossBreakdown
 from sgim.manipulate import (IdentityExtractor, ModelBundle, Trajectory,
-                             gate_softmax, source_reference)
+                             bind_step, gate_softmax, source_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -176,80 +180,190 @@ def _identity_node(extractor: IdentityExtractor, image: ad.Node) -> ad.Node:
     return ad.l2_normalize_rows(z)
 
 
-def _encode_image_node(params: EncoderParams, img: ad.Node) -> ad.Node:
-    consts = {k: ad.constant(v) for k, v in params.arrays().items()}
-    return encode_nodes(consts, img)
+# ops the objective graph adds to `sgim.autodiff`'s
 
 
-def _reg_node(w: ad.Node, w_s: np.ndarray, g: ad.Node | None,
-              adaptive: bool) -> ad.Node:
-    delta = ad.sub(w, ad.constant(w_s))
-    if not adaptive:
-        return ad.sqrt(ad.sum_all(ad.mul_elementwise(delta, delta)))
-    layers = w_s.shape[0]
-    norms = ad.row_l2_norm(delta)                       # (L, 1)
-    weights = ad.row_softmax(g, 1.0)                    # (1, L)
-    return ad.scale(ad.sum_all(ad.matmul(weights, norms)), 1.0 / layers)
+def _matmul_bound(a: ad.Node, b: np.ndarray, b_t: np.ndarray) -> ad.Node:
+    """a @ b for a constant b, whose backward multiplies by the given
+    C-contiguous copy of b.T, as the step does (`autodiff.matmul` multiplies
+    by the view b.T, which rounds differently in small products)."""
+    return ad.Node(a.value @ b, "matmul_bound", (a,), lambda g: (g @ b_t,))
 
 
-def _distance_node(u: ad.Node, t: np.ndarray) -> ad.Node:
-    return ad.sub(ad.constant(1.0),
-                  ad.sum_all(ad.mul_elementwise(u, ad.constant(t[None, :]))))
+def _cols(a: ad.Node, start: int, stop: int) -> ad.Node:
+    def vjp(g):
+        full = np.zeros_like(a.value)
+        full[:, start:stop] = g
+        return (full,)
+
+    return ad.Node(a.value[:, start:stop], "cols", (a,), vjp)
+
+
+def _row_sum(a: ad.Node) -> ad.Node:
+    return ad.Node(a.value.sum(axis=-1, keepdims=True), "row_sum", (a,),
+                   lambda g: (np.broadcast_to(g, a.value.shape).copy(),))
+
+
+def _reshape(a: ad.Node, shape: tuple) -> ad.Node:
+    return ad.Node(a.value.reshape(shape), "reshape", (a,),
+                   lambda g: (g.reshape(a.value.shape),))
+
+
+def folded_first_layer(config: RunConfig, models: ModelBundle) -> tuple:
+    """(F, c0, the image encoder's hidden width): the generator folded into
+    the first layer of the image encoder and, with the identity term on,
+    of the identity extractor, F = A @ [image.w1 | identity.w1] and
+    c0 = bias @ [image.w1 | identity.w1] + [image.b1 | 0]."""
+    w1, b1 = models.image.w1, models.image.b1
+    hidden = w1.shape[1]
+    if config.identity_enabled and config.lambda_id > 0.0:
+        id_w1 = models.identity.w1
+        w1 = np.hstack([w1, id_w1])
+        b1 = np.hstack([b1, np.zeros((1, id_w1.shape[1]))])
+    gen = models.generator
+    return gen.A @ w1, gen.bias @ w1 + b1, hidden
+
+
+def _forward_nodes(w: ad.Node, config: RunConfig, models: ModelBundle,
+                   ) -> tuple[ad.Node, ad.Node | None]:
+    """The image embeddings and the identity features (None with the term
+    off) of an (R, layers, latent_dim) stack of latents."""
+    rows = w.value.shape[0]
+    enc = models.image
+    first, c0, hidden = folded_first_layer(config, models)
+    h = ad.tanh(ad.add(_matmul_bound(_reshape(w, (rows, -1)), first,
+                                     np.ascontiguousarray(first.T)),
+                       ad.constant(c0)))
+    h2 = ad.tanh(ad.add(_matmul_bound(_cols(h, 0, hidden), enc.w2,
+                                      np.ascontiguousarray(enc.w2.T)),
+                        ad.constant(enc.b2)))
+    v = ad.l2_normalize_rows(ad.add(
+        _matmul_bound(h2, enc.w3, np.ascontiguousarray(enc.w3.T)),
+        ad.constant(enc.b3)))
+    if first.shape[1] == hidden:
+        return v, None
+    id_w2 = models.identity.w2
+    return v, ad.l2_normalize_rows(_matmul_bound(
+        _cols(h, hidden, first.shape[1]), id_w2, np.ascontiguousarray(id_w2.T)))
+
+
+def _distance_node(v: ad.Node, targets: np.ndarray) -> ad.Node:
+    """1 - v.t of each row, (R, 1)."""
+    ones = ad.constant(np.ones((len(targets), 1)))
+    return ad.sub(ones, _row_sum(ad.mul_elementwise(v, ad.constant(targets))))
 
 
 def objective_node(w: ad.Node, g: ad.Node | None, w_s: np.ndarray,
-                   target: np.ndarray, d_src: float, config: RunConfig,
+                   targets: np.ndarray, d_src: np.ndarray, config: RunConfig,
                    models: ModelBundle, source_identity: np.ndarray | None,
-                   ) -> tuple[ad.Node, float, float, float]:
-    """Full manipulation objective; returns (total, hinge, reg, identity)."""
-    img = synthesize_node(w, models.generator)
-    v = _encode_image_node(models.image, img)
-    d_manip = _distance_node(v, target)
-    hinge = ad.max_with_zero(ad.add(ad.sub(d_manip, ad.constant(d_src)),
-                                    ad.constant(1.0)))
-    reg = _reg_node(w, w_s, g, config.adaptive_masking)
+                   ) -> tuple[ad.Node, ad.Node, ad.Node, ad.Node, ad.Node]:
+    """The manipulation objective of an (R, layers, latent_dim) stack of
+    latents ``w`` and (R, layers) gate logits ``g`` (None with adaptive
+    masking off), each row toward its row of ``targets`` with its source
+    terms d_src (R, 1) and source identity (R, features). Returns the sum
+    of the rows' totals, to run the backward from, and the (R, 1) total,
+    hinge, reg and identity nodes (identity None with the term off)."""
+    rows, layers = w_s.shape[0], w_s.shape[1]
+    v, feat = _forward_nodes(w, config, models)
+    ones = ad.constant(np.ones((rows, 1)))
+    hinge = ad.max_with_zero(ad.add(ad.sub(_distance_node(v, targets),
+                                           ad.constant(d_src)), ones))
+    delta = ad.sub(w, ad.constant(w_s))
+    if config.adaptive_masking:
+        norms = _reshape(ad.row_l2_norm(_reshape(delta, (-1, w_s.shape[2]))),
+                         (rows, layers))
+        reg = ad.scale(_row_sum(ad.mul_elementwise(ad.row_softmax(g, 1.0),
+                                                   norms)), 1.0 / layers)
+    else:
+        flat = _reshape(delta, (rows, -1))
+        reg = ad.sqrt(_row_sum(ad.mul_elementwise(flat, flat)))
     total = ad.add(hinge, ad.scale(reg, config.lambda_reg))
-    id_val = 0.0
-    if config.identity_enabled and config.lambda_id > 0.0:
-        feat = _identity_node(models.identity, img)
-        d_id = ad.sub(feat, ad.constant(source_identity[None, :]))
-        id_node = ad.scale(ad.sum_all(ad.mul_elementwise(d_id, d_id)), 0.5)
-        total = ad.add(total, ad.scale(id_node, config.lambda_id))
-        id_val = float(id_node.value)
-    return total, float(hinge.value), float(reg.value), id_val
+    ident = None
+    if feat is not None:
+        d_id = ad.sub(feat, ad.constant(source_identity))
+        ident = ad.scale(_row_sum(ad.mul_elementwise(d_id, d_id)), 0.5)
+        total = ad.add(total, ad.scale(ident, config.lambda_id))
+    return ad.sum_all(total), total, hinge, reg, ident
 
 
-def graph_optimize_guided(w_s: np.ndarray, target: np.ndarray,
+def graph_objective_and_grad(w: np.ndarray, g: np.ndarray, w_s: np.ndarray,
+                             targets: np.ndarray, d_src: np.ndarray,
+                             config: RunConfig, models: ModelBundle,
+                             source_identity: np.ndarray | None,
+                             ) -> tuple[np.ndarray, ...]:
+    """What `objective_and_grad` returns, from one `objective_node` graph
+    and one `autodiff.backward`: (total, hinge, reg, identity), each (B,),
+    then grad_w and grad_g. Like the step, a B = 1 stack runs as two
+    copies of its row."""
+    batch = len(w)
+    w, g, w_s, targets, d_src = (gemm_rows(np.asarray(a, float))
+                                 for a in (w, g, w_s, targets, d_src))
+    if source_identity is not None:
+        source_identity = gemm_rows(source_identity)
+    w_node = ad.leaf(w)
+    g_node = ad.leaf(g) if config.adaptive_masking else None
+    root, *terms = objective_node(w_node, g_node, w_s, targets, d_src, config,
+                                  models, source_identity)
+    ad.backward(root)
+    values = [np.zeros(batch) if t is None else t.value[:batch, 0]
+              for t in terms]
+    grad_g = np.zeros(g.shape) if g_node is None else g_node.grad
+    return (*values, w_node.grad[:batch], grad_g[:batch])
+
+
+def objective_and_grad(w: np.ndarray, g: np.ndarray, w_s: np.ndarray,
+                       targets: np.ndarray, d_src: np.ndarray,
+                       config: RunConfig, models: ModelBundle,
+                       source_identity: np.ndarray | None,
+                       ) -> tuple[np.ndarray, ...]:
+    """One step of `manipulate.bind_step` at latents ``w`` (B, layers,
+    latent_dim) and gate logits ``g`` (B, layers), bound with the given
+    source terms: (total, hinge, reg, identity), each (B,), then grad_w and
+    grad_g."""
+    w = np.asarray(models.generator.check_latent(w), order="C")
+    if w.shape != np.shape(w_s):
+        raise DimensionError(f"latents {w.shape} do not pair with sources "
+                             f"{np.shape(w_s)}")
+    step = bind_step(w_s, targets, config, models, (d_src, source_identity))
+    return step(w, np.asarray(g, dtype=np.float64, order="C"))
+
+
+def graph_source_reference(w_s: np.ndarray, targets: np.ndarray,
+                           config: RunConfig, models: ModelBundle) -> tuple:
+    """(d_src (B, 1), source identity (B, features) or None) from the
+    objective graph's forward at the sources."""
+    batch = len(w_s)
+    w_s, targets = gemm_rows(w_s), gemm_rows(targets)
+    v, feat = _forward_nodes(ad.leaf(w_s), config, models)
+    d_src = _distance_node(v, targets).value[:batch]
+    return d_src, None if feat is None else feat.value[:batch]
+
+
+def graph_optimize_guided(w_s: np.ndarray, targets: np.ndarray,
                           config: RunConfig, models: ModelBundle,
                           ) -> tuple[np.ndarray, np.ndarray, Trajectory]:
-    """The descent loop of `manipulate.optimize_guided` for one latent and
-    one target, one graph and one `autodiff.backward` per step; the
-    trajectory has the B = 1 shapes."""
+    """The descent loop of `manipulate.optimize_guided` over a (B, layers,
+    latent_dim) stack, one graph and one `autodiff.backward` per step, with
+    the source terms from its own graph."""
     gen = models.generator
     w_s = gen.check_latent(w_s)
+    batch = len(w_s)
+    d_src, source_identity = graph_source_reference(w_s, targets, config,
+                                                    models)
     w = w_s.copy()
-    g = np.zeros(gen.layers)
-    img_s = synthesize_node(ad.leaf(w_s), gen)
-    d_src = float(_distance_node(_encode_image_node(models.image, img_s),
-                                 target).value)
-    source_identity = None
-    if config.identity_enabled and config.lambda_id > 0.0:
-        source_identity = _identity_node(models.identity, img_s).value[0]
-    hinges, regs, idents, totals = np.empty((4, config.manip_steps, 1))
-    logits = np.empty((config.manip_steps, 1, gen.layers))
-    for step in range(config.manip_steps):
-        w_node = ad.leaf(w)
-        g_node = ad.leaf(g[None, :]) if config.adaptive_masking else None
-        total, hinge_v, reg_v, id_v = objective_node(
-            w_node, g_node, w_s, target, d_src, config, models, source_identity)
-        if not np.isfinite(total.value):
+    g = np.zeros((batch, gen.layers))
+    steps = config.manip_steps
+    hinges, regs, idents, totals = np.empty((4, steps, batch))
+    logits = np.empty((steps, batch, gen.layers))
+    for step in range(steps):
+        total, hinge, reg, ident, grad_w, grad_g = graph_objective_and_grad(
+            w, g, w_s, targets, d_src, config, models, source_identity)
+        if not np.isfinite(total).all():
             raise NumericsError(f"objective became non-finite at step {step}")
-        hinges[step], regs[step], idents[step] = hinge_v, reg_v, id_v
-        totals[step], logits[step] = float(total.value), g
-        ad.backward(total)
-        w = w - config.manip_step_size * w_node.grad
-        if g_node is not None:
-            g = g - config.manip_step_size * g_node.grad[0]
+        hinges[step], regs[step], idents[step] = hinge, reg, ident
+        totals[step], logits[step] = total, g
+        w = w - config.manip_step_size * grad_w
+        g = g - config.manip_step_size * grad_g
     return w, g, Trajectory(hinges, regs, idents, totals, logits)
 
 
@@ -275,7 +389,7 @@ def hinge_loss(w_s: np.ndarray, w_a: np.ndarray, a: np.ndarray,
     config = RunConfig(identity_enabled=False)
     d, _ = source_reference(np.stack([w_s, w_a]), np.stack([a, a]), config,
                             models)
-    return hinge_from_distances(float(d[0, 0, 0]), float(d[1, 0, 0]))
+    return hinge_from_distances(float(d[0, 0]), float(d[1, 0]))
 
 
 def masked_regularization(w_a: np.ndarray, w_s: np.ndarray,

@@ -355,6 +355,29 @@ def test_bad_manipulation_value_rejected_before_any_stage(name, tmp_path,
     assert not run.exists()
 
 
+# --set override -> the error line; the dataset keys are checked before any
+# stage runs, so no stage records them
+BAD_DATASET_VALUES = {
+    "classes_0": ("classes=0",
+                  "dataset keys: manifest counts must all be >= 1"),
+    "classes_9": ("classes=9",
+                  "dataset keys: at most 8 classes are supported"),
+}
+
+
+@pytest.mark.parametrize("command", ["gen-data", "manipulate"])
+@pytest.mark.parametrize("name", sorted(BAD_DATASET_VALUES))
+def test_bad_dataset_value_rejected_before_any_stage(name, command, tmp_path,
+                                                     capsys):
+    override, message = BAD_DATASET_VALUES[name]
+    run = tmp_path / "run"
+    extra = ["--audio-index", "0"] if command == "manipulate" else []
+    capsys.readouterr()
+    assert run_cli("--set", override, command, "--run", run, *extra) == 2
+    assert capsys.readouterr().err == f"error: validation: {message}\n"
+    assert not run.exists()
+
+
 def test_range_check_accepts_lower_bounds():
     # 0 fit epochs keeps the generator's init; zero weights and a zero step
     # size are allowed settings, one step the fewest

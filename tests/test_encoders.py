@@ -91,6 +91,24 @@ def test_encode_audio_deterministic():
     assert abs(np.linalg.norm(encode_audio(mel, p)) - 1.0) < 1e-9
 
 
+def test_stacked_encode_rows_equal_single_encodes(dataset, audio_encoder,
+                                                  teacher):
+    # a one-row encode runs as two copies of its row, so every row of a
+    # stacked encode equals its record's encode alone
+    audio, text = audio_encoder[0], teacher[0].text
+    rows = np.random.default_rng(8).choice(len(dataset), size=9,
+                                           replace=False)
+    for size in (1, 2, 3, 9):
+        picked = rows[:size]
+        stacked = encode_np(audio, dataset.audio[picked].reshape(size, -1))
+        labels = encode_np(text, bag_matrix(dataset.text[picked]))
+        for i, r in enumerate(picked):
+            assert stacked[i].tobytes() == \
+                encode_audio(dataset.audio[r], audio).tobytes()
+            assert labels[i].tobytes() == \
+                encode_text(dataset.text[r], text).tobytes()
+
+
 def test_bag_of_tokens_permutation_invariant():
     p = init_encoder_params(np.random.default_rng(0), VOCAB_SIZE, 8, 4)
     a = encode_text(np.array([0, 3, 5]), p)

@@ -60,6 +60,51 @@ def test_synthesize_matches_per_band_formula(gen_fit):
         assert synthesize(w, gen).tobytes() == row.tobytes()
 
 
+# the right operands (rows, columns) of the products under the product rule
+# (see generator.synthesize): A; the manipulation step's folded first layer
+# with and without the identity term, the image encoder's w2 and w3, the
+# identity extractor's w2, and their bound transposes; the audio encoder's
+# first layer
+RULE_OPERANDS = [(256, 64), (256, 96), (64, 64), (64, 32), (32, 16),
+                 (96, 256), (32, 64), (16, 32), (200, 64)]
+RULE_ROWS = [*range(2, 17), 64, 96, 384]
+
+
+def test_plain_products_are_row_invariant():
+    """The product rule rests on this property of the installed BLAS: every
+    row of a plain 2-D product of two or more rows, with a C-contiguous
+    right operand, equals the same row of a 400-row product byte for byte,
+    whatever the other rows are. Left operands are contiguous or column
+    slices, as in the step, and both ``@`` and ``ndarray.dot`` are pinned.
+    A numpy or BLAS upgrade that breaks this fails here."""
+    rng = np.random.default_rng(41)
+    for k, n in RULE_OPERANDS:
+        m = rng.standard_normal((k, n))
+        wide = rng.standard_normal((400, k + 32))
+        for x in (np.ascontiguousarray(wide[:, :k]), wide[:, :k],
+                  wide[:, 32:]):
+            full = x @ m
+            for rows in RULE_ROWS:
+                for start in (0, 7):
+                    part = x[start:start + rows]
+                    # the step spells its products x.dot(m)
+                    for got in (part @ m, part.dot(m)):
+                        assert got.tobytes() == \
+                            full[start:start + rows].tobytes(), (k, n, rows)
+
+
+def test_single_code_runs_as_two_rows(gen_fit):
+    # one code is a two-row product of copies of itself, so it equals its
+    # row of any stack
+    gen = gen_fit.params
+    ws = np.random.default_rng(32).standard_normal((5, 8, 32))
+    for size in range(1, 6):
+        images = synthesize(ws[:size], gen)
+        assert images.shape == (size, 64)
+        for w, row in zip(ws, images):
+            assert synthesize(w, gen).tobytes() == row.tobytes()
+
+
 def test_fitted_params_are_read_only(gen_fit):
     gp = gen_fit.params
     for array in (gp.layer_mods[3], gp.bias, gp.A):

@@ -13,14 +13,14 @@ from sgim.errors import (DegenerateInputError, DimensionError,
                          NumericsError, ParameterError, SgimError)
 from sgim.generator import sample_source_latent, synthesize
 from sgim.manipulate import (IdentityExtractor, gate_softmax, interpolate,
-                             objective_and_grad, optimize_guided, style_mix,
-                             trajectory_csv)
+                             optimize_guided, style_mix, trajectory_csv)
 
 from conftest import AUDIO_INDEX, SOURCE_INDEX
-from graph_reference import (graph_optimize_guided, hinge_from_distances,
-                             hinge_loss, identity_features, identity_loss,
+from graph_reference import (graph_objective_and_grad, graph_optimize_guided,
+                             hinge_from_distances, hinge_loss,
+                             identity_features, identity_loss,
                              masked_regularization, moving_average,
-                             objective_node)
+                             objective_and_grad, objective_node)
 
 
 def audio_target(dataset, model_bundle, index=AUDIO_INDEX):
@@ -154,21 +154,20 @@ def test_identity_lambda_ordering(gen_fit, model_bundle, dataset):
 
 
 def test_objective_gradient_matches_fd(gen_fit, model_bundle, dataset):
-    w_s = gen_fit.latents[SOURCE_INDEX]
-    target = np.random.default_rng(3).standard_normal(32)
-    target /= np.linalg.norm(target)
+    # the graph of a one-row stack: finite differences need no product rule
+    w_s = gen_fit.latents[SOURCE_INDEX:SOURCE_INDEX + 1]
+    targets = np.random.default_rng(3).standard_normal((1, 32))
+    targets /= np.linalg.norm(targets)
     config = RunConfig()
-    v_src = encode_np(model_bundle.image,
-                      synthesize(w_s, model_bundle.generator)[None, :])[0]
-    d_src = 1.0 - float(v_src @ target)
+    v_src = encode_np(model_bundle.image, synthesize(w_s, model_bundle.generator))
+    d_src = 1.0 - (v_src * targets).sum(axis=1, keepdims=True)
     src_id = identity_features(model_bundle.identity,
-                               synthesize(w_s, model_bundle.generator))
-    g = np.random.default_rng(4).standard_normal(8)
+                               synthesize(w_s[0], model_bundle.generator))[None]
+    g = np.random.default_rng(4).standard_normal((1, 8))
 
     def f(w):
-        total, *_ = objective_node(w, ad.constant(g[None, :]), w_s, target,
-                                   d_src, config, model_bundle, src_id)
-        return total
+        return objective_node(w, ad.constant(g), w_s, targets, d_src, config,
+                              model_bundle, src_id)[0]
 
     start = w_s + 0.05 * np.random.default_rng(5).standard_normal(w_s.shape)
     assert ad.finite_difference_check(f, start) < 1e-4
@@ -207,47 +206,69 @@ def test_one_zero_size_step_keeps_source(gen_fit, model_bundle, dataset):
 @pytest.mark.parametrize("case", sorted(GRAPH_CASES))
 def test_numpy_step_matches_graph_loop_bit_exact(case, gen_fit, model_bundle,
                                                   dataset):
-    w_s = gen_fit.latents[SOURCE_INDEX]
-    target = encode_audio(dataset.audio[AUDIO_INDEX], model_bundle.audio)
+    # B = 1, which both run as two copies of the row, and a batch of three
+    sources = np.stack([gen_fit.latents[SOURCE_INDEX], gen_fit.latents[10],
+                        sample_source_latent(0)])
+    targets = np.stack([encode_audio(dataset.audio[i], model_bundle.audio)
+                        for i in (AUDIO_INDEX, 0, 200)])
     config = RunConfig(manip_steps=60, **GRAPH_CASES[case])
-    w_ref, g_ref, traj_ref = graph_optimize_guided(w_s, target, config,
-                                                   model_bundle)
-    w, g, traj = optimize_guided(w_s[None], target[None], config, model_bundle)
-    assert w[0].tobytes() == w_ref.tobytes()
-    assert g[0].tobytes() == g_ref.tobytes()
-    assert traj.hinge.shape == traj_ref.hinge.shape == (60, 1)
-    for name in TRAJECTORY_FIELDS:
-        assert getattr(traj, name).tobytes() == \
-            getattr(traj_ref, name).tobytes(), name
+    for rows in (slice(0, 1), slice(None)):
+        w_ref, g_ref, traj_ref = graph_optimize_guided(
+            sources[rows], targets[rows], config, model_bundle)
+        w, g, traj = optimize_guided(sources[rows], targets[rows], config,
+                                     model_bundle)
+        assert w.tobytes() == w_ref.tobytes()
+        assert g.tobytes() == g_ref.tobytes()
+        assert traj.hinge.shape == traj_ref.hinge.shape == (60, len(w))
+        for name in TRAJECTORY_FIELDS:
+            assert getattr(traj, name).tobytes() == \
+                getattr(traj_ref, name).tobytes(), name
 
 
 TRAJECTORY_FIELDS = ("hinge", "reg", "identity", "total", "gate_logits",
                      "gate_softmax")
 
+BATCH_SIZES = (1, 2, 3, 4, 7, 96)
+# the rows compared with their single runs: all of the small batches, and
+# every fifth row and the last of the largest
+CHECKED_ROWS = sorted({*range(7), *range(0, 96, 5), 95})
+
+
+@pytest.fixture(scope="module")
+def batch_pool(gen_fit, model_bundle, dataset):
+    """96 sources, each with its own target: fitted and random latents,
+    audio- and text-guided."""
+    sources = np.concatenate([
+        gen_fit.latents[[SOURCE_INDEX, 10, 200]],
+        np.stack([sample_source_latent(seed) for seed in range(93)])])
+    records = (AUDIO_INDEX + 37 * np.arange(96)) % len(dataset)
+    targets = encode_np(model_bundle.audio,
+                        dataset.audio[records].reshape(96, -1))
+    for k in range(2, 96, 3):
+        targets[k] = encode_text(label_tokens(k % 8), model_bundle.text)
+    return sources, targets
+
 
 @pytest.mark.parametrize("case", sorted(GRAPH_CASES))
-def test_batch_rows_match_single_runs_bit_exact(case, gen_fit, model_bundle,
-                                                dataset):
-    # six rows with their own source and target, audio- and text-guided
-    sources = np.stack([gen_fit.latents[SOURCE_INDEX], gen_fit.latents[10],
-                        *(sample_source_latent(seed) for seed in range(4))])
-    targets = np.stack(
-        [encode_audio(dataset.audio[i], model_bundle.audio)
-         for i in (AUDIO_INDEX, 0, 200, 300)]
-        + [encode_text(label_tokens(c), model_bundle.text) for c in (3, 5)])
+def test_batch_rows_match_single_runs_bit_exact(case, batch_pool,
+                                                model_bundle):
+    sources, targets = batch_pool
     config = RunConfig(manip_steps=60, **GRAPH_CASES[case])
-    w, g, traj = optimize_guided(sources, targets, config, model_bundle)
-    assert w.shape == (6, 8, 32) and g.shape == (6, 8)
-    assert traj.hinge.shape == (60, 6)
-    assert traj.gate_softmax.shape == (60, 6, 8)
-    for i in range(6):
-        w1, g1, traj1 = optimize_guided(sources[i:i + 1], targets[i:i + 1],
-                                        config, model_bundle)
-        assert w[i].tobytes() == w1[0].tobytes()
-        assert g[i].tobytes() == g1[0].tobytes()
-        for name in TRAJECTORY_FIELDS:
-            assert getattr(traj, name)[:, i].tobytes() == \
-                getattr(traj1, name)[:, 0].tobytes(), (i, name)
+    singles = {i: optimize_guided(sources[i:i + 1], targets[i:i + 1], config,
+                                  model_bundle) for i in CHECKED_ROWS}
+    for size in BATCH_SIZES:
+        w, g, traj = optimize_guided(sources[:size], targets[:size], config,
+                                     model_bundle)
+        assert w.shape == (size, 8, 32) and g.shape == (size, 8)
+        assert traj.hinge.shape == (60, size)
+        assert traj.gate_softmax.shape == (60, size, 8)
+        for i in (i for i in CHECKED_ROWS if i < size):
+            w1, g1, traj1 = singles[i]
+            assert w[i].tobytes() == w1[0].tobytes(), (size, i)
+            assert g[i].tobytes() == g1[0].tobytes(), (size, i)
+            for name in TRAJECTORY_FIELDS:
+                assert getattr(traj, name)[:, i].tobytes() == \
+                    getattr(traj1, name)[:, 0].tobytes(), (size, i, name)
 
 
 @pytest.mark.parametrize("case", sorted(GRAPH_CASES))
@@ -265,26 +286,21 @@ def test_objective_and_grad_matches_graph_at_edges(case, gen_fit,
     for d_src in (5.0, 0.3):
         for w in (w_s.copy(), w_s + 0.1 * rng.standard_normal(w_s.shape)):
             g = rng.standard_normal(8)
-            w_node = ad.leaf(w)
-            g_node = ad.leaf(g[None, :]) if config.adaptive_masking else None
-            total, hinge, reg, ident = objective_node(
-                w_node, g_node, w_s, target, d_src, config, model_bundle,
-                src_id)
-            ad.backward(total)
-            got = objective_one(w, g, w_s, target, d_src, config,
-                                model_bundle, src_id)
-            assert got[:4] == (float(total.value), hinge, reg, ident)
-            assert got[4].tobytes() == w_node.grad.tobytes()
-            if g_node is not None:
-                assert got[5].tobytes() == g_node.grad[0].tobytes()
+            args = (w[None], g[None], w_s[None], target[None],
+                    np.full((1, 1), d_src), config, model_bundle,
+                    src_id[None])
+            got, want = objective_and_grad(*args), graph_objective_and_grad(*args)
+            for name, x, y in zip(("total", "hinge", "reg", "identity",
+                                   "grad_w", "grad_g"), got, want):
+                assert x.tobytes() == y.tobytes(), name
 
 
 def objective_one(w, g, w_s, target, d_src, config, models, src_id):
     """objective_and_grad at B = 1 on unstacked arguments, with the values
     as floats and the gradients unstacked."""
     out = objective_and_grad(w[None], g[None], w_s[None], target[None],
-                             np.full((1, 1, 1), d_src), config, models,
-                             src_id[None, None])
+                             np.full((1, 1), d_src), config, models,
+                             src_id[None])
     return (*(float(x[0]) for x in out[:4]), out[4][0], out[5][0])
 
 
@@ -390,8 +406,8 @@ def test_objective_and_grad_rejects_unpaired_latents(gen_fit, model_bundle):
     with pytest.raises(DimensionError):
         objective_and_grad(gen_fit.latents[:2], np.zeros((2, 8)),
                            gen_fit.latents[:1], np.eye(32)[:1],
-                           np.zeros((1, 1, 1)), RunConfig(), model_bundle,
-                           np.eye(16)[:1, None, :])
+                           np.zeros((1, 1)), RunConfig(), model_bundle,
+                           np.eye(16)[:1])
 
 
 def test_diverging_row_is_named(gen_fit, model_bundle):

@@ -11,11 +11,15 @@ from hypothesis import strategies as st
 
 import sgim.config
 from sgim import checkpoint as ckpt
+from sgim import cli
 from sgim.config import (RunConfig, config_from_text, config_hash,
                          config_to_text, load_config, stage_seed)
-from sgim.data import DatasetManifest, manifest_from_text, manifest_to_text
+from sgim.data import (DatasetManifest, generate_dataset, manifest_from_text,
+                       manifest_to_text, save_dataset)
 from sgim.encoders import TeacherParams, init_encoder_params
 from sgim.errors import ConfigError, UsageError
+from sgim.evaluate import EvalReport
+from sgim.files import write_atomic
 from sgim.generator import GeneratorFit, init_generator
 from sgim.pgm import write_pgm
 
@@ -67,6 +71,67 @@ def test_failed_checkpoint_write_keeps_the_old_file(target, fault, tmp_path,
                              "master_seed=2\n", 2)
     assert path.read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == ["x.ckpt"]
+
+
+def _only_for(name, fault, real):
+    """``real``, except that a call on a path whose name contains ``name``
+    (the temp file of that artifact) runs ``fault``."""
+    def call(path, *args):
+        return (fault if name in Path(path).name else real)(path, *args)
+    return call
+
+
+def _small_dataset(k):
+    # version k has k + 1 records per video, so every file of two versions
+    # differs
+    manifest = RunConfig(master_seed=k, classes=2, videos_per_class=2,
+                         records_per_video=k + 1).dataset_manifest()
+    return manifest, generate_dataset(manifest)
+
+
+# case -> (the file whose write fails, a writer of version k of the
+# artifacts into a directory)
+ARTIFACTS = {
+    **{name: (name, lambda d, k: save_dataset(d, *_small_dataset(k)))
+       for name in ("manifest.txt", "audio.tmd", "image.tmd", "text.tmd",
+                    "ids.tmd", "intensity.tmd")},
+    "report": ("zeroshot.csv", lambda d, k: cli._write_report(
+        d, "zeroshot", EvalReport("zero_shot", k / 10))),
+    "trajectory": ("trajectory.csv", lambda d, k: write_atomic(
+        d / "trajectory.csv", f"step,hinge\n0,{k}\n")),
+    "pgm": ("after.pgm", lambda d, k: write_pgm(d / "after.pgm",
+                                                np.arange(16.0) * k)),
+}
+
+
+@pytest.mark.parametrize("target, fault", [
+    ("pathlib.Path.write_bytes", _half_write),
+    ("os.replace", _refuse_replace)], ids=["half_write", "replace"])
+@pytest.mark.parametrize("case", sorted(ARTIFACTS))
+def test_failed_artifact_write_keeps_the_old_file(case, target, fault,
+                                                  tmp_path, monkeypatch):
+    name, write = ARTIFACTS[case]
+    write(tmp_path, 1)
+    (path,) = tmp_path.rglob(name)
+    before, listing = path.read_bytes(), sorted(tmp_path.rglob("*"))
+    real = Path.write_bytes if target.endswith("write_bytes") else os.replace
+    monkeypatch.setattr(target, _only_for(name, fault, real))
+    with pytest.raises(OSError):
+        write(tmp_path, 2)
+    assert path.read_bytes() == before
+    assert sorted(tmp_path.rglob("*")) == listing  # no temp file left
+
+
+def test_identical_rewrite_leaves_the_file(tmp_path):
+    # a file that already holds the bytes is not replaced; other bytes are
+    path = tmp_path / "config.txt"
+    write_atomic(path, "master_seed=7\n")
+    inode = path.stat().st_ino
+    write_atomic(path, b"master_seed=7\n")
+    assert path.stat().st_ino == inode
+    write_atomic(path, "master_seed=8\n")
+    assert path.read_text() == "master_seed=8\n"
+    assert sorted(os.listdir(tmp_path)) == ["config.txt"]
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
