@@ -15,6 +15,7 @@ Loading a saved checkpoint reproduces every byte of every array.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -66,6 +67,7 @@ def _text(fh, len_fmt: str, path: Path) -> str:
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str, int]:
     path = Path(path)
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise UsageError(f"{path}: not a checkpoint (magic {magic!r})")
@@ -79,9 +81,16 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str, int]:
             shape = tuple(_unpack(fh, "<i", path) for _ in range(ndim))
             if any(d < 0 for d in shape):
                 raise UsageError(f"{path}: array {name!r} has shape {shape}")
-            data = np.frombuffer(_read(fh, 8 * math.prod(shape), path),
-                                 dtype="<f8")
-            arrays[name] = data.reshape(shape).astype(np.float64, copy=True)
+            # read straight into the array, once the file is known to hold it
+            n, offset = 8 * math.prod(shape), fh.tell()
+            if n > size - offset:
+                raise UsageError(f"{path}: truncated checkpoint (wanted {n} "
+                                 f"bytes at offset {offset}, got "
+                                 f"{size - offset})")
+            data = np.empty(n // 8, dtype="<f8")
+            if fh.readinto(data.view(np.uint8)) != n:
+                raise UsageError(f"{path}: changed while it was read")
+            arrays[name] = data.reshape(shape).astype(np.float64, copy=False)
     return arrays, config_text, seed
 
 

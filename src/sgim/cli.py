@@ -29,7 +29,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .config import RunConfig, config_to_text, load_config
 from .data import generate_dataset, load_dataset, save_dataset, split_by_video
-from .encoders import (encode_audio, loss_log_csv, pretrain_teacher,
+from .encoders import (encode_np, loss_log_csv, pretrain_teacher,
                        train_audio_encoder)
 from .errors import (ConfigError, DegenerateInputError, DimensionError,
                      NumericsError, ParameterError, SgimError, UsageError)
@@ -80,11 +80,11 @@ def _load_generator(run: Path):
 def _bundle(run: Path, config: RunConfig, teacher,
             audio) -> tuple[ModelBundle, "object"]:
     """The run's models around a loaded teacher and audio encoder, and the
-    generator fit."""
+    generator fit. The identity extractor takes the generator's image size."""
     fit = _load_generator(run)
     identity = init_identity_extractor(
         np.random.default_rng(config.seed_for("manip")),
-        pixels=config.pixels)
+        pixels=fit.params.bias.size)
     return ModelBundle(fit.params, audio, teacher.text, teacher.image,
                        identity), fit
 
@@ -143,8 +143,7 @@ def cmd_manipulate(run: Path, args, config: RunConfig) -> int:
                              f"[0, {len(fit.latents)})")
         w_s = fit.latents[args.source_index]
     else:
-        w_s = sample_source_latent(args.source_seed, models.generator.side,
-                                   models.generator.latent_dim)
+        w_s = sample_source_latent(args.source_seed, models.generator)
     if not (0 <= args.audio_index < len(ds)):
         raise UsageError(f"audio index out of range [0, {len(ds)})")
     mel = ds.audio[args.audio_index]
@@ -152,7 +151,7 @@ def cmd_manipulate(run: Path, args, config: RunConfig) -> int:
              "manip_steps": args.steps, "manip_step_size": args.step_size}
     manip = replace(config, **{k: v for k, v in flags.items() if v is not None})
     (w_a,), (gate,), trajectory = optimize_guided(
-        w_s[None], encode_audio(mel, models.audio)[None], manip, models)
+        w_s[None], encode_np(models.audio, mel.reshape(1, -1)), manip, models)
     out = run / "manip" / args.tag
     ckpt.save_checkpoint(out / "latent.ckpt", ckpt.latent_arrays(w_a, gate),
                          config_to_text(manip), config.master_seed)

@@ -110,16 +110,14 @@ class RunConfig:
 
     # manipulation (paper face-domain: 0.008 / 0.004; scene: 0.002 / 0)
     lambda_reg: float = 0.008
-    lambda_id: float = 0.004
+    lambda_id: float = 0.004            # 0 turns the identity term off
     manip_steps: int = 300
     manip_step_size: float = 0.1
     adaptive_masking: bool = True
-    identity_enabled: bool = True
 
     # evaluation
     probe_epochs: int = 200
     probe_lr: float = 0.1
-    direction_seeds: int = 20
 
     def seed_for(self, stage: str) -> int:
         return stage_seed(self.master_seed, stage)

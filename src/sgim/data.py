@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -309,27 +310,30 @@ def _write_tmd(path: Path, arr: np.ndarray) -> None:
 
 
 def _read_tmd(path: Path, dtype, expected: tuple[int, ...]) -> np.ndarray:
-    """The array in a TMD1 file, which must have shape ``expected``."""
-    blob = Path(path).read_bytes()
-    if blob[:4] != _MAGIC:
-        raise UsageError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 12:
-        raise UsageError(f"{path}: truncated header ({len(blob)} bytes)")
-    count, ndim = struct.unpack_from("<ii", blob, 4)
-    body_start = 12 + 4 * ndim
-    if ndim < 0 or len(blob) < body_start:
-        raise UsageError(f"{path}: truncated header ({len(blob)} bytes, "
-                         f"{ndim} dims)")
-    shape = (count, *struct.unpack_from(f"<{ndim}i", blob, 12))
-    if shape != expected:
-        raise UsageError(f"{path}: shape {shape} does not match {expected} "
-                         "from manifest.txt")
-    body = len(blob) - body_start
-    if body != math.prod(shape) * np.dtype(dtype).itemsize:
-        raise UsageError(f"{path}: body of {body} bytes does not match "
-                         f"shape {shape}")
-    arr = np.frombuffer(blob, dtype=dtype, offset=body_start).reshape(shape)
-    return arr.astype(arr.dtype.newbyteorder("="), copy=True)
+    """The array in a TMD1 file, which must have shape ``expected``, read
+    straight into its own array."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if head[:4] != _MAGIC:
+            raise UsageError(f"{path}: bad magic {head[:4]!r}")
+        if size < 12:
+            raise UsageError(f"{path}: truncated header ({size} bytes)")
+        count, ndim = struct.unpack_from("<ii", head, 4)
+        body = size - 12 - 4 * ndim
+        if ndim < 0 or body < 0:
+            raise UsageError(f"{path}: truncated header ({size} bytes, "
+                             f"{ndim} dims)")
+        shape = (count, *struct.unpack(f"<{ndim}i", fh.read(4 * ndim)))
+        if shape != expected:
+            raise UsageError(f"{path}: shape {shape} does not match "
+                             f"{expected} from manifest.txt")
+        arr = np.empty(math.prod(shape), dtype=dtype)
+        # a short read (the file shrank meanwhile) fills less of arr
+        if body != arr.nbytes or fh.readinto(arr.view(np.uint8)) != body:
+            raise UsageError(f"{path}: body of {body} bytes does not match "
+                             f"shape {shape}")
+    return arr.reshape(shape).astype(arr.dtype.newbyteorder("="), copy=False)
 
 
 def manifest_to_text(m: DatasetManifest) -> str:

@@ -34,7 +34,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .augment import VOCAB_SIZE, augment_bags, bag_matrix
+from .augment import VOCAB_SIZE, augment_bags
 from .config import RunConfig
 from .data import (Dataset, group_rows, sample_from_each, sample_minibatch,
                    sample_weak_pairs, weak_candidates)
@@ -121,18 +121,6 @@ def _param_grads(paths: list[tuple[Callable, tuple]]) -> dict[str, np.ndarray]:
         for k, g in vjp(sum(parts, 0.0)).items():
             grads[k] = grads[k] + g
     return grads
-
-
-def encode_audio(mel: np.ndarray, params: EncoderParams) -> np.ndarray:
-    return encode_np(params, np.asarray(mel).reshape(1, -1))[0]
-
-
-def encode_text(ids, params: EncoderParams) -> np.ndarray:
-    """Embedding of one row of token ids, through its bag of tokens."""
-    ids = np.asarray(ids)
-    if ids.size == 0:
-        raise DegenerateInputError("empty token sequence has a zero bag vector")
-    return encode_np(params, bag_matrix(ids[None, :]))[0]
 
 
 def cyclic_lr(base_lr: float, epoch: int, period: int = 10) -> float:

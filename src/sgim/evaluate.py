@@ -170,11 +170,11 @@ def _leakage_probe(ds: Dataset, manifest: DatasetManifest,
     biased = np.flatnonzero(np.isin(ds.class_id, biased_classes))
     anchors = [int(biased[i]) for rows in group_rows(ds.video_id[biased])
                for i in rows[:anchors_per_video]]
-    manip = replace(config, lambda_id=0.0, manip_steps=steps,
-                    identity_enabled=False)
+    manip = replace(config, lambda_id=0.0, manip_steps=steps)
     targets = encode_np(audio_params,
                         ds.audio[anchors].reshape(len(anchors), -1))
-    w_s = np.stack([sample_source_latent(config.seed_for("eval") + s)
+    w_s = np.stack([sample_source_latent(config.seed_for("eval") + s,
+                                         models.generator)
                     for s in range(sources)])
     # row s * len(anchors) + k manipulates source s with anchor k
     source_of = np.repeat(np.arange(sources), len(anchors))
@@ -249,7 +249,7 @@ def direction_stats(attribute_classes: list[int], n_seeds: int,
         raise UsageError("direction statistics need at least 2 seeds")
     if not attribute_classes:
         raise UsageError("need at least one attribute class")
-    manip = replace(config, lambda_id=0.0, identity_enabled=False)
+    manip = replace(config, lambda_id=0.0)
     sources, anchors = [], []
     for attr in attribute_classes:
         pool = np.flatnonzero(ds.class_id == attr)
@@ -257,7 +257,7 @@ def direction_stats(attribute_classes: list[int], n_seeds: int,
             raise UsageError(f"attribute class {attr} has no records")
         for s in range(n_seeds):
             seed = config.seed_for("eval") + 1000 * attr + s
-            sources.append(sample_source_latent(seed))
+            sources.append(sample_source_latent(seed, models.generator))
             anchors.append(pool[np.random.default_rng(seed).integers(
                 0, len(pool))])
     audio = encode_np(models.audio,

@@ -98,9 +98,10 @@ def synthesize(w: np.ndarray, gen: GeneratorParams) -> np.ndarray:
     return images[0] if w.ndim == 2 else images[:len(flat)]
 
 
-def sample_source_latent(seed: int, side: int = 8,
-                         latent_dim: int = 32) -> np.ndarray:
-    return np.random.default_rng(seed).standard_normal((side, latent_dim))
+def sample_source_latent(seed: int, gen: GeneratorParams) -> np.ndarray:
+    """A seeded standard-normal latent code of ``gen``'s shape."""
+    return np.random.default_rng(seed).standard_normal(
+        (gen.layers, gen.latent_dim))
 
 
 @dataclass

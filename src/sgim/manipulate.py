@@ -53,7 +53,7 @@ class IdentityExtractor:
     w2: np.ndarray
 
 
-def init_identity_extractor(rng: np.random.Generator, pixels: int = 64,
+def init_identity_extractor(rng: np.random.Generator, pixels: int,
                             hidden: int = 32, out_dim: int = 16,
                             ) -> IdentityExtractor:
     w1 = rng.standard_normal((pixels, hidden)) / np.sqrt(pixels)
@@ -126,7 +126,7 @@ def _bind_forward(config: RunConfig, models: ModelBundle) -> tuple:
     w1, b1 = _c(enc.w1), _c(enc.b1)
     hidden = w1.shape[1]
     id_w2 = None
-    if config.identity_enabled and config.lambda_id > 0.0:
+    if config.lambda_id > 0.0:
         id_w1, id_w2 = _c(models.identity.w1), _c(models.identity.w2)
         w1 = np.hstack([w1, id_w1])
         b1 = np.hstack([b1, np.zeros((1, id_w1.shape[1]))])
@@ -258,7 +258,7 @@ def optimize_guided(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
                     ) -> tuple[np.ndarray, np.ndarray, Trajectory]:
     """Gradient descent on the manipulation objective from w_a = w_s, a
     (B, layers, latent_dim) stack, each row toward its row of ``targets``
-    (B, embed), an ``encode_audio`` or ``encode_text`` embedding. Returns
+    (B, embed), an audio or text embedding from ``encode_np``. Returns
     the final latents, the final gate logits (B, layers) and the
     trajectory; row i of each equals the run of row i alone, byte for byte.
     """
@@ -270,7 +270,7 @@ def optimize_guided(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
         raise DimensionError(f"need a latent stack and one target row per "
                              f"latent, got {w_s.shape} and {targets.shape}")
     frozen = [gen.bias, gen.A, *models.image.arrays().values()]
-    if config.identity_enabled and config.lambda_id > 0.0:
+    if config.lambda_id > 0.0:
         frozen += [models.identity.w1, models.identity.w2]
     if not all(np.all(np.isfinite(a)) for a in frozen):
         raise DegenerateInputError("manipulation models contain NaN or Inf")

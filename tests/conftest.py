@@ -69,7 +69,8 @@ def gen_fit(dataset, run_config):
 @pytest.fixture(scope="session")
 def model_bundle(gen_fit, teacher, audio_encoder, run_config):
     identity = init_identity_extractor(
-        np.random.default_rng(run_config.seed_for("manip")))
+        np.random.default_rng(run_config.seed_for("manip")),
+        pixels=gen_fit.params.bias.size)
     return ModelBundle(generator=gen_fit.params, audio=audio_encoder[0],
                        text=teacher[0].text, image=teacher[0].image,
                        identity=identity)

@@ -216,7 +216,7 @@ def folded_first_layer(config: RunConfig, models: ModelBundle) -> tuple:
     c0 = bias @ [image.w1 | identity.w1] + [image.b1 | 0]."""
     w1, b1 = models.image.w1, models.image.b1
     hidden = w1.shape[1]
-    if config.identity_enabled and config.lambda_id > 0.0:
+    if config.lambda_id > 0.0:
         id_w1 = models.identity.w1
         w1 = np.hstack([w1, id_w1])
         b1 = np.hstack([b1, np.zeros((1, id_w1.shape[1]))])
@@ -386,7 +386,7 @@ def hinge_loss(w_s: np.ndarray, w_a: np.ndarray, a: np.ndarray,
     """Hinge with d_cos(u, v) = 1 - u.v, by the objective's expressions
     (``source_reference`` gives each latent's distance)."""
     models = ModelBundle(gen, None, None, f_v, None)
-    config = RunConfig(identity_enabled=False)
+    config = RunConfig(lambda_id=0.0)
     d, _ = source_reference(np.stack([w_s, w_a]), np.stack([a, a]), config,
                             models)
     return hinge_from_distances(float(d[0, 0]), float(d[1, 0]))

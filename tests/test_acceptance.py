@@ -20,7 +20,7 @@ from sgim.cli import main as cli_main
 from sgim.config import RunConfig
 from sgim.data import (generate_dataset, load_dataset, save_dataset,
                        split_by_video)
-from sgim.encoders import (audio_step, encode_audio, init_encoder_params,
+from sgim.encoders import (audio_step, encode_np, init_encoder_params,
                            pretrain_teacher, train_audio_encoder)
 from sgim.evaluate import soft_direction_check, zero_shot_classify
 from sgim.generator import synthesize
@@ -177,9 +177,10 @@ def test_criterion_5_weak_loss_ablation(ablation_report):
 def test_criterion_6_manipulation(gen_fit, model_bundle, dataset):
     start = time.monotonic()
     w_s = gen_fit.latents[SOURCE_INDEX]
-    target = encode_audio(dataset.audio[AUDIO_INDEX], model_bundle.audio)
+    target = encode_np(model_bundle.audio,
+                       dataset.audio[AUDIO_INDEX].reshape(1, -1))
     config = RunConfig()
-    _, _, trajectory = optimize_guided(w_s[None], target[None], config,
+    _, _, trajectory = optimize_guided(w_s[None], target, config,
                                        model_bundle)
     hinges = trajectory.hinge[:, 0]
     below = next((i for i, h in enumerate(hinges) if h < 1.0), None)
@@ -188,7 +189,7 @@ def test_criterion_6_manipulation(gen_fit, model_bundle, dataset):
         np.abs(trajectory.gate_softmax.sum(axis=-1) - 1.0) < 1e-12))
 
     def identity_cos(lambda_id):
-        w_x, _, _ = optimize_guided(w_s[None], target[None],
+        w_x, _, _ = optimize_guided(w_s[None], target,
                                     RunConfig(lambda_id=lambda_id),
                                     model_bundle)
         f_s = identity_features(model_bundle.identity,

@@ -1,9 +1,11 @@
+import ast
 import filecmp
 import os
 import shutil
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -12,13 +14,14 @@ from sgim import checkpoint, cli, evaluate
 from sgim.checkpoint import load_checkpoint
 from sgim.cli import main
 from sgim.config import RunConfig, config_from_text, config_to_text
+from sgim.data import DatasetManifest
 
 from conftest import read_pgm
 
 # reduced budgets: CLI plumbing is under test here, model quality is not
 FAST = ["--set", "teacher_epochs=2", "--set", "audio_epochs=2",
         "--set", "gen_fit_epochs=1", "--set", "manip_steps=5",
-        "--set", "probe_epochs=5", "--set", "direction_seeds=2"]
+        "--set", "probe_epochs=5"]
 
 
 def run_cli(*argv) -> int:
@@ -164,6 +167,16 @@ def test_bad_override_validation_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: validation:")
 
 
+def _huge_first_shape(blob: bytes) -> bytes:
+    """A checkpoint whose first array claims (2**31 - 1)**ndim floats."""
+    blob = bytearray(blob)
+    at = 14 + 4 + struct.unpack_from("<I", blob, 14)[0] + 4   # past the text
+    at += 2 + struct.unpack_from("<H", blob, at)[0]           # past the name
+    for k in range(blob[at]):
+        struct.pack_into("<i", blob, at + 1 + 4 * k, 2 ** 31 - 1)
+    return bytes(blob)
+
+
 # name -> (artifact, corruption, text the error line must contain)
 CORRUPTIONS = {
     "manifest_classes_abc": ("dataset/manifest.txt",
@@ -185,6 +198,9 @@ CORRUPTIONS = {
         "audio.tmd: shape (100, 20, 10) does not match (384, 20, 10)"),
     "teacher_ckpt_truncated": ("teacher.ckpt", lambda b: b[:300],
                                "teacher.ckpt"),
+    # checked against the file's size before anything is allocated
+    "teacher_ckpt_huge_shape": ("teacher.ckpt", _huge_first_shape,
+                                "teacher.ckpt: truncated checkpoint (wanted "),
     "teacher_ckpt_garbled": ("teacher.ckpt",
                              lambda b: b[:30] + b"\xff\xfe" + b[32:],
                              "teacher.ckpt"),
@@ -383,6 +399,58 @@ def test_range_check_accepts_lower_bounds():
     # size are allowed settings, one step the fewest
     RunConfig(gen_fit_epochs=0, manip_steps=1, manip_step_size=0.0,
               lambda_reg=0.0, lambda_id=0.0).check_ranges()
+
+
+def test_every_config_key_outside_the_dataset_is_read():
+    # a key that no code reads decides nothing: every RunConfig field that
+    # dataset_manifest() does not copy is read in src/sgim, as an
+    # attribute or passed on as a keyword argument
+    copied = {f.name for f in fields(DatasetManifest)}
+    read = set()
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.keyword):
+                read.add(node.arg)
+    unread = [f.name for f in fields(RunConfig)
+              if f.name not in copied and f.name not in read]
+    assert unread == []
+
+
+def _shape_pipeline(run: Path, *settings: str) -> None:
+    """gen-data to train-audio on a run whose shape settings are given only
+    to these stages."""
+    for cmd in (["gen-data"], ["pretrain-teacher"], ["fit-generator"],
+                ["train-audio"]):
+        assert run_cli(*FAST, *settings, *cmd, "--run", run) == 0
+
+
+def test_latent_dim_run_evaluates_at_its_generator_shape(tmp_path, capsys):
+    # direction-stats and ablate draw source latents of the loaded
+    # generator's shape, not a built-in one
+    run = tmp_path / "run"
+    _shape_pipeline(run, "--set", "latent_dim=16")
+    capsys.readouterr()
+    assert run_cli(*FAST, "direction-stats", "--run", run,
+                   "--attrs", 3, "--seeds", 2) == 0
+    assert run_cli(*FAST, "ablate", "--run", run) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_pixels_run_manipulates_at_its_generator_shape(tmp_path, capsys):
+    # the identity extractor takes the generator's image size, and source
+    # latents its shape, whatever the run's config says now
+    run = tmp_path / "run"
+    _shape_pipeline(run, "--set", "pixels=49")
+    capsys.readouterr()
+    assert run_cli(*FAST, "manipulate", "--run", run, "--source-seed", 3,
+                   "--audio-index", 10) == 0
+    assert read_pgm(run / "manip" / "latest" / "after.pgm").shape == (7, 7)
+    assert run_cli(*FAST, "direction-stats", "--run", run,
+                   "--attrs", 3, "--seeds", 2) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_reused_parser_leaks_nothing_into_the_next_call(tmp_path):

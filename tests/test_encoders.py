@@ -14,7 +14,7 @@ from sgim.data import (DatasetManifest, MiniBatch, generate_dataset,
                        label_tokens, sample_minibatch, sample_weak_pairs,
                        split_by_video, weak_candidates)
 from sgim.encoders import (PARAM_KEYS, EncoderParams, TeacherParams,
-                           cyclic_lr, encode_audio, encode_np, encode_text,
+                           cyclic_lr, encode_np,
                            init_encoder_params, pretrain_teacher,
                            train_audio_encoder)
 from sgim.errors import DegenerateInputError, NumericsError, UsageError
@@ -81,14 +81,15 @@ def test_zero_input_zero_biases_degenerate():
     for name in ("b1", "b2", "b3"):
         getattr(p, name)[:] = 0.0
     with pytest.raises(DegenerateInputError):
-        encode_audio(np.zeros((2, 3)), p)
+        encode_np(p, np.zeros((1, 6)))
 
 
-def test_encode_audio_deterministic():
+def test_encode_np_deterministic():
     p = init_encoder_params(np.random.default_rng(0), 6, 4, 3)
     mel = np.random.default_rng(2).standard_normal((2, 3))
-    assert encode_audio(mel, p).tobytes() == encode_audio(mel, p).tobytes()
-    assert abs(np.linalg.norm(encode_audio(mel, p)) - 1.0) < 1e-9
+    row = mel.reshape(1, -1)
+    assert encode_np(p, row).tobytes() == encode_np(p, row).tobytes()
+    assert abs(np.linalg.norm(encode_np(p, row)) - 1.0) < 1e-9
 
 
 def test_stacked_encode_rows_equal_single_encodes(dataset, audio_encoder,
@@ -103,23 +104,17 @@ def test_stacked_encode_rows_equal_single_encodes(dataset, audio_encoder,
         stacked = encode_np(audio, dataset.audio[picked].reshape(size, -1))
         labels = encode_np(text, bag_matrix(dataset.text[picked]))
         for i, r in enumerate(picked):
-            assert stacked[i].tobytes() == \
-                encode_audio(dataset.audio[r], audio).tobytes()
-            assert labels[i].tobytes() == \
-                encode_text(dataset.text[r], text).tobytes()
+            assert stacked[i].tobytes() == encode_np(
+                audio, dataset.audio[r].reshape(1, -1))[0].tobytes()
+            assert labels[i].tobytes() == encode_np(
+                text, bag_matrix([dataset.text[r]]))[0].tobytes()
 
 
 def test_bag_of_tokens_permutation_invariant():
     p = init_encoder_params(np.random.default_rng(0), VOCAB_SIZE, 8, 4)
-    a = encode_text(np.array([0, 3, 5]), p)
-    b = encode_text(np.array([5, 0, 3]), p)
+    a = encode_np(p, bag_matrix([[0, 3, 5]]))
+    b = encode_np(p, bag_matrix([[5, 0, 3]]))
     assert np.array_equal(a, b)
-
-
-def test_empty_token_sequence_degenerate():
-    p = init_encoder_params(np.random.default_rng(0), VOCAB_SIZE, 8, 4)
-    with pytest.raises(DegenerateInputError):
-        encode_text(np.array([], dtype=np.int32), p)
 
 
 def test_cyclic_lr_schedule():

@@ -147,7 +147,7 @@ def test_evaluation_manipulates_without_identity(dataset, manifest,
     direction_stats([3], 2, dataset, model_bundle, config)
     evaluate._leakage_probe(dataset, manifest, model_bundle.audio,
                             model_bundle, config, sources=2, steps=7)
-    expected = replace(config, lambda_id=0.0, identity_enabled=False)
+    expected = replace(config, lambda_id=0.0)
     assert len(seen) == 2
     # 2 seeds, each audio- and text-guided
     assert seen[0] == ((4, 8, 32), (4, 32), expected)

@@ -117,19 +117,19 @@ def test_fitted_params_are_read_only(gen_fit):
 
 
 def test_synthesize_deterministic(gen_fit):
-    w = sample_source_latent(3)
+    w = sample_source_latent(3, gen_fit.params)
     assert synthesize(w, gen_fit.params).tobytes() == \
         synthesize(w, gen_fit.params).tobytes()
 
 
 def test_node_and_numpy_paths_agree(gen_fit):
-    w = sample_source_latent(5)
+    w = sample_source_latent(5, gen_fit.params)
     node = synthesize_node(ad.leaf(w), gen_fit.params)
     assert np.allclose(node.value[0], synthesize(w, gen_fit.params), atol=1e-12)
 
 
 def test_last_layer_touches_only_finest_band(gen_fit):
-    w = sample_source_latent(0)
+    w = sample_source_latent(0, gen_fit.params)
     bumped = w.copy()
     bumped[7] += 0.25
     delta = synthesize(bumped, gen_fit.params) - synthesize(w, gen_fit.params)
@@ -147,7 +147,7 @@ def test_zeroing_layer_modulation_zeroes_band(gen_fit):
     hollow = GeneratorParams(gp.side, gp.latent_dim,
                              [np.zeros_like(m) if k == 3 else m
                               for k, m in enumerate(gp.layer_mods)], gp.bias)
-    w = sample_source_latent(9)
+    w = sample_source_latent(9, gp)
     coeffs = (synthesize(w, hollow) - hollow.bias) @ cosine_basis(8).T
     assert np.all(np.abs(coeffs[band_slices(8)[3]]) < 1e-12)
 
@@ -159,7 +159,8 @@ def test_synthesize_gradient_matches_fd(gen_fit):
         return ad.sum_all(ad.mul_elementwise(
             synthesize_node(w, gen_fit.params), ad.constant(probe)))
 
-    err = ad.finite_difference_check(f, sample_source_latent(4))
+    w = sample_source_latent(4, gen_fit.params)
+    err = ad.finite_difference_check(f, w)
     assert err < 1e-4
 
 
@@ -181,11 +182,14 @@ def test_lipschitz_bound_pinned(gen_fit):
         assert lhs <= PINNED_LIPSCHITZ * np.linalg.norm(a - b) + 1e-12
 
 
-def test_sample_source_latent_contract():
-    a = sample_source_latent(42)
+def test_sample_source_latent_contract(gen_fit):
+    a = sample_source_latent(42, gen_fit.params)
     assert a.shape == (8, 32)
-    assert np.array_equal(a, sample_source_latent(42))
-    assert not np.array_equal(a, sample_source_latent(43))
+    assert np.array_equal(a, sample_source_latent(42, gen_fit.params))
+    assert not np.array_equal(a, sample_source_latent(43, gen_fit.params))
+    # the shape is the generator's
+    other = init_generator(np.random.default_rng(0), side=7, latent_dim=16)
+    assert sample_source_latent(42, other).shape == (7, 16)
     draws = np.random.default_rng(0).standard_normal(100_000)
     assert abs(draws.mean()) < 0.01
 

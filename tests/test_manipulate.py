@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgim import autodiff as ad
+from sgim.augment import bag_matrix
 from sgim.config import RunConfig
 from sgim.data import label_tokens
-from sgim.encoders import encode_audio, encode_np, encode_text
+from sgim.encoders import encode_np
 from sgim.errors import (DegenerateInputError, DimensionError,
                          NumericsError, ParameterError, SgimError)
 from sgim.generator import sample_source_latent, synthesize
@@ -25,7 +26,7 @@ from graph_reference import (graph_objective_and_grad, graph_optimize_guided,
 
 def audio_target(dataset, model_bundle, index=AUDIO_INDEX):
     """The guidance embedding of one audio record, as a B = 1 target stack."""
-    return encode_audio(dataset.audio[index], model_bundle.audio)[None]
+    return encode_np(model_bundle.audio, dataset.audio[index].reshape(1, -1))
 
 
 @pytest.fixture(scope="module")
@@ -177,10 +178,9 @@ def test_objective_gradient_matches_fd(gen_fit, model_bundle, dataset):
 # side, and a batch against its rows one at a time
 GRAPH_CASES = {
     "default": {},
-    "no_identity": {"identity_enabled": False, "lambda_id": 0.0},
+    "no_identity": {"lambda_id": 0.0, "lambda_reg": 1.0},
     "plain_reg": {"adaptive_masking": False},
-    "plain_reg_no_identity": {"adaptive_masking": False,
-                              "identity_enabled": False, "lambda_id": 0.0},
+    "plain_reg_no_identity": {"adaptive_masking": False, "lambda_id": 0.0},
     "lambda_id_zero": {"lambda_id": 0.0},
     "strong_reg": {"lambda_reg": 1.0},
 }
@@ -191,7 +191,8 @@ def test_one_zero_size_step_keeps_source(gen_fit, model_bundle, dataset):
     # so step 0 compares the source with itself exactly
     target = audio_target(dataset, model_bundle)
     sources = [gen_fit.latents[SOURCE_INDEX],
-               *(sample_source_latent(seed) for seed in range(3))]
+               *(sample_source_latent(seed, gen_fit.params)
+                 for seed in range(3))]
     for case, settings_ in GRAPH_CASES.items():
         config = RunConfig(manip_steps=1, manip_step_size=0.0, **settings_)
         for w_s in sources:
@@ -199,8 +200,7 @@ def test_one_zero_size_step_keeps_source(gen_fit, model_bundle, dataset):
                                            model_bundle)
             assert np.array_equal(w_a[0], w_s)
             assert (traj.hinge[0, 0], traj.reg[0, 0]) == (1.0, 0.0), case
-            if config.identity_enabled:
-                assert traj.identity[0, 0] == 0.0, case
+            assert traj.identity[0, 0] == 0.0, case
 
 
 @pytest.mark.parametrize("case", sorted(GRAPH_CASES))
@@ -208,9 +208,9 @@ def test_numpy_step_matches_graph_loop_bit_exact(case, gen_fit, model_bundle,
                                                   dataset):
     # B = 1, which both run as two copies of the row, and a batch of three
     sources = np.stack([gen_fit.latents[SOURCE_INDEX], gen_fit.latents[10],
-                        sample_source_latent(0)])
-    targets = np.stack([encode_audio(dataset.audio[i], model_bundle.audio)
-                        for i in (AUDIO_INDEX, 0, 200)])
+                        sample_source_latent(0, gen_fit.params)])
+    targets = encode_np(model_bundle.audio,
+                        dataset.audio[[AUDIO_INDEX, 0, 200]].reshape(3, -1))
     config = RunConfig(manip_steps=60, **GRAPH_CASES[case])
     for rows in (slice(0, 1), slice(None)):
         w_ref, g_ref, traj_ref = graph_optimize_guided(
@@ -240,12 +240,14 @@ def batch_pool(gen_fit, model_bundle, dataset):
     audio- and text-guided."""
     sources = np.concatenate([
         gen_fit.latents[[SOURCE_INDEX, 10, 200]],
-        np.stack([sample_source_latent(seed) for seed in range(93)])])
+        np.stack([sample_source_latent(seed, gen_fit.params)
+                  for seed in range(93)])])
     records = (AUDIO_INDEX + 37 * np.arange(96)) % len(dataset)
     targets = encode_np(model_bundle.audio,
                         dataset.audio[records].reshape(96, -1))
     for k in range(2, 96, 3):
-        targets[k] = encode_text(label_tokens(k % 8), model_bundle.text)
+        targets[k] = encode_np(model_bundle.text,
+                               bag_matrix([label_tokens(k % 8)]))[0]
     return sources, targets
 
 
@@ -435,8 +437,8 @@ def test_optimizer_deterministic(gen_fit, model_bundle):
 
 def test_text_guided_runs_and_is_finite(gen_fit, model_bundle):
     w_s = gen_fit.latents[SOURCE_INDEX]
-    target = encode_text(label_tokens(3), model_bundle.text)
-    w_t, _, traj = optimize_guided(w_s[None], target[None],
+    target = encode_np(model_bundle.text, bag_matrix([label_tokens(3)]))
+    w_t, _, traj = optimize_guided(w_s[None], target,
                                    RunConfig(manip_steps=50), model_bundle)
     assert np.all(np.isfinite(w_t))
     assert traj.hinge[-1, 0] < 1.0
