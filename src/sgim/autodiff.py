@@ -1,6 +1,7 @@
-"""Minimal reverse-mode autodiff over dense float64 arrays, kept for
-gradcheck's primitive checks and for the graph oracle in tests/: the
-pipeline itself differentiates by hand.
+"""Minimal reverse-mode autodiff over dense float64 arrays. No pipeline
+module imports it, as each stage differentiates by hand: it is the engine
+of the graph oracle in tests/graph_reference.py, and tests/test_autodiff.py
+checks its primitives.
 
 A graph is built per evaluation (define-by-run); ``backward`` walks it once
 in deterministic topological order. Values are plain numpy arrays: scalars
@@ -93,11 +94,6 @@ def scale(a: Node, c: float) -> Node:
     return Node(a.value * c, "scale", (a,), lambda g: (g * c,))
 
 
-def exp(a: Node) -> Node:
-    out = np.exp(a.value)
-    return Node(out, "exp", (a,), lambda g: (g * out,))
-
-
 def log(a: Node) -> Node:
     if np.any(a.value <= 0.0):
         raise DegenerateInputError("log requires strictly positive input")
@@ -131,12 +127,6 @@ def sum_all(a: Node) -> Node:
                 lambda g: (np.broadcast_to(g, a.value.shape).copy(),))
 
 
-def mean_all(a: Node) -> Node:
-    n = a.value.size
-    return Node(a.value.mean(), "mean", (a,),
-                lambda g: (np.broadcast_to(g / n, a.value.shape).copy(),))
-
-
 def transpose(a: Node) -> Node:
     if a.value.ndim != 2:
         raise DimensionError("transpose expects a 2-D array")
@@ -157,24 +147,6 @@ def slice_rows(a: Node, start: int, stop: int) -> Node:
         return (full,)
 
     return Node(a.value[start:stop].copy(), "slice_rows", (a,), vjp)
-
-
-def concat_rows(parts: Sequence[Node]) -> Node:
-    parts = tuple(parts)
-    if not parts:
-        raise UsageError("concat_rows needs at least one part")
-    cols = parts[0].value.shape
-    for p in parts:
-        if p.value.ndim != 2 or p.value.shape[1] != cols[1]:
-            raise DimensionError("concat_rows: column counts differ")
-    sizes = [p.value.shape[0] for p in parts]
-    offs = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        return tuple(g[offs[i]:offs[i + 1]].copy() for i in range(len(parts)))
-
-    return Node(np.concatenate([p.value for p in parts], axis=0),
-                "concat_rows", parts, vjp)
 
 
 def matmul(a: Node, b: Node) -> Node:
@@ -266,38 +238,3 @@ def backward(root: Node) -> dict[Node, np.ndarray]:
         for parent, g in zip(node.parents, node._vjp(node.grad)):
             parent.grad = parent.grad + g
     return {n: n.grad for n in topo}
-
-
-def finite_difference_check(f: Callable[[Node], Node], x, eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``f`` maps a leaf Node to a scalar Node. Caller keeps eps in (0, 1e-3]
-    and x away from kinks of f.
-    """
-    x = array(x)
-    lf = leaf(x)
-    backward(f(lf))
-    return max_rel_error(lf.grad, lambda y: f(leaf(y)).value, x, eps)
-
-
-def max_rel_error(analytic: np.ndarray, f: Callable[[np.ndarray], float], x,
-                  eps: float = 1e-5) -> float:
-    """Max relative error of ``analytic`` against the central differences of
-    the scalar function ``f`` at ``x``.
-
-    Relative error per coordinate is |analytic - central| / (|central| + 1e-8).
-    """
-    x = array(x)
-    numeric = np.zeros_like(x)
-    flat_num = numeric.reshape(-1)
-    flat = x.reshape(-1)
-    for i in range(flat.size):
-        xp = flat.copy()
-        xm = flat.copy()
-        xp[i] += eps
-        xm[i] -= eps
-        fp = f(xp.reshape(x.shape))
-        fm = f(xm.reshape(x.shape))
-        flat_num[i] = (fp - fm) / (2.0 * eps)
-    rel = np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8)
-    return float(rel.max()) if rel.size else 0.0

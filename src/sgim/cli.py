@@ -316,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--seeds", type=int, default=10, help="seeds per attribute")
 
     g = add("gradcheck", cmd_gradcheck,
-            help="finite-difference check of all registered operations")
+            help="finite-difference check of the 16 hand-derived "
+                 "gradients the pipeline runs")
     g.add_argument("--gradcheck-seed", type=int, default=0)
     return parser
 

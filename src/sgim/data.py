@@ -30,7 +30,7 @@ import numpy as np
 from . import kvtext
 from .augment import CLASS_LABEL_WORDS, TOKEN_ID, VOCAB_SIZE, spec_augment
 from .basis import band_of_rows, cosine_basis, image_side
-from .errors import ParameterError, UsageError
+from .errors import DegenerateInputError, ParameterError, UsageError
 from .files import write_atomic
 
 log = logging.getLogger(__name__)
@@ -112,9 +112,18 @@ class DatasetManifest:
             raise ParameterError("intensity range must sit inside [0.2, 1.0]")
         if not (0.0 <= self.bias_cooccurrence <= 1.0):
             raise ParameterError("bias_cooccurrence must lie in [0, 1]")
-        for c in self.bias_spec:
+        for key in ("audio_video_offset", "image_video_offset", "audio_noise",
+                    "image_noise", "nuisance_scale"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ParameterError(
+                    f"{key} must be finite and >= 0, got {value!r}")
+        for c, pattern in self.bias_spec.items():
             if not (0 <= c < self.classes):
                 raise ParameterError(f"bias_spec class {c} out of range")
+            if not (0 <= pattern < self.classes):
+                raise ParameterError(f"bias_spec pattern {pattern} of class "
+                                     f"{c} must lie in [0, {self.classes})")
 
     @property
     def record_count(self) -> int:
@@ -373,6 +382,10 @@ def load_dataset(dirpath) -> tuple[DatasetManifest, Dataset]:
     text = read("text", "<i4", LABEL_TOKENS_PER_CLASS)
     ids = read("ids", "<i4", 3)
     intensity = read("intensity", "<f8", 1)
+    for name, column in (("audio", audio), ("image", image),
+                         ("intensity", intensity)):
+        if not np.isfinite(column).all():
+            raise DegenerateInputError(f"{d / name}.tmd: NaN or Inf value")
     class_id, video_id = ids[:, 0], ids[:, 1]
     if np.any((class_id < 0) | (class_id >= m.classes)
               | (video_id // m.videos_per_class != class_id)):

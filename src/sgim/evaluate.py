@@ -37,7 +37,7 @@ class EvalReport:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 <= self.overall <= 1.0) and "cosine" not in self.protocol:
+        if not (0.0 <= self.overall <= 1.0):
             raise UsageError(f"accuracy out of range: {self.overall}")
 
 

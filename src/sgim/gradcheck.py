@@ -1,10 +1,11 @@
-"""Finite-difference verification of every autodiff primitive and of the
-hand-derived gradients the pipeline runs: each training loss term (the
-three InfoNCE terms, the self term on both of its inputs, and the weak term
-in its diagonal and full-row forms), the encoder backward for each
-parameter array, and the manipulation objective with respect to the
-latent, to the gate logits, with adaptive masking off (the plain-norm
-regularizer), and over a batch of two latents with their own targets.
+"""Finite-difference verification of the hand-derived gradients the
+pipeline runs: each training loss term (the three InfoNCE terms, the self
+term on both of its inputs, and the weak term in its diagonal and full-row
+forms), the encoder backward for each parameter array, and the manipulation
+objective with respect to the latent, to the gate logits, with adaptive
+masking off (the plain-norm regularizer), and over a batch of two latents
+with their own targets: 16 checks. The primitives of the graph engine the
+test oracle is built from are checked in tests/test_autodiff.py.
 
 Each check evaluates the analytic gradient against central differences at
 10 seeded points and reports the worst relative error. The gate is 1e-4.
@@ -17,7 +18,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import autodiff as ad
 from .config import RunConfig
 from .encoders import PARAM_KEYS, encode_vjp, init_encoder_params
 from .generator import init_generator
@@ -43,45 +43,33 @@ def _unit_rows(rng, n, d):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def _primitive_checks(rng: np.random.Generator) -> list[tuple[str, Callable, tuple, str]]:
-    c1 = rng.standard_normal((3, 4))
-    c2 = rng.standard_normal((4, 3))
-    c3 = rng.standard_normal((6, 4))
-    c4 = rng.standard_normal((4, 2))
-    return [
-        ("add", lambda x: ad.sum_all(ad.add(x, ad.constant(c1))), (3, 4), ""),
-        ("sub", lambda x: ad.sum_all(ad.mul_elementwise(
-            ad.sub(x, ad.constant(c1)), ad.sub(x, ad.constant(c1)))), (3, 4), ""),
-        ("mul_elementwise", lambda x: ad.sum_all(
-            ad.mul_elementwise(x, ad.constant(c1))), (3, 4), ""),
-        ("scale", lambda x: ad.sum_all(ad.scale(x, -2.5)), (3, 4), ""),
-        ("exp", lambda x: ad.sum_all(ad.exp(x)), (3, 4), ""),
-        ("log", lambda x: ad.sum_all(ad.log(x)), (3, 4), "positive"),
-        ("sqrt", lambda x: ad.sum_all(ad.sqrt(x)), (3, 4), "positive"),
-        ("tanh", lambda x: ad.sum_all(ad.tanh(x)), (3, 4), ""),
-        ("max_with_zero", lambda x: ad.sum_all(ad.max_with_zero(x)),
-         (3, 4), "off_kink"),
-        ("sum", lambda x: ad.sum_all(ad.mul_elementwise(x, x)), (3, 4), ""),
-        ("mean", lambda x: ad.mean_all(ad.mul_elementwise(x, x)), (3, 4), ""),
-        ("transpose", lambda x: ad.sum_all(ad.mul_elementwise(
-            ad.transpose(x), ad.constant(c2))), (3, 4), ""),
-        ("slice_rows", lambda x: ad.sum_all(ad.mul_elementwise(
-            ad.slice_rows(x, 1, 3), ad.slice_rows(x, 1, 3))), (3, 4), ""),
-        ("concat_rows", lambda x: ad.sum_all(ad.mul_elementwise(
-            ad.concat_rows([x, x]), ad.constant(c3))), (3, 4), ""),
-        ("matmul", lambda x: ad.sum_all(ad.matmul(x, ad.constant(c4))), (3, 4), ""),
-        ("row_l2_norm", lambda x: ad.sum_all(ad.row_l2_norm(x)), (3, 4), "off_kink"),
-        ("l2_normalize_rows", lambda x: ad.sum_all(ad.mul_elementwise(
-            ad.l2_normalize_rows(x), ad.constant(c1))), (3, 4), "off_kink"),
-        ("row_softmax", lambda x: ad.sum_all(ad.mul_elementwise(
-            ad.row_softmax(x, 0.7), ad.constant(c1))), (3, 4), ""),
-    ]
+def max_rel_error(analytic: np.ndarray, f: Callable[[np.ndarray], float], x,
+                  eps: float = 1e-5) -> float:
+    """Max relative error of ``analytic`` against the central differences of
+    the scalar function ``f`` at ``x``.
+
+    Relative error per coordinate is |analytic - central| / (|central| + 1e-8).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    numeric = np.zeros_like(x)
+    flat_num = numeric.reshape(-1)
+    flat = x.reshape(-1)
+    for i in range(flat.size):
+        xp = flat.copy()
+        xm = flat.copy()
+        xp[i] += eps
+        xm[i] -= eps
+        fp = f(xp.reshape(x.shape))
+        fm = f(xm.reshape(x.shape))
+        flat_num[i] = (fp - fm) / (2.0 * eps)
+    rel = np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8)
+    return float(rel.max()) if rel.size else 0.0
 
 
 def _fd(f: Callable, grad_index: int = 1) -> Callable:
     """x -> error of output ``grad_index`` of ``f(x)``, a gradient, against
     central differences of output 0, the value."""
-    return lambda x: ad.max_rel_error(f(x)[grad_index], lambda y: f(y)[0], x)
+    return lambda x: max_rel_error(f(x)[grad_index], lambda y: f(y)[0], x)
 
 
 def _loss_checks(rng: np.random.Generator) -> list[tuple[str, Callable, tuple, str]]:
@@ -163,10 +151,6 @@ def _manipulation_checks(rng: np.random.Generator,
 
 def _sample(rng: np.random.Generator, shape, domain: str) -> np.ndarray:
     x = rng.standard_normal(shape)
-    if domain == "positive":
-        return np.exp(x)
-    if domain == "off_kink":
-        return np.where(np.abs(x) < 0.2, x + 0.5, x)
     if domain == "unit_rows":
         return x / np.linalg.norm(x, axis=1, keepdims=True)
     return x
@@ -174,13 +158,15 @@ def _sample(rng: np.random.Generator, shape, domain: str) -> np.ndarray:
 
 def run_gradient_checks(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    # primitive checks map a leaf Node to a scalar Node; every other check
-    # maps a point to its gradient's error
-    checks = [(name, lambda x, fn=fn: ad.finite_difference_check(fn, x),
-               shape, domain)
-              for name, fn, shape, domain in _primitive_checks(rng)]
-    checks += (_loss_checks(rng) + _encoder_checks(rng)
-               + _manipulation_checks(rng))
+    # Draw and drop what the 18 graph-primitive checks, now in the tests,
+    # drew here: their four constants (12 + 12 + 24 + 8 normals) and their
+    # points (18 checks, 10 points of 3 x 4), so every check keeps its
+    # points. Both draws go when the metric changes and moves the points on
+    # purpose.
+    rng.standard_normal(56)
+    checks = (_loss_checks(rng) + _encoder_checks(rng)
+              + _manipulation_checks(rng))
+    rng.standard_normal(18 * POINTS * 12)
     results = []
     for name, error_at, shape, domain in checks:
         worst = 0.0

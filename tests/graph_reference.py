@@ -21,6 +21,9 @@ its own graph; like the step, both run a one-row stack as two copies of
 its row. `objective_and_grad`, one step of `manipulate.bind_step`, must
 reproduce their values and gradients bit for bit.
 
+`finite_difference_check` scores a graph's gradient against central
+differences with gradcheck's metric.
+
 The float helpers at the end (`hinge_loss`, `hinge_from_distances`,
 `masked_regularization`, `identity_features`, `identity_loss`,
 `moving_average`) give each objective term, or the smoothed total, for a
@@ -29,6 +32,8 @@ given latent.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from sgim import autodiff as ad
@@ -36,9 +41,23 @@ from sgim.config import RunConfig
 from sgim.encoders import PARAM_KEYS, EncoderParams
 from sgim.errors import DimensionError, NumericsError, UsageError
 from sgim.generator import GeneratorParams, gemm_rows, synthesize
+from sgim.gradcheck import max_rel_error
 from sgim.losses import LossBreakdown
 from sgim.manipulate import (IdentityExtractor, ModelBundle, Trajectory,
                              bind_step, gate_softmax, source_reference)
+
+
+def finite_difference_check(f: Callable[[ad.Node], ad.Node], x,
+                            eps: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    ``f`` maps a leaf Node to a scalar Node. Caller keeps eps in (0, 1e-3]
+    and x away from kinks of f.
+    """
+    x = ad.array(x)
+    lf = ad.leaf(x)
+    ad.backward(f(lf))
+    return max_rel_error(lf.grad, lambda y: f(ad.leaf(y)).value, x, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from sgim import autodiff as ad
 from sgim.errors import (DegenerateInputError, DimensionError, ParameterError,
                          UsageError)
 
+from graph_reference import finite_difference_check
+
 
 def _imported_modules(path: Path) -> set[str]:
     """Every module an import statement in ``path`` names, with each
@@ -27,14 +29,14 @@ def _imported_modules(path: Path) -> set[str]:
     return names
 
 
-def test_only_gradcheck_imports_autodiff():
-    # the pipeline differentiates by hand; the graph engine serves
-    # gradcheck's primitive checks and the test oracle alone
+def test_no_src_module_imports_autodiff():
+    # the pipeline differentiates by hand; the graph engine serves the test
+    # oracle alone
     importers = sorted(
         path.name for path in Path(sgim.__file__).parent.glob("*.py")
         if any("autodiff" in name.split(".")
                for name in _imported_modules(path)))
-    assert importers == ["gradcheck.py"]
+    assert importers == []
 
 
 def test_array_rejects_non_finite():
@@ -63,7 +65,7 @@ def test_matmul_shape_mismatch():
 
 def test_matmul_gradient_matches_finite_differences():
     b = np.array([[3.0], [4.0]])
-    err = ad.finite_difference_check(
+    err = finite_difference_check(
         lambda a: ad.sum_all(ad.matmul(a, ad.constant(b))),
         np.array([[1.0, 2.0]]), eps=1e-6)
     assert err < 1e-4
@@ -170,17 +172,8 @@ def test_backward_deterministic_bit_identical():
 
 
 def test_finite_difference_linear_is_tiny():
-    err = ad.finite_difference_check(ad.sum_all, np.array([[1.0, -2.0, 0.5]]))
+    err = finite_difference_check(ad.sum_all, np.array([[1.0, -2.0, 0.5]]))
     assert err < 1e-10
-
-
-def test_slice_and_concat_roundtrip_gradients():
-    x = ad.leaf(np.arange(12.0).reshape(4, 3))
-    top = ad.slice_rows(x, 0, 2)
-    bot = ad.slice_rows(x, 2, 4)
-    y = ad.concat_rows([bot, top])
-    ad.backward(ad.sum_all(ad.mul_elementwise(y, y)))
-    assert np.allclose(x.grad, 2.0 * x.value)
 
 
 def test_row_broadcast_add_backward():
@@ -203,20 +196,16 @@ PRIMITIVE_CASES = [
     ("mul_elementwise", lambda x: ad.sum_all(
         ad.mul_elementwise(x, ad.constant(_P1))), (3, 4), None),
     ("scale", lambda x: ad.sum_all(ad.scale(x, -1.7)), (3, 4), None),
-    ("exp", lambda x: ad.sum_all(ad.exp(x)), (3, 4), None),
     ("log", lambda x: ad.sum_all(ad.log(x)), (3, 4), "positive"),
     ("sqrt", lambda x: ad.sum_all(ad.sqrt(x)), (3, 4), "positive"),
     ("tanh", lambda x: ad.sum_all(ad.tanh(x)), (3, 4), None),
     ("max_with_zero", lambda x: ad.sum_all(ad.max_with_zero(x)), (3, 4), "off_kink"),
     ("sum", lambda x: ad.sum_all(ad.mul_elementwise(x, x)), (3, 4), None),
-    ("mean", lambda x: ad.mean_all(ad.mul_elementwise(x, x)), (3, 4), None),
     ("transpose", lambda x: ad.sum_all(ad.mul_elementwise(
         ad.transpose(x), ad.constant(_P2))), (3, 4), None),
     ("slice_rows", lambda x: ad.sum_all(ad.mul_elementwise(
         ad.slice_rows(x, 1, 3), ad.slice_rows(x, 1, 3))), (3, 4), None),
-    ("concat_rows", lambda x: ad.sum_all(ad.mul_elementwise(
-        ad.concat_rows([x, x]), ad.constant(_P3))), (3, 4), None),
-    ("matmul", lambda x: ad.sum_all(ad.matmul(x, ad.constant(_P4))), (3, 4), None),
+    ("matmul", lambda x: ad.sum_all(ad.matmul(x, ad.constant(_P3))), (3, 4), None),
     ("row_l2_norm", lambda x: ad.sum_all(ad.row_l2_norm(x)), (3, 4), "off_kink"),
     ("l2_normalize_rows", lambda x: ad.sum_all(ad.mul_elementwise(
         ad.l2_normalize_rows(x), ad.constant(_P1))), (3, 4), "off_kink"),
@@ -227,8 +216,7 @@ PRIMITIVE_CASES = [
 _rng = np.random.default_rng(1234)
 _P1 = _rng.standard_normal((3, 4))
 _P2 = _rng.standard_normal((4, 3))
-_P3 = _rng.standard_normal((6, 4))
-_P4 = _rng.standard_normal((4, 2))
+_P3 = _rng.standard_normal((4, 2))
 
 
 def _sample_point(rng, shape, domain):
@@ -246,4 +234,4 @@ def test_primitive_gradients_at_ten_points(name, fn, shape, domain):
     rng = np.random.default_rng(42)
     for _ in range(10):
         x = _sample_point(rng, shape, domain)
-        assert ad.finite_difference_check(fn, x) < 1e-4, name
+        assert finite_difference_check(fn, x) < 1e-4, name

@@ -150,7 +150,7 @@ def test_direction_stats_command(pipeline_dir):
 def test_gradcheck_exits_zero(tmp_path):
     assert run_cli("gradcheck", "--run", tmp_path / "g") == 0
     report = (tmp_path / "g" / "reports" / "gradcheck.txt").read_text()
-    assert "34/34" in report
+    assert "16/16" in report
 
 
 def test_missing_inputs_io_error(tmp_path, capsys):
@@ -161,10 +161,33 @@ def test_missing_inputs_io_error(tmp_path, capsys):
     assert "\n" not in err.strip()
 
 
+# --set override -> text the one error line must contain; each is rejected
+# before gen-data creates the run directory
+BAD_OVERRIDES = {
+    "nonsense=1": "unknown RunConfig key 'nonsense'",
+    # pattern ids index the drawn nuisance patterns, one per id below the
+    # largest, so they are held to the class range
+    "bias_spec=0:-1": "bias_spec pattern -1 of class 0 must lie in [0, 8)",
+    "bias_spec=0:-1,1:0": "bias_spec pattern -1 of class 0 must lie in [0, 8)",
+    "bias_spec=0:1000000000": "bias_spec pattern 1000000000 of class 0",
+    "image_noise=nan": "image_noise must be finite and >= 0, got nan",
+    "audio_noise=-0.5": "audio_noise must be finite and >= 0, got -0.5",
+    "audio_video_offset=inf": "audio_video_offset must be finite and >= 0",
+    "image_video_offset=-1": "image_video_offset must be finite and >= 0",
+    "nuisance_scale=nan": "nuisance_scale must be finite and >= 0, got nan",
+}
+
+
 def test_bad_override_validation_error(tmp_path, capsys):
-    code = run_cli("--set", "nonsense=1", "gen-data", "--run", tmp_path / "x")
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: validation:")
+    for override, needle in BAD_OVERRIDES.items():
+        capsys.readouterr()
+        code = run_cli("--set", override, "gen-data", "--run", tmp_path / "x")
+        err = capsys.readouterr().err
+        assert code == 2, override
+        assert err.startswith("error: validation:"), override
+        assert needle in err, override
+        assert "\n" not in err.strip(), override
+    assert not (tmp_path / "x").exists()
 
 
 def _huge_first_shape(blob: bytes) -> bytes:
@@ -196,6 +219,11 @@ CORRUPTIONS = {
         "dataset/audio.tmd",
         lambda b: b[:4] + struct.pack("<i", 100) + b[8:20 + 100 * 200 * 8],
         "audio.tmd: shape (100, 20, 10) does not match (384, 20, 10)"),
+    # the first pixel of a well-formed image.tmd set to NaN
+    "image_tmd_nan": ("dataset/image.tmd",
+                      lambda b: b[:16] + struct.pack("<d", float("nan"))
+                      + b[24:],
+                      "image.tmd: NaN or Inf value"),
     "teacher_ckpt_truncated": ("teacher.ckpt", lambda b: b[:300],
                                "teacher.ckpt"),
     # checked against the file's size before anything is allocated

@@ -18,6 +18,7 @@ from sgim.encoders import (PARAM_KEYS, EncoderParams, TeacherParams,
                            init_encoder_params, pretrain_teacher,
                            train_audio_encoder)
 from sgim.errors import DegenerateInputError, NumericsError, UsageError
+from sgim.gradcheck import max_rel_error
 from sgim.losses import LossBreakdown
 
 from graph_reference import (encode_nodes, encoder_param_nodes,
@@ -303,7 +304,7 @@ def test_encode_vjp_matches_fd(key):
         return float((encode_np(replace(p, **{key: arr}), x) * probe).sum())
 
     _, vjp = encoders.encode_vjp(p, x)
-    assert ad.max_rel_error(vjp(probe)[key], value, getattr(p, key)) < 1e-5
+    assert max_rel_error(vjp(probe)[key], value, getattr(p, key)) < 1e-5
 
 
 _MOMENTUM_SGD = encoders._MomentumSGD

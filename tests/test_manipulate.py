@@ -13,11 +13,13 @@ from sgim.encoders import encode_np
 from sgim.errors import (DegenerateInputError, DimensionError,
                          NumericsError, ParameterError, SgimError)
 from sgim.generator import sample_source_latent, synthesize
+from sgim.gradcheck import max_rel_error
 from sgim.manipulate import (IdentityExtractor, gate_softmax, interpolate,
                              optimize_guided, style_mix, trajectory_csv)
 
 from conftest import AUDIO_INDEX, SOURCE_INDEX
-from graph_reference import (graph_objective_and_grad, graph_optimize_guided,
+from graph_reference import (finite_difference_check,
+                             graph_objective_and_grad, graph_optimize_guided,
                              hinge_from_distances, hinge_loss,
                              identity_features, identity_loss,
                              masked_regularization, moving_average,
@@ -171,7 +173,7 @@ def test_objective_gradient_matches_fd(gen_fit, model_bundle, dataset):
                               model_bundle, src_id)[0]
 
     start = w_s + 0.05 * np.random.default_rng(5).standard_normal(w_s.shape)
-    assert ad.finite_difference_check(f, start) < 1e-4
+    assert finite_difference_check(f, start) < 1e-4
 
 
 # name -> settings; each runs the graph loop and optimize_guided side by
@@ -334,11 +336,11 @@ def _objective_at(gen_fit, model_bundle, config):
 def test_objective_and_grad_matches_fd(adaptive, gen_fit, model_bundle):
     at_w, at_g, start, gate = _objective_at(
         gen_fit, model_bundle, RunConfig(adaptive_masking=adaptive))
-    assert ad.max_rel_error(at_w(start)[4], lambda w: at_w(w)[0], start) < 1e-4
+    assert max_rel_error(at_w(start)[4], lambda w: at_w(w)[0], start) < 1e-4
     grad_g = at_g(gate)[5]
     if adaptive:
         assert np.any(grad_g != 0.0)
-        assert ad.max_rel_error(grad_g, lambda g: at_g(g)[0], gate) < 1e-4
+        assert max_rel_error(grad_g, lambda g: at_g(g)[0], gate) < 1e-4
     else:
         assert np.array_equal(grad_g, np.zeros(8))
 
