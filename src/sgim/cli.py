@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -147,14 +146,11 @@ def cmd_manipulate(run: Path, args, config: RunConfig) -> int:
     if not (0 <= args.audio_index < len(ds)):
         raise UsageError(f"audio index out of range [0, {len(ds)})")
     mel = ds.audio[args.audio_index]
-    flags = {"lambda_reg": args.lambda_reg, "lambda_id": args.lambda_id,
-             "manip_steps": args.steps, "manip_step_size": args.step_size}
-    manip = replace(config, **{k: v for k, v in flags.items() if v is not None})
     (w_a,), (gate,), trajectory = optimize_guided(
-        w_s[None], encode_np(models.audio, mel.reshape(1, -1)), manip, models)
+        w_s[None], encode_np(models.audio, mel.reshape(1, -1)), config, models)
     out = run / "manip" / args.tag
     ckpt.save_checkpoint(out / "latent.ckpt", ckpt.latent_arrays(w_a, gate),
-                         config_to_text(manip), config.master_seed)
+                         config_to_text(config), config.master_seed)
     write_atomic(out / "trajectory.csv", trajectory_csv(trajectory))
     write_pgm(out / "before.pgm", synthesize(w_s, models.generator))
     write_pgm(out / "after.pgm", synthesize(w_a, models.generator))
@@ -289,10 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random source latent seed (ignored with --source-index)")
     m.add_argument("--audio-index", type=int, required=True,
                    help="record index providing the guiding audio")
-    m.add_argument("--lambda-reg", type=float)
-    m.add_argument("--lambda-id", type=float)
-    m.add_argument("--steps", type=int)
-    m.add_argument("--step-size", type=float)
     m.add_argument("--tag", default="latest", help="output subdirectory name")
 
     for name in ("interpolate", "mix"):
@@ -316,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--seeds", type=int, default=10, help="seeds per attribute")
 
     g = add("gradcheck", cmd_gradcheck,
-            help="finite-difference check of the 16 hand-derived "
+            help="finite-difference check of the 15 hand-derived "
                  "gradients the pipeline runs")
     g.add_argument("--gradcheck-seed", type=int, default=0)
     return parser

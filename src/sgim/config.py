@@ -113,7 +113,6 @@ class RunConfig:
     lambda_id: float = 0.004            # 0 turns the identity term off
     manip_steps: int = 300
     manip_step_size: float = 0.1
-    adaptive_masking: bool = True
 
     # evaluation
     probe_epochs: int = 200

@@ -391,6 +391,12 @@ def load_dataset(dirpath) -> tuple[DatasetManifest, Dataset]:
               | (video_id // m.videos_per_class != class_id)):
         raise UsageError(f"{d / 'ids.tmd'}: ids outside {m.classes} classes "
                          f"of {m.videos_per_class} videos")
+    # a record's nuisance id is -1 or its class's bias_spec pattern
+    pattern = np.full(m.classes, -1)
+    pattern[list(m.bias_spec)] = list(m.bias_spec.values())
+    if np.any((ids[:, 2] != -1) & (ids[:, 2] != pattern[class_id])):
+        raise UsageError(f"{d / 'ids.tmd'}: nuisance id other than -1 or "
+                         f"its class's bias_spec pattern")
     if np.any((text < 0) | (text >= VOCAB_SIZE)):
         raise UsageError(f"{d / 'text.tmd'}: token id outside the "
                          f"{VOCAB_SIZE}-word vocabulary")

@@ -38,7 +38,8 @@ from .augment import VOCAB_SIZE, augment_bags
 from .config import RunConfig
 from .data import (Dataset, group_rows, sample_from_each, sample_minibatch,
                    sample_weak_pairs, weak_candidates)
-from .errors import DegenerateInputError, NumericsError, UsageError
+from .errors import (DegenerateInputError, DimensionError, NumericsError,
+                     UsageError)
 from .generator import gemm_rows
 from .losses import LossBreakdown, info_nce, weak_kl
 
@@ -83,6 +84,10 @@ def encode_vjp(params: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, Callab
     """Unit-norm embeddings for a (n, in_dim) batch, and their vjp: a
     gradient to the embeddings -> the gradient to each parameter array."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.shape[1] != params.w1.shape[0]:
+        raise DimensionError(f"input has {x.shape[1]} features, but the "
+                             f"encoder takes {params.w1.shape[0]}: it was "
+                             f"trained on other data")
     w2, w3 = params.w2, params.w3
     h1 = np.tanh(x @ params.w1 + params.b1)
     h2 = np.tanh(h1 @ w2 + params.b2)

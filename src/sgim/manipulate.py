@@ -9,9 +9,9 @@ step size. The hinge term is the triplet form
 which is 1 at the start (w_a == w_s) and drops below 1 exactly when the
 manipulated image is strictly closer to the guidance embedding than the
 source image. Regularization is the gate-weighted mean of per-layer latent
-drift norms (or the plain Frobenius norm with adaptive masking off). The
-identity term 0.5 * |f_a - f_s|^2 on unit identity features is their
-cosine distance 1 - f_a.f_s, but exactly 0 where they agree.
+drift norms (adaptive layer masking). The identity term 0.5 * |f_a -
+f_s|^2 on unit identity features is their cosine distance 1 - f_a.f_s, but
+exactly 0 where they agree.
 
 Each step evaluates the objective and its gradient with the step that
 ``bind_step`` builds once per optimization: a hand-derived numpy forward
@@ -167,8 +167,8 @@ def bind_step(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
 
     Returns ``step(w, g)``, which takes C-ordered float64 latents (B,
     layers, latent_dim) and gate logits (B, layers) and returns (total,
-    hinge, reg, identity), each (B,), then grad_w and grad_g; grad_g is
-    zero with adaptive masking off. B = 1 runs as two copies of its row.
+    hinge, reg, identity), each (B,), then grad_w and grad_g. B = 1 runs as
+    two copies of its row.
     The passes repeat the numpy expressions and vjps of the ops the oracle
     graph is made of, in the order ``autodiff.backward`` runs them, so
     values and gradients are bit-identical to the graph's.
@@ -185,7 +185,6 @@ def bind_step(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
     forward, (first, w2, w3, id_w2, hidden) = _bind_forward(config, models)
     first_t, w2_t, w3_t = (np.ascontiguousarray(a.T) for a in (first, w2, w3))
     lam_reg, lam_id = float(config.lambda_reg), float(config.lambda_id)
-    adaptive = config.adaptive_masking
     use_id = id_w2 is not None
     id_w2_t = np.ascontiguousarray(id_w2.T) if use_id else None
     d_src, source_identity = reference or source_reference(
@@ -194,8 +193,7 @@ def bind_step(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
     c_reg = lam_reg * inv_layers
     # returned by every step, so read-only
     no_ident = np.zeros((batch, 1))
-    no_grad_g = np.zeros((batch, layers))
-    no_ident.flags.writeable = no_grad_g.flags.writeable = False
+    no_ident.flags.writeable = False
     # the hinge's gradient on v, (0.0 - (pre > 0.0)) * t, for an active and
     # an inactive hinge. 0.0 - x, not -x: the graph accumulated every
     # gradient onto +0.0, so an inactive hinge passes +0.0 on, never -0.0
@@ -209,13 +207,9 @@ def bind_step(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
         hinge = np.maximum(pre, 0.0)
 
         delta = w - w_s
-        if adaptive:
-            norms = np.sqrt((delta ** 2).sum(axis=-1))              # (B, L)
-            weights = gate_softmax(g)                               # (B, L)
-            reg = (weights * norms).sum(axis=-1, keepdims=True) * inv_layers
-        else:
-            reg = np.sqrt((delta * delta).reshape(batch, -1).sum(
-                axis=-1, keepdims=True))
+        norms = np.sqrt((delta ** 2).sum(axis=-1))                  # (B, L)
+        weights = gate_softmax(g)                                   # (B, L)
+        reg = (weights * norms).sum(axis=-1, keepdims=True) * inv_layers
         total = hinge + reg * lam_reg
         ident = no_ident
         if use_id:
@@ -235,18 +229,12 @@ def bind_step(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
         grad_w = (g_h * (1.0 - h * h)).dot(first_t).reshape(w.shape)
 
         # regularizer
-        if adaptive:
-            g_weights = c_reg * norms
-            dot = (g_weights * weights).sum(axis=-1, keepdims=True)
-            grad_g = weights * (g_weights - dot)
-            # a layer that has not moved passes no gradient
-            g_norms = (c_reg * weights) / np.where(norms > 0.0, norms, np.inf)
-            g_delta = g_norms[..., None] * delta
-        else:
-            grad_g = no_grad_g
-            g_sq = np.divide(lam_reg, 2.0 * reg, out=np.zeros_like(reg),
-                             where=reg > 0.0)[..., None]
-            g_delta = g_sq * delta + g_sq * delta
+        g_weights = c_reg * norms
+        dot = (g_weights * weights).sum(axis=-1, keepdims=True)
+        grad_g = weights * (g_weights - dot)
+        # a layer that has not moved passes no gradient
+        g_norms = (c_reg * weights) / np.where(norms > 0.0, norms, np.inf)
+        g_delta = g_norms[..., None] * delta
         return (total[:, 0], hinge[:, 0], reg[:, 0], ident[:, 0],
                 grad_w + g_delta, grad_g)
 

@@ -272,14 +272,14 @@ def _distance_node(v: ad.Node, targets: np.ndarray) -> ad.Node:
     return ad.sub(ones, _row_sum(ad.mul_elementwise(v, ad.constant(targets))))
 
 
-def objective_node(w: ad.Node, g: ad.Node | None, w_s: np.ndarray,
+def objective_node(w: ad.Node, g: ad.Node, w_s: np.ndarray,
                    targets: np.ndarray, d_src: np.ndarray, config: RunConfig,
                    models: ModelBundle, source_identity: np.ndarray | None,
                    ) -> tuple[ad.Node, ad.Node, ad.Node, ad.Node, ad.Node]:
     """The manipulation objective of an (R, layers, latent_dim) stack of
-    latents ``w`` and (R, layers) gate logits ``g`` (None with adaptive
-    masking off), each row toward its row of ``targets`` with its source
-    terms d_src (R, 1) and source identity (R, features). Returns the sum
+    latents ``w`` and (R, layers) gate logits ``g``, each row toward its
+    row of ``targets`` with its source terms d_src (R, 1) and source
+    identity (R, features). Returns the sum
     of the rows' totals, to run the backward from, and the (R, 1) total,
     hinge, reg and identity nodes (identity None with the term off)."""
     rows, layers = w_s.shape[0], w_s.shape[1]
@@ -288,14 +288,10 @@ def objective_node(w: ad.Node, g: ad.Node | None, w_s: np.ndarray,
     hinge = ad.max_with_zero(ad.add(ad.sub(_distance_node(v, targets),
                                            ad.constant(d_src)), ones))
     delta = ad.sub(w, ad.constant(w_s))
-    if config.adaptive_masking:
-        norms = _reshape(ad.row_l2_norm(_reshape(delta, (-1, w_s.shape[2]))),
-                         (rows, layers))
-        reg = ad.scale(_row_sum(ad.mul_elementwise(ad.row_softmax(g, 1.0),
-                                                   norms)), 1.0 / layers)
-    else:
-        flat = _reshape(delta, (rows, -1))
-        reg = ad.sqrt(_row_sum(ad.mul_elementwise(flat, flat)))
+    norms = _reshape(ad.row_l2_norm(_reshape(delta, (-1, w_s.shape[2]))),
+                     (rows, layers))
+    reg = ad.scale(_row_sum(ad.mul_elementwise(ad.row_softmax(g, 1.0),
+                                               norms)), 1.0 / layers)
     total = ad.add(hinge, ad.scale(reg, config.lambda_reg))
     ident = None
     if feat is not None:
@@ -319,15 +315,13 @@ def graph_objective_and_grad(w: np.ndarray, g: np.ndarray, w_s: np.ndarray,
                                  for a in (w, g, w_s, targets, d_src))
     if source_identity is not None:
         source_identity = gemm_rows(source_identity)
-    w_node = ad.leaf(w)
-    g_node = ad.leaf(g) if config.adaptive_masking else None
+    w_node, g_node = ad.leaf(w), ad.leaf(g)
     root, *terms = objective_node(w_node, g_node, w_s, targets, d_src, config,
                                   models, source_identity)
     ad.backward(root)
     values = [np.zeros(batch) if t is None else t.value[:batch, 0]
               for t in terms]
-    grad_g = np.zeros(g.shape) if g_node is None else g_node.grad
-    return (*values, w_node.grad[:batch], grad_g[:batch])
+    return (*values, w_node.grad[:batch], g_node.grad[:batch])
 
 
 def objective_and_grad(w: np.ndarray, g: np.ndarray, w_s: np.ndarray,
@@ -412,11 +406,8 @@ def hinge_loss(w_s: np.ndarray, w_a: np.ndarray, a: np.ndarray,
 
 
 def masked_regularization(w_a: np.ndarray, w_s: np.ndarray,
-                          gate_logits: np.ndarray,
-                          adaptive: bool = True) -> float:
+                          gate_logits: np.ndarray) -> float:
     delta = np.asarray(w_a, float) - np.asarray(w_s, float)
-    if not adaptive:
-        return float(np.linalg.norm(delta))
     norms = np.linalg.norm(delta, axis=1)
     return float(gate_softmax(np.asarray(gate_logits, float)) @ norms / len(norms))
 

@@ -63,7 +63,6 @@ def test_config_echo_is_effective_config(pipeline_dir):
 def test_manipulate_writes_outputs(pipeline_dir):
     assert run_cli(*FAST, "manipulate", "--run", pipeline_dir,
                    "--source-index", 96, "--audio-index", 144,
-                   "--lambda-reg", 0.008, "--lambda-id", 0.004,
                    "--tag", "demo") == 0
     out = pipeline_dir / "manip" / "demo"
     traj = (out / "trajectory.csv").read_text().strip().splitlines()
@@ -76,20 +75,19 @@ def test_manipulate_writes_outputs(pipeline_dir):
 
 
 def test_manipulate_checkpoint_records_the_settings_it_ran(pipeline_dir):
-    # the flags override the run's config for this request, and
-    # latent.ckpt embeds the settings the optimization ran with
+    # latent.ckpt embeds the config the optimization ran with, the one
+    # config.txt echoes
     assert run_cli(*FAST, "manipulate", "--run", pipeline_dir,
                    "--source-index", 96, "--audio-index", 144,
-                   "--steps", 4, "--lambda-id", 0.01, "--tag", "flagged") == 0
+                   "--set", "manip_steps=4", "--set", "lambda_id=0.01",
+                   "--tag", "flagged") == 0
     out = pipeline_dir / "manip" / "flagged"
     _, text, _ = load_checkpoint(out / "latent.ckpt")
     saved = config_from_text(text)
     assert (saved.manip_steps, saved.lambda_id) == (4, 0.01)
     assert saved.lambda_reg == RunConfig().lambda_reg
     assert len((out / "trajectory.csv").read_text().splitlines()) == 5
-    # the run's own config is left as it was
-    echoed = config_from_text((pipeline_dir / "config.txt").read_text())
-    assert (echoed.manip_steps, echoed.lambda_id) == (5, RunConfig().lambda_id)
+    assert text == (pipeline_dir / "config.txt").read_text()
 
 
 def test_interpolate_and_mix(pipeline_dir):
@@ -150,7 +148,7 @@ def test_direction_stats_command(pipeline_dir):
 def test_gradcheck_exits_zero(tmp_path):
     assert run_cli("gradcheck", "--run", tmp_path / "g") == 0
     report = (tmp_path / "g" / "reports" / "gradcheck.txt").read_text()
-    assert "16/16" in report
+    assert "15/15" in report
 
 
 def test_missing_inputs_io_error(tmp_path, capsys):
@@ -165,6 +163,8 @@ def test_missing_inputs_io_error(tmp_path, capsys):
 # before gen-data creates the run directory
 BAD_OVERRIDES = {
     "nonsense=1": "unknown RunConfig key 'nonsense'",
+    # a deleted key is unknown like any other
+    "adaptive_masking=0": "unknown RunConfig key 'adaptive_masking'",
     # pattern ids index the drawn nuisance patterns, one per id below the
     # largest, so they are held to the class range
     "bias_spec=0:-1": "bias_spec pattern -1 of class 0 must lie in [0, 8)",
@@ -232,6 +232,11 @@ CORRUPTIONS = {
     "teacher_ckpt_garbled": ("teacher.ckpt",
                              lambda b: b[:30] + b"\xff\xfe" + b[32:],
                              "teacher.ckpt"),
+    # row 0's nuisance id, past the 16-byte header and two int32 ids, set to
+    # a pattern that bias_spec gives no class
+    "ids_tmd_nuisance_99": ("dataset/ids.tmd",
+                            lambda b: b[:24] + struct.pack("<i", 99) + b[28:],
+                            "ids.tmd: nuisance id"),
 }
 
 
@@ -258,24 +263,26 @@ def test_bad_index_validation_error(pipeline_dir, capsys):
     assert "error: validation:" in capsys.readouterr().err
 
 
-# each manipulation setting must be finite and >= 0
+# name -> (options before the subcommand, options after it, the key the
+# error line must name); each manipulation setting must be finite and >= 0
 BAD_MANIP_SETTINGS = {
-    "step_size_nan": (["--step-size", "nan"], "step_size"),
-    "step_size_inf": (["--step-size", "inf"], "step_size"),
-    "lambda_reg_nan": (["--lambda-reg", "nan"], "lambda_reg"),
-    "lambda_reg_negative": (["--lambda-reg", "-5"], "lambda_reg"),
-    "lambda_id_inf": (["--lambda-id", "inf"], "lambda_id"),
-    "set_manip_step_size_nan": (["--set", "manip_step_size=nan"], "step_size"),
+    "step_size_nan": ([], ["--set", "manip_step_size=nan"], "step_size"),
+    "step_size_inf": ([], ["--set", "manip_step_size=inf"], "step_size"),
+    "lambda_reg_nan": ([], ["--set", "lambda_reg=nan"], "lambda_reg"),
+    "lambda_reg_negative": ([], ["--set", "lambda_reg=-5"], "lambda_reg"),
+    "lambda_id_inf": ([], ["--set", "lambda_id=inf"], "lambda_id"),
+    "set_manip_step_size_nan": (["--set", "manip_step_size=nan"], [],
+                                "step_size"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_MANIP_SETTINGS))
 def test_bad_manipulation_setting_validation_error(name, pipeline_dir, capsys):
-    flags, field = BAD_MANIP_SETTINGS[name]
+    before, after, field = BAD_MANIP_SETTINGS[name]
     capsys.readouterr()
-    code = run_cli(*FAST, "manipulate", "--run", pipeline_dir,
+    code = run_cli(*FAST, *before, "manipulate", "--run", pipeline_dir,
                    "--source-index", 96, "--audio-index", 144,
-                   "--tag", "bad", *flags)
+                   "--tag", "bad", *after)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: validation:")
@@ -481,6 +488,54 @@ def test_pixels_run_manipulates_at_its_generator_shape(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+# dataset setting -> (the stages that must find the run's encoders stale,
+# the encoder's input width, the regenerated data's width)
+STALE_MODELS = {
+    "freq_bins=16": (["manipulate", "eval-zeroshot", "eval-probe",
+                      "direction-stats"], 200, 160),
+    "pixels=49": (["train-audio"], 64, 49),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(STALE_MODELS))
+def test_stale_encoder_validation_error(setting, pipeline_dir, tmp_path,
+                                        capsys):
+    # data regenerated under another shape: every stage that feeds it to an
+    # encoder trained on the old data fails with one validation line
+    commands, trained, given = STALE_MODELS[setting]
+    run = tmp_path / "run"
+    shutil.copytree(pipeline_dir, run)
+    assert run_cli(*FAST, "--set", setting, "gen-data", "--run", run) == 0
+    extra = {"manipulate": ["--source-index", 96, "--audio-index", 144],
+             "direction-stats": ["--attrs", 3, "--seeds", 2]}
+    for command in commands:
+        capsys.readouterr()
+        assert run_cli(*FAST, command, "--run", run,
+                       *extra.get(command, [])) == 2, command
+        err = capsys.readouterr().err
+        assert err == (f"error: validation: input has {given} features, but "
+                       f"the encoder takes {trained}: it was trained on "
+                       f"other data\n"), command
+
+
+def test_no_subcommand_option_shadows_a_config_key():
+    # a setting has one key, set by --config or --set: an option named
+    # after a RunConfig key, or after the tail of one (--steps for
+    # manip_steps), would be a second way to set it
+    names = set()
+    for f in fields(RunConfig):
+        parts = f.name.split("_")
+        names.update("_".join(parts[i:]) for i in range(len(parts)))
+    shared = {"help", "config", "set_sub", "seed"}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if a.dest == "command")
+    shadows = sorted(f"{command} {action.option_strings[0]}"
+                     for command, sub in subparsers.choices.items()
+                     for action in sub._actions
+                     if action.dest not in shared and action.dest in names)
+    assert shadows == []
+
+
 def test_reused_parser_leaks_nothing_into_the_next_call(tmp_path):
     # main builds its parser once per process: a call with --set overrides
     # and --seed must leave nothing behind for a later call that passes
@@ -533,7 +588,7 @@ def test_diverging_step_is_internal_error(pipeline_dir, capsys):
     capsys.readouterr()
     code = run_cli(*FAST, "manipulate", "--run", pipeline_dir,
                    "--source-index", 96, "--audio-index", 144,
-                   "--step-size", "1e300", "--tag", "diverge")
+                   "--set", "manip_step_size=1e300", "--tag", "diverge")
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: internal: objective became non-finite")

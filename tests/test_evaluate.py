@@ -143,7 +143,7 @@ def test_evaluation_manipulates_without_identity(dataset, manifest,
 
     monkeypatch.setattr(evaluate, "optimize_guided", record)
     config = replace(run_config, manip_steps=9, manip_step_size=0.3,
-                     lambda_reg=0.5, adaptive_masking=False)
+                     lambda_reg=0.5)
     direction_stats([3], 2, dataset, model_bundle, config)
     evaluate._leakage_probe(dataset, manifest, model_bundle.audio,
                             model_bundle, config, sources=2, steps=7)

@@ -55,7 +55,7 @@ def test_masked_regularization_hand_value():
     w_s = np.zeros((8, 4))
     w_a = np.zeros((8, 4))
     w_a[2, 0] = 1.0  # single layer differs by unit norm
-    val = masked_regularization(w_a, w_s, np.zeros(8), adaptive=True)
+    val = masked_regularization(w_a, w_s, np.zeros(8))
     assert val == pytest.approx(1.0 / 64.0, abs=1e-15)
     assert masked_regularization(w_s, w_s, np.zeros(8)) == 0.0
 
@@ -66,15 +66,8 @@ def test_masked_regularization_gate_concentration():
     w_a[0, 1] = 2.0
     logits = np.zeros(8)
     logits[0] = 1e3  # softmax mass collapses onto layer 0
-    val = masked_regularization(w_a, w_s, logits, adaptive=True)
+    val = masked_regularization(w_a, w_s, logits)
     assert val == pytest.approx(2.0 / 8.0, rel=1e-12)
-
-
-def test_plain_regularization_is_frobenius():
-    rng = np.random.default_rng(0)
-    w_s, w_a = rng.standard_normal((2, 8, 4))
-    val = masked_regularization(w_a, w_s, np.zeros(8), adaptive=False)
-    assert val == pytest.approx(np.linalg.norm(w_a - w_s), rel=1e-12)
 
 
 def test_identity_loss_bounds_and_zero(gen_fit, model_bundle):
@@ -181,8 +174,6 @@ def test_objective_gradient_matches_fd(gen_fit, model_bundle, dataset):
 GRAPH_CASES = {
     "default": {},
     "no_identity": {"lambda_id": 0.0, "lambda_reg": 1.0},
-    "plain_reg": {"adaptive_masking": False},
-    "plain_reg_no_identity": {"adaptive_masking": False, "lambda_id": 0.0},
     "lambda_id_zero": {"lambda_id": 0.0},
     "strong_reg": {"lambda_reg": 1.0},
 }
@@ -332,17 +323,16 @@ def _objective_at(gen_fit, model_bundle, config):
     return at_w, at_g, start, gate
 
 
-@pytest.mark.parametrize("adaptive", [True, False])
-def test_objective_and_grad_matches_fd(adaptive, gen_fit, model_bundle):
-    at_w, at_g, start, gate = _objective_at(
-        gen_fit, model_bundle, RunConfig(adaptive_masking=adaptive))
+@pytest.mark.parametrize("identity", [True, False])
+def test_objective_and_grad_matches_fd(identity, gen_fit, model_bundle):
+    # without the identity term: the step direction-stats and the leakage
+    # probe run
+    config = RunConfig() if identity else RunConfig(lambda_id=0.0)
+    at_w, at_g, start, gate = _objective_at(gen_fit, model_bundle, config)
     assert max_rel_error(at_w(start)[4], lambda w: at_w(w)[0], start) < 1e-4
     grad_g = at_g(gate)[5]
-    if adaptive:
-        assert np.any(grad_g != 0.0)
-        assert max_rel_error(grad_g, lambda g: at_g(g)[0], gate) < 1e-4
-    else:
-        assert np.array_equal(grad_g, np.zeros(8))
+    assert np.any(grad_g != 0.0)
+    assert max_rel_error(grad_g, lambda g: at_g(g)[0], gate) < 1e-4
 
 
 def test_objective_and_grad_rejects_zero_norm_rows(gen_fit, model_bundle):
@@ -366,8 +356,7 @@ def test_objective_and_grad_rejects_zero_norm_rows(gen_fit, model_bundle):
     ("lambda_id", float("inf")), ("lambda_id", -1e-3)])
 def test_optimize_rejects_bad_settings(field, value, gen_fit, model_bundle,
                                        dataset):
-    # the ids name the manipulate flags; step_size's config key is
-    # manip_step_size
+    # step_size names the manip_step_size key
     key = "manip_step_size" if field == "step_size" else field
     with pytest.raises(ParameterError, match=key):
         optimize_guided(gen_fit.latents[:1],

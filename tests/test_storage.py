@@ -214,10 +214,10 @@ def test_config_rejects_unknown_keys():
 
 
 def test_config_bool_and_bias_parsing():
-    cfg = config_from_text("use_loss_kl=false\nadaptive_masking=1\n"
+    cfg = config_from_text("use_loss_kl=false\nkl_full_rows=1\n"
                            "bias_spec=1:0,3:2\n")
     assert cfg.use_loss_kl is False
-    assert cfg.adaptive_masking is True
+    assert cfg.kl_full_rows is True
     assert cfg.bias_spec == {1: 0, 3: 2}
 
 
