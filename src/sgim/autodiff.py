@@ -101,16 +101,6 @@ def log(a: Node) -> Node:
     return Node(np.log(av), "log", (a,), lambda g: (g / av,))
 
 
-def sqrt(a: Node) -> Node:
-    if np.any(a.value < 0.0):
-        raise DegenerateInputError("sqrt requires non-negative input")
-    out = np.sqrt(a.value)
-    # subgradient 0 at the origin keeps step-0 latent optimization finite
-    safe = np.where(out > 0.0, out, 1.0)
-    return Node(out, "sqrt", (a,),
-                lambda g: (np.where(out > 0.0, g / (2.0 * safe), 0.0),))
-
-
 def tanh(a: Node) -> Node:
     out = np.tanh(a.value)
     return Node(out, "tanh", (a,), lambda g: (g * (1.0 - out * out),))

@@ -196,9 +196,7 @@ def cmd_eval_zeroshot(run: Path, args, config: RunConfig) -> int:
 def cmd_eval_probe(run: Path, args, config: RunConfig) -> int:
     manifest, ds = _load_dataset(run)
     audio = _load_audio(run)
-    report = probe_on_heldout_videos(ds, manifest, audio,
-                                     epochs=config.probe_epochs,
-                                     lr=config.probe_lr)
+    report = probe_on_heldout_videos(ds, manifest, audio, config)
     _write_report(run, "probe", report)
     print(f"linear probe accuracy {report.overall:.4f}")
     return 0

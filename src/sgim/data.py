@@ -255,8 +255,8 @@ class MiniBatch:
 
 
 def sample_minibatch(ds: Dataset, n: int, rng: np.random.Generator,
-                     freq_mask_ratio: float = 0.15,
-                     time_mask_ratio: float = 0.3) -> MiniBatch:
+                     freq_mask_ratio: float,
+                     time_mask_ratio: float) -> MiniBatch:
     """n distinct records without replacement, plus their augmented audio."""
     if n < 2:
         raise UsageError("minibatch needs at least 2 records")

@@ -7,7 +7,7 @@ teacher; the audio encoder is trained afterwards against that frozen
 teacher with the four-component loss.
 
 Optimizer: plain SGD with momentum 0.9 under a cosine cyclic schedule
-(period 10 epochs, floor lr/10).
+(period ``sched_period`` epochs, floor lr/10).
 
 Each training step is a draw and a learn. The draw makes every rng call
 and all the frozen teacher's work, and returns the batch's row indexes
@@ -80,6 +80,23 @@ def init_encoder_params(rng: np.random.Generator, in_dim: int, hidden: int,
     return EncoderParams(w1, b1, w2, b2, w3, b3)
 
 
+def unit_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of z scaled to unit norm, and their norms (autodiff's
+    ``l2_normalize_rows``)."""
+    norms = np.sqrt((z ** 2).sum(axis=-1, keepdims=True))
+    # a NaN norm is truthy, so this is the test norms == 0.0
+    if not norms.all():
+        raise DegenerateInputError("cannot scale a zero-norm row to unit norm")
+    return z / norms, norms
+
+
+def unit_rows_vjp(g: np.ndarray, y: np.ndarray,
+                  norms: np.ndarray) -> np.ndarray:
+    """The gradient to z of ``unit_rows(z) = (y, norms)``, given g to y."""
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    return (g - y * dot) / norms
+
+
 def encode_vjp(params: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, Callable]:
     """Unit-norm embeddings for a (n, in_dim) batch, and their vjp: a
     gradient to the embeddings -> the gradient to each parameter array."""
@@ -91,15 +108,10 @@ def encode_vjp(params: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, Callab
     w2, w3 = params.w2, params.w3
     h1 = np.tanh(x @ params.w1 + params.b1)
     h2 = np.tanh(h1 @ w2 + params.b2)
-    z = h2 @ w3 + params.b3
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise DegenerateInputError("encoder produced a zero-norm embedding")
-    y = z / norms
+    y, norms = unit_rows(h2 @ w3 + params.b3)
 
     def vjp(g: np.ndarray) -> dict[str, np.ndarray]:
-        dot = (g * y).sum(axis=1, keepdims=True)
-        g3 = (g - y * dot) / norms
+        g3 = unit_rows_vjp(g, y, norms)
         # "0.0 +" is the graph's accumulation onto zeros: a saturated unit
         # passes +0.0 on, never -0.0
         g2 = 0.0 + (g3 @ w3.T) * (1.0 - h2 * h2)
@@ -128,7 +140,7 @@ def _param_grads(paths: list[tuple[Callable, tuple]]) -> dict[str, np.ndarray]:
     return grads
 
 
-def cyclic_lr(base_lr: float, epoch: int, period: int = 10) -> float:
+def cyclic_lr(base_lr: float, epoch: int, period: int) -> float:
     """Cosine cyclic schedule: starts at base_lr, dips to base_lr/10
     mid-period, returns to base_lr every ``period`` epochs."""
     floor = base_lr / 10.0

@@ -24,6 +24,7 @@ from .encoders import (EncoderParams, TeacherParams, check_loss_terms,
                        encode_np, train_audio_encoder)
 from .errors import UsageError
 from .generator import sample_source_latent, synthesize
+from .losses import softmax
 from .manipulate import ModelBundle, optimize_guided
 
 
@@ -90,9 +91,8 @@ def zero_shot_classify(ds: Dataset, audio_params: EncoderParams,
 
 
 def linear_probe(embeddings: np.ndarray, labels: np.ndarray,
-                 train_idx: np.ndarray, test_idx: np.ndarray,
-                 epochs: int = 200, lr: float = 0.1,
-                 protocol: str = "linear_probe") -> EvalReport:
+                 train_idx: np.ndarray, test_idx: np.ndarray, epochs: int,
+                 lr: float, protocol: str = "linear_probe") -> EvalReport:
     """One-layer softmax classifier on frozen features, full-batch GD."""
     class_ids, y = np.unique(labels, return_inverse=True)
     if len(class_ids) < 2:
@@ -104,11 +104,7 @@ def linear_probe(embeddings: np.ndarray, labels: np.ndarray,
     xt, yt = x[train_idx], y[train_idx]
     onehot = np.eye(n_classes)[yt]
     for _ in range(epochs):
-        logits = xt @ w + b
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
-        grad = (p - onehot) / len(yt)
+        grad = (softmax(xt @ w + b) - onehot) / len(yt)
         w -= lr * (xt.T @ grad)
         b -= lr * grad.sum(axis=0)
     preds = np.argmax(x[test_idx] @ w + b, axis=1)
@@ -120,12 +116,16 @@ def linear_probe(embeddings: np.ndarray, labels: np.ndarray,
 
 def probe_on_heldout_videos(ds: Dataset, manifest: DatasetManifest,
                             audio_params: EncoderParams,
-                            epochs: int = 200, lr: float = 0.1) -> EvalReport:
-    """Linear probe on audio embeddings, held-out-by-video split."""
+                            config: RunConfig) -> EvalReport:
+    """Linear probe on audio embeddings, held-out-by-video split, trained
+    for ``config``'s probe_epochs at its probe_lr."""
     emb = encode_np(audio_params, ds.audio.reshape(len(ds), -1))
     held = heldout_mask(ds, manifest)
-    return linear_probe(emb, ds.class_id, np.where(~held)[0],
-                        np.where(held)[0], epochs=epochs, lr=lr)
+    report = linear_probe(emb, ds.class_id, np.where(~held)[0],
+                          np.where(held)[0], config.probe_epochs,
+                          config.probe_lr)
+    return replace(report, config_hash=config_hash(config),
+                   seed=config.master_seed)
 
 
 def cross_video_audio_image_cosine(ds: Dataset, audio_params: EncoderParams,

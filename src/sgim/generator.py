@@ -68,8 +68,8 @@ class GeneratorParams:
         return w
 
 
-def init_generator(rng: np.random.Generator, side: int = 8,
-                   latent_dim: int = 32) -> GeneratorParams:
+def init_generator(rng: np.random.Generator, side: int,
+                   latent_dim: int) -> GeneratorParams:
     mods = [0.1 * rng.standard_normal((latent_dim, 2 * k + 1))
             for k in range(side)]
     return GeneratorParams(side, latent_dim, mods, np.zeros(side * side))
@@ -116,7 +116,7 @@ class GeneratorFit:
 
 
 def fit_generator_to_dataset(images: np.ndarray, epochs: int, seed: int,
-                             latent_dim: int = 32) -> GeneratorFit:
+                             latent_dim: int) -> GeneratorFit:
     """Alternating least squares over modulations and per-image latents.
 
     The bias is the mean image. epochs=0 returns the seeded initialization

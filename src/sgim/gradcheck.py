@@ -19,7 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .config import RunConfig
-from .encoders import PARAM_KEYS, encode_vjp, init_encoder_params
+from .encoders import (PARAM_KEYS, encode_vjp, init_encoder_params,
+                       unit_rows)
 from .generator import init_generator
 from .losses import info_nce, weak_kl
 from .manipulate import ModelBundle, bind_step, init_identity_extractor
@@ -38,9 +39,11 @@ class CheckResult:
         return self.max_rel_error < TOLERANCE
 
 
-def _unit_rows(rng, n, d):
-    x = rng.standard_normal((n, d))
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+def _sample(rng: np.random.Generator, shape, domain: str) -> np.ndarray:
+    x = rng.standard_normal(shape)
+    if domain == "unit_rows":
+        return unit_rows(x)[0]
+    return x
 
 
 def max_rel_error(analytic: np.ndarray, f: Callable[[np.ndarray], float], x,
@@ -73,14 +76,14 @@ def _fd(f: Callable, grad_index: int = 1) -> Callable:
 
 
 def _loss_checks(rng: np.random.Generator) -> list[tuple[str, Callable, tuple, str]]:
-    t, v, vw, aug = (_unit_rows(rng, 4, 8) for _ in range(4))
+    t, v, vw, aug = (_sample(rng, (4, 8), "unit_rows") for _ in range(4))
     tau = 0.3
     terms = {  # name -> x -> (value, gradient parts for x)
         "info_nce_audio_text": lambda a: info_nce(a, t, tau)[:2],
         "info_nce_audio_visual": lambda a: info_nce(a, v, tau)[:2],
         "self_supervised": lambda a: info_nce(a, aug, tau)[:2],
         "self_supervised_augmented": lambda a_aug: info_nce(aug, a_aug, tau)[::2],
-        "weak_kl": lambda a: weak_kl(a, vw, t, tau),
+        "weak_kl": lambda a: weak_kl(a, vw, t, tau, False),
         "weak_kl_full_rows": lambda a: weak_kl(a, vw, t, tau, True),
     }
 
@@ -144,13 +147,6 @@ def _manipulation_checks(rng: np.random.Generator,
              (8,), ""),
             ("manipulation_batch", _fd(lambda w: both(w, gates)),
              (2, 8, 32), "")]
-
-
-def _sample(rng: np.random.Generator, shape, domain: str) -> np.ndarray:
-    x = rng.standard_normal(shape)
-    if domain == "unit_rows":
-        return x / np.linalg.norm(x, axis=1, keepdims=True)
-    return x
 
 
 def run_gradient_checks(seed: int = 0) -> list[CheckResult]:

@@ -29,8 +29,6 @@ import numpy as np
 
 from .errors import DegenerateInputError, ParameterError, UsageError
 
-DEFAULT_TEMPERATURE = 0.07
-
 
 @dataclass(frozen=True)
 class LossBreakdown:
@@ -50,15 +48,18 @@ def _check_pair(a: np.ndarray, b: np.ndarray, min_n: int = 2) -> int:
     return n
 
 
-def similarity(rows: np.ndarray, cols: np.ndarray,
-               tau: float = DEFAULT_TEMPERATURE) -> np.ndarray:
-    """The (n, n) row softmax of rows @ cols.T / tau, max-subtracted."""
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, max-subtracted: of one row or a stack."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def similarity(rows: np.ndarray, cols: np.ndarray, tau: float) -> np.ndarray:
+    """The (n, n) row softmax of rows @ cols.T / tau."""
     _check_pair(rows, cols, min_n=1)
     if tau <= 0.0:
         raise ParameterError(f"temperature must be positive, got {tau}")
-    z = (rows @ np.ascontiguousarray(cols.T)) / tau
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    return softmax((rows @ np.ascontiguousarray(cols.T)) / tau)
 
 
 def _cross_entropy(rows: np.ndarray, cols: np.ndarray, target: np.ndarray,
@@ -79,7 +80,7 @@ def _cross_entropy(rows: np.ndarray, cols: np.ndarray, target: np.ndarray,
             np.ascontiguousarray((0.0 + rows.T @ g_s).T))
 
 
-def info_nce(a: np.ndarray, b: np.ndarray, tau: float = DEFAULT_TEMPERATURE,
+def info_nce(a: np.ndarray, b: np.ndarray, tau: float,
              ) -> tuple[float, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """(1/N) sum_i [-log M_ab[i,i] - log M_ba[i,i]], and the gradient parts
     for a and for b, the b-to-a direction's first."""
@@ -90,14 +91,13 @@ def info_nce(a: np.ndarray, b: np.ndarray, tau: float = DEFAULT_TEMPERATURE,
 
 
 def weak_kl(a: np.ndarray, v_weak: np.ndarray, t: np.ndarray,
-            tau: float = DEFAULT_TEMPERATURE, full_rows: bool = False,
-            ) -> tuple[float, tuple[np.ndarray]]:
+            tau: float, full_rows: bool) -> tuple[float, tuple[np.ndarray]]:
     """Distillation toward the teacher's text-to-weak-image similarity, and
     the gradient parts for ``a``.
 
     ``t`` and ``v_weak`` come from the frozen teacher and get no gradient.
-    Default is the diagonal form (1/N) sum_i -M_tv[i,i] * log M_av[i,i];
-    ``full_rows`` switches to a row-wise KL(teacher row || student row).
+    Without ``full_rows`` it is the diagonal form (1/N) sum_i -M_tv[i,i] *
+    log M_av[i,i]; with it, the row-wise KL(teacher row || student row).
     """
     n = _check_pair(a, v_weak)
     if np.shape(t) != a.shape:

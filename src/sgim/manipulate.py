@@ -39,10 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .encoders import EncoderParams
+from .encoders import EncoderParams, unit_rows, unit_rows_vjp
 from .errors import (DegenerateInputError, DimensionError, NumericsError,
                      ParameterError)
 from .generator import GeneratorParams, gemm_rows
+from .losses import softmax
 
 
 @dataclass
@@ -85,13 +86,7 @@ class Trajectory:
     def gate_softmax(self) -> np.ndarray:
         """The gate softmax of every step, (steps, B, layers), computed on
         each access."""
-        return gate_softmax(self.gate_logits)
-
-
-def gate_softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis: one row of gate logits or a stack."""
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+        return softmax(self.gate_logits)
 
 
 def _c(a) -> np.ndarray:
@@ -99,71 +94,16 @@ def _c(a) -> np.ndarray:
     return np.asarray(a, dtype=np.float64, order="C")
 
 
-def _unit_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of z scaled to unit norm, and the norms (autodiff's
-    ``l2_normalize_rows``)."""
-    norms = np.sqrt((z ** 2).sum(axis=-1, keepdims=True))
-    # a NaN norm is truthy, so this is the test norms == 0.0
-    if not norms.all():
-        raise DegenerateInputError("l2_normalize_rows: zero-norm row")
-    return z / norms, norms
-
-
-def _unit_rows_vjp(g: np.ndarray, out: np.ndarray,
-                   norms: np.ndarray) -> np.ndarray:
-    dot = (g * out).sum(axis=-1, keepdims=True)
-    return (g - out * dot) / norms
-
-
-def _bind_forward(config: RunConfig, models: ModelBundle) -> tuple:
-    """The objective's forward pass with the generator folded in (see the
-    module docstring), and (F, w2, w3, identity.w2 or None, the image
-    encoder's width). ``forward(wf)`` takes R >= 2 flattened latents and
-    returns the first layers' activations, the image encoder's second, v
-    and its norms, and the identity features and norms (or None). Products
-    are spelled x.dot(m): the gemm of x @ m, with less call overhead."""
-    enc, gen = models.image, models.generator
-    w1, b1 = _c(enc.w1), _c(enc.b1)
-    hidden = w1.shape[1]
-    id_w2 = None
-    if config.lambda_id > 0.0:
-        id_w1, id_w2 = _c(models.identity.w1), _c(models.identity.w2)
-        w1 = np.hstack([w1, id_w1])
-        b1 = np.hstack([b1, np.zeros((1, id_w1.shape[1]))])
-    first, c0 = gen.A @ w1, gen.bias @ w1 + b1
-    w2, b2, w3, b3 = (_c(a) for a in (enc.w2, enc.b2, enc.w3, enc.b3))
-
-    def forward(wf: np.ndarray) -> tuple:
-        h = np.tanh(wf.dot(first) + c0)
-        h2 = np.tanh(h[:, :hidden].dot(w2) + b2)
-        v, v_norms = _unit_rows(h2.dot(w3) + b3)
-        if id_w2 is None:
-            return h, h2, v, v_norms, None, None
-        return (h, h2, v, v_norms, *_unit_rows(h[:, hidden:].dot(id_w2)))
-
-    return forward, (first, w2, w3, id_w2, hidden)
-
-
-def source_reference(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
-                     models: ModelBundle) -> tuple[np.ndarray, np.ndarray | None]:
-    """(d_src, source identity features or None) of each row of the source
-    stack, shaped (B, 1) and (B, features), by the step's own forward: step
-    0 gives hinge 1 and identity 0 exactly."""
-    batch = len(w_s)
-    forward = _bind_forward(config, models)[0]
-    _, _, v, _, feat, _ = forward(gemm_rows(_c(w_s).reshape(batch, -1)))
-    d_src = 1.0 - (v[:batch] * _c(targets)).sum(axis=-1, keepdims=True)
-    return d_src, None if feat is None else feat[:batch]
-
-
 def bind_step(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
               models: ModelBundle, reference: tuple | None = None):
     """The manipulation step toward ``targets`` (B, embed) from the source
     stack ``w_s`` (B, layers, latent_dim), with every operand a run never
-    changes bound once: the folded first layers, the other frozen weights,
-    C-contiguous copies of every transposed operand, the targets, the
-    settings, and the source terms (d_src, source identity), which
-    ``reference`` gives or ``source_reference`` computes.
+    changes bound once: the folded first layers (see the module
+    docstring), the other frozen weights, C-contiguous copies of every
+    transposed operand, the targets, the settings, and the source terms
+    (d_src (B, 1), source identity (B, features) or None), which
+    ``reference`` gives or the step's own forward computes at the sources,
+    so that step 0 gives hinge 1 and identity 0 exactly.
 
     Returns ``step(w, g)``, which takes C-ordered float64 latents (B,
     layers, latent_dim) and gate logits (B, layers) and returns (total,
@@ -171,7 +111,8 @@ def bind_step(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
     two copies of its row.
     The passes repeat the numpy expressions and vjps of the ops the oracle
     graph is made of, in the order ``autodiff.backward`` runs them, so
-    values and gradients are bit-identical to the graph's.
+    values and gradients are bit-identical to the graph's. Products are
+    spelled x.dot(m): the gemm of x @ m, with less call overhead.
     """
     w_s, targets = _c(w_s), _c(targets)
     if len(w_s) == 1:
@@ -182,13 +123,35 @@ def bind_step(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
         return lambda w, g: tuple(out[:1] for out in pair(gemm_rows(w),
                                                           gemm_rows(g)))
     batch, layers = w_s.shape[0], w_s.shape[1]
-    forward, (first, w2, w3, id_w2, hidden) = _bind_forward(config, models)
+    enc, gen = models.image, models.generator
+    w1, b1 = _c(enc.w1), _c(enc.b1)
+    hidden = w1.shape[1]
+    use_id = config.lambda_id > 0.0
+    if use_id:
+        id_w1, id_w2 = _c(models.identity.w1), _c(models.identity.w2)
+        id_w2_t = np.ascontiguousarray(id_w2.T)
+        w1 = np.hstack([w1, id_w1])
+        b1 = np.hstack([b1, np.zeros((1, id_w1.shape[1]))])
+    first, c0 = gen.A @ w1, gen.bias @ w1 + b1
+    w2, b2, w3, b3 = (_c(a) for a in (enc.w2, enc.b2, enc.w3, enc.b3))
     first_t, w2_t, w3_t = (np.ascontiguousarray(a.T) for a in (first, w2, w3))
+
+    def forward(wf: np.ndarray) -> tuple:
+        """The first layers' activations, the image encoder's second, v and
+        its norms, and the identity features and norms (or None) of the
+        flattened latents ``wf``."""
+        h = np.tanh(wf.dot(first) + c0)
+        h2 = np.tanh(h[:, :hidden].dot(w2) + b2)
+        v, v_norms = unit_rows(h2.dot(w3) + b3)
+        if not use_id:
+            return h, h2, v, v_norms, None, None
+        return (h, h2, v, v_norms, *unit_rows(h[:, hidden:].dot(id_w2)))
+
+    if reference is None:
+        _, _, v, _, feat, _ = forward(w_s.reshape(batch, -1))
+        reference = (1.0 - (v * targets).sum(axis=-1, keepdims=True), feat)
+    d_src, source_identity = reference
     lam_reg, lam_id = float(config.lambda_reg), float(config.lambda_id)
-    use_id = id_w2 is not None
-    id_w2_t = np.ascontiguousarray(id_w2.T) if use_id else None
-    d_src, source_identity = reference or source_reference(
-        w_s, targets, config, models)
     inv_layers = 1.0 / layers
     c_reg = lam_reg * inv_layers
     # returned by every step, so read-only
@@ -208,7 +171,7 @@ def bind_step(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
 
         delta = w - w_s
         norms = np.sqrt((delta ** 2).sum(axis=-1))                  # (B, L)
-        weights = gate_softmax(g)                                   # (B, L)
+        weights = softmax(g)                                        # (B, L)
         reg = (weights * norms).sum(axis=-1, keepdims=True) * inv_layers
         total = hinge + reg * lam_reg
         ident = no_ident
@@ -220,11 +183,11 @@ def bind_step(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
         # backward: the hinge to h, then the identity term to h, then
         # through the first layer
         g_v = np.where(pre > 0.0, g_v_active, g_v_inactive)
-        g_a2 = _unit_rows_vjp(g_v, v, v_norms).dot(w3_t) * (1.0 - h2 * h2)
+        g_a2 = unit_rows_vjp(g_v, v, v_norms).dot(w3_t) * (1.0 - h2 * h2)
         g_h = g_a2.dot(w2_t)
         if use_id:
             g_half = (lam_id * 0.5) * d_id
-            g_f = _unit_rows_vjp(g_half + g_half, feat, f_norms)
+            g_f = unit_rows_vjp(g_half + g_half, feat, f_norms)
             g_h = np.concatenate([g_h, g_f.dot(id_w2_t)], axis=1)
         grad_w = (g_h * (1.0 - h * h)).dot(first_t).reshape(w.shape)
 

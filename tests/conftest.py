@@ -63,7 +63,8 @@ def audio_encoder(splits, teacher, run_config):
 def gen_fit(dataset, run_config):
     return fit_generator_to_dataset(dataset.image,
                                     epochs=run_config.gen_fit_epochs,
-                                    seed=run_config.seed_for("generator"))
+                                    seed=run_config.seed_for("generator"),
+                                    latent_dim=run_config.latent_dim)
 
 
 @pytest.fixture(scope="session")

@@ -42,9 +42,9 @@ from sgim.encoders import PARAM_KEYS, EncoderParams
 from sgim.errors import DimensionError, NumericsError, UsageError
 from sgim.generator import GeneratorParams, gemm_rows, synthesize
 from sgim.gradcheck import max_rel_error
-from sgim.losses import LossBreakdown
+from sgim.losses import LossBreakdown, softmax
 from sgim.manipulate import (IdentityExtractor, ModelBundle, Trajectory,
-                             bind_step, gate_softmax, source_reference)
+                             bind_step)
 
 
 def finite_difference_check(f: Callable[[ad.Node], ad.Node], x,
@@ -396,20 +396,21 @@ def hinge_from_distances(d_src: float, d_manip: float) -> float:
 
 def hinge_loss(w_s: np.ndarray, w_a: np.ndarray, a: np.ndarray,
                gen: GeneratorParams, f_v: EncoderParams) -> float:
-    """Hinge with d_cos(u, v) = 1 - u.v, by the objective's expressions
-    (``source_reference`` gives each latent's distance)."""
+    """Hinge with d_cos(u, v) = 1 - u.v, by the objective's expressions:
+    row 1 of a step bound at the source pair [w_s, w_s] and taken at
+    [w_s, w_a], bitwise ``hinge_from_distances`` of the two distances."""
     models = ModelBundle(gen, None, None, f_v, None)
-    config = RunConfig(lambda_id=0.0)
-    d, _ = source_reference(np.stack([w_s, w_a]), np.stack([a, a]), config,
-                            models)
-    return hinge_from_distances(float(d[0, 0]), float(d[1, 0]))
+    step = bind_step(np.stack([w_s, w_s]), np.stack([a, a]),
+                     RunConfig(lambda_id=0.0), models)
+    w = np.ascontiguousarray(np.stack([w_s, w_a]), dtype=np.float64)
+    return float(step(w, np.zeros(w.shape[:2]))[1][1])
 
 
 def masked_regularization(w_a: np.ndarray, w_s: np.ndarray,
                           gate_logits: np.ndarray) -> float:
     delta = np.asarray(w_a, float) - np.asarray(w_s, float)
     norms = np.linalg.norm(delta, axis=1)
-    return float(gate_softmax(np.asarray(gate_logits, float)) @ norms / len(norms))
+    return float(softmax(np.asarray(gate_logits, float)) @ norms / len(norms))
 
 
 def identity_features(extractor: IdentityExtractor,

@@ -92,7 +92,7 @@ def test_criterion_2_loss_invariants():
     for w in (0.1, 0.5, 0.9):
         a = _unit_rows(np.random.default_rng(5), 3, 8) * (1 - w) + v * w
         a /= np.linalg.norm(a, axis=1, keepdims=True)
-        vals.append(weak_kl(a, v, t, 0.3)[0])
+        vals.append(weak_kl(a, v, t, 0.3, False)[0])
     ok &= vals[0] > vals[1] > vals[2]
     notes.append("weak-loss zero/monotonicity")
     br = step_breakdown(124)
@@ -120,7 +120,8 @@ def test_criterion_3_hand_computed_values(gen_fit, model_bundle):
     # the weak term itself at p_ii = q_ii = 1/2: student and teacher rows
     # both lie halfway between the two weak images
     half = np.full((2, 2), math.sqrt(0.5))
-    ok &= abs(weak_kl(half, np.eye(2), half, tau=1.0)[0] - 0.34657) < 1e-4
+    ok &= abs(weak_kl(half, np.eye(2), half, tau=1.0, full_rows=False)[0]
+              - 0.34657) < 1e-4
     # hinge {1, 0, 2}: tie through the real models, then the scalar cases
     w_s = gen_fit.latents[SOURCE_INDEX]
     target = np.zeros(32)

@@ -183,12 +183,6 @@ def test_row_broadcast_add_backward():
     assert np.array_equal(b.grad, [[3.0, 3.0]])
 
 
-def test_sqrt_zero_subgradient():
-    x = ad.leaf([[0.0, 4.0]])
-    ad.backward(ad.sum_all(ad.sqrt(x)))
-    assert np.array_equal(x.grad, [[0.0, 0.25]])
-
-
 PRIMITIVE_CASES = [
     ("add", lambda x: ad.sum_all(ad.add(x, ad.constant(_P1))), (3, 4), None),
     ("sub", lambda x: ad.sum_all(ad.mul_elementwise(
@@ -197,7 +191,6 @@ PRIMITIVE_CASES = [
         ad.mul_elementwise(x, ad.constant(_P1))), (3, 4), None),
     ("scale", lambda x: ad.sum_all(ad.scale(x, -1.7)), (3, 4), None),
     ("log", lambda x: ad.sum_all(ad.log(x)), (3, 4), "positive"),
-    ("sqrt", lambda x: ad.sum_all(ad.sqrt(x)), (3, 4), "positive"),
     ("tanh", lambda x: ad.sum_all(ad.tanh(x)), (3, 4), None),
     ("max_with_zero", lambda x: ad.sum_all(ad.max_with_zero(x)), (3, 4), "off_kink"),
     ("sum", lambda x: ad.sum_all(ad.mul_elementwise(x, x)), (3, 4), None),

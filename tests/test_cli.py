@@ -1,6 +1,9 @@
 import ast
 import filecmp
+import importlib
+import inspect
 import os
+import pkgutil
 import shutil
 import struct
 import subprocess
@@ -10,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import sgim
 from sgim import checkpoint, cli, evaluate
 from sgim.checkpoint import load_checkpoint
 from sgim.cli import main
@@ -137,6 +141,19 @@ def test_eval_commands_write_reports(pipeline_dir):
     assert run_cli(*FAST, "eval-probe", "--run", pipeline_dir) == 0
     for name in ("zeroshot.csv", "zeroshot.txt", "probe.csv", "probe.txt"):
         assert (pipeline_dir / "reports" / name).exists()
+
+
+def test_probe_report_records_the_run_config(pipeline_dir):
+    # both evaluation reports name the config hash and master seed they ran
+    # under
+    assert run_cli(*FAST, "eval-zeroshot", "--run", pipeline_dir) == 0
+    assert run_cli(*FAST, "eval-probe", "--run", pipeline_dir) == 0
+    config_lines = [
+        next(line for line in (pipeline_dir / "reports" / name).read_text()
+             .splitlines() if line.startswith("config:"))
+        for name in ("zeroshot.txt", "probe.txt")]
+    assert config_lines[0].endswith("  seed: 7")
+    assert config_lines[1] == config_lines[0]
 
 
 def test_direction_stats_command(pipeline_dir):
@@ -518,14 +535,22 @@ def test_stale_encoder_validation_error(setting, pipeline_dir, tmp_path,
                        f"other data\n"), command
 
 
+def _config_key_tails() -> dict[str, list[str]]:
+    """Each RunConfig key and each part of one after an underscore
+    (step_size and size for manip_step_size) -> the keys it names."""
+    tails: dict[str, list[str]] = {}
+    for f in fields(RunConfig):
+        parts = f.name.split("_")
+        for i in range(len(parts)):
+            tails.setdefault("_".join(parts[i:]), []).append(f.name)
+    return tails
+
+
 def test_no_subcommand_option_shadows_a_config_key():
     # a setting has one key, set by --config or --set: an option named
     # after a RunConfig key, or after the tail of one (--steps for
     # manip_steps), would be a second way to set it
-    names = set()
-    for f in fields(RunConfig):
-        parts = f.name.split("_")
-        names.update("_".join(parts[i:]) for i in range(len(parts)))
+    names = _config_key_tails()
     shared = {"help", "config", "set_sub", "seed"}
     subparsers = next(a for a in cli.build_parser()._actions
                       if a.dest == "command")
@@ -534,6 +559,28 @@ def test_no_subcommand_option_shadows_a_config_key():
                      for action in sub._actions
                      if action.dest not in shared and action.dest in names)
     assert shadows == []
+
+
+def test_no_function_default_repeats_a_config_default():
+    # a setting's default lives in RunConfig alone: no sgim function gives
+    # a parameter named after a key, or after the tail of one (period for
+    # sched_period), that key's default, a second source that a caller
+    # leaving the argument out would silently run with
+    defaults, tails = RunConfig(), _config_key_tails()
+    repeats = []
+    for info in pkgutil.iter_modules(sgim.__path__):
+        module = importlib.import_module(f"sgim.{info.name}")
+        for fn in vars(module).values():
+            if not (inspect.isfunction(fn)
+                    and fn.__module__ == module.__name__):
+                continue
+            repeats += [f"{module.__name__}.{fn.__name__}({p.name}="
+                        f"{p.default!r})"
+                        for p in inspect.signature(fn).parameters.values()
+                        if p.default is not p.empty and any(
+                            p.default == getattr(defaults, key)
+                            for key in tails.get(p.name, ()))]
+    assert repeats == []
 
 
 def test_reused_parser_leaks_nothing_into_the_next_call(tmp_path):

@@ -153,21 +153,21 @@ def test_group_rows_first_appearance_order():
 
 def test_sample_minibatch_basics(dataset):
     rng = np.random.default_rng(5)
-    batch = sample_minibatch(dataset, 8, rng)
+    batch = sample_minibatch(dataset, 8, rng, 0.15, 0.3)
     assert batch.audio.shape == (8, 20, 10)
     assert batch.text.shape == (8, 2)
     assert len(set(batch.rows.tolist())) == 8
     with pytest.raises(UsageError):
-        sample_minibatch(dataset, 1, rng)
+        sample_minibatch(dataset, 1, rng, 0.15, 0.3)
     with pytest.raises(UsageError):
-        sample_minibatch(dataset.take(np.arange(4)), 5, rng)
+        sample_minibatch(dataset.take(np.arange(4)), 5, rng, 0.15, 0.3)
 
 
 def test_sample_minibatch_two_from_two():
     m = DatasetManifest(classes=1, videos_per_class=1, records_per_video=2,
                         bias_spec={}, seed=0)
     ds = generate_dataset(m)
-    batch = sample_minibatch(ds, 2, np.random.default_rng(0))
+    batch = sample_minibatch(ds, 2, np.random.default_rng(0), 0.15, 0.3)
     assert set(ds.video_id[batch.rows].tolist()) == {0}
     assert len(batch.rows) == 2
 
@@ -179,7 +179,7 @@ def test_sample_minibatch_zero_ratios_identity(dataset):
 
 
 def test_sample_minibatch_seeded_ids_pinned(dataset):
-    batch = sample_minibatch(dataset, 6, np.random.default_rng(77))
+    batch = sample_minibatch(dataset, 6, np.random.default_rng(77), 0.15, 0.3)
     expected = np.random.default_rng(77).choice(len(dataset), 6, replace=False)
     assert np.array_equal(batch.rows, expected)
     assert np.array_equal(batch.audio, dataset.audio[expected])

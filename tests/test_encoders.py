@@ -119,10 +119,10 @@ def test_bag_of_tokens_permutation_invariant():
 
 
 def test_cyclic_lr_schedule():
-    assert cyclic_lr(0.1, 0) == pytest.approx(0.1)
-    assert cyclic_lr(0.1, 5) == pytest.approx(0.01)   # floor = lr/10 mid-period
-    assert cyclic_lr(0.1, 10) == pytest.approx(0.1)   # period restart
-    assert cyclic_lr(0.1, 3) < cyclic_lr(0.1, 2)
+    assert cyclic_lr(0.1, 0, 10) == pytest.approx(0.1)
+    assert cyclic_lr(0.1, 5, 10) == pytest.approx(0.01)  # floor = lr/10 mid-period
+    assert cyclic_lr(0.1, 10, 10) == pytest.approx(0.1)  # period restart
+    assert cyclic_lr(0.1, 3, 10) < cyclic_lr(0.1, 2, 10)
 
 
 def test_pretrain_rejects_empty_and_tiny_batch(dataset):
@@ -223,7 +223,8 @@ def test_pinned_init_loss_breakdown(splits, teacher, run_config):
     audio_p = init_encoder_params(rng, 200, run_config.hidden_dim,
                                   run_config.embed_dim)
     brng = np.random.default_rng(0)
-    batch = sample_minibatch(train, 8, brng)
+    batch = sample_minibatch(train, 8, brng, run_config.freq_mask_ratio,
+                             run_config.time_mask_ratio)
     candidates = weak_candidates(train)
     weak = sample_weak_pairs(candidates, batch.rows, brng)
     br = batch_total_loss(batch, train.image, train.image[weak], audio_p,
@@ -239,7 +240,8 @@ def test_training_lowers_total_loss(splits, teacher, audio_encoder, run_config):
     init_p = init_encoder_params(rng, 200, run_config.hidden_dim,
                                  run_config.embed_dim)
     brng = np.random.default_rng(5)
-    batch = sample_minibatch(train, 32, brng)
+    batch = sample_minibatch(train, 32, brng, run_config.freq_mask_ratio,
+                             run_config.time_mask_ratio)
     candidates = weak_candidates(train)
     weak = train.image[sample_weak_pairs(candidates, batch.rows, brng)]
     before = batch_total_loss(batch, train.image, weak, init_p, teacher[0],

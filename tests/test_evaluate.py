@@ -69,17 +69,20 @@ def test_classification_rotation_invariant():
 def test_probe_at_least_zero_shot(dataset, manifest, audio_encoder, teacher,
                                   splits, run_config):
     _, held = splits
-    probe = probe_on_heldout_videos(dataset, manifest, audio_encoder[0])
+    probe = probe_on_heldout_videos(dataset, manifest, audio_encoder[0],
+                                    run_config)
     zs = zero_shot_classify(held, audio_encoder[0], teacher[0].text,
                             manifest.classes)
     assert probe.overall >= zs.overall
 
 
-def test_probe_shuffled_labels_near_chance(dataset, manifest, audio_encoder):
+def test_probe_shuffled_labels_near_chance(dataset, manifest, audio_encoder,
+                                           run_config):
     emb = encode_np(audio_encoder[0], dataset.audio.reshape(len(dataset), -1))
     shuffled = np.random.default_rng(13).permutation(dataset.class_id)
     held = heldout_mask(dataset, manifest)
-    report = linear_probe(emb, shuffled, np.where(~held)[0], np.where(held)[0])
+    report = linear_probe(emb, shuffled, np.where(~held)[0], np.where(held)[0],
+                          run_config.probe_epochs, run_config.probe_lr)
     lo, hi = binomial_99_interval(int(held.sum()), 1.0 / manifest.classes)
     assert report.overall * held.sum() <= hi + 8  # loose: shuffle is not iid
 
@@ -88,12 +91,14 @@ def test_probe_rejects_single_class():
     emb = np.random.default_rng(0).standard_normal((10, 4))
     with pytest.raises(UsageError):
         linear_probe(emb, np.zeros(10, dtype=int), np.arange(8),
-                     np.arange(8, 10))
+                     np.arange(8, 10), 200, 0.1)
 
 
-def test_probe_deterministic(dataset, manifest, audio_encoder):
-    a = probe_on_heldout_videos(dataset, manifest, audio_encoder[0])
-    b = probe_on_heldout_videos(dataset, manifest, audio_encoder[0])
+def test_probe_deterministic(dataset, manifest, audio_encoder, run_config):
+    a = probe_on_heldout_videos(dataset, manifest, audio_encoder[0],
+                                run_config)
+    b = probe_on_heldout_videos(dataset, manifest, audio_encoder[0],
+                                run_config)
     assert a.overall == b.overall
 
 

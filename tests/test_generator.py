@@ -201,9 +201,11 @@ def test_fit_reduces_mse_below_tenth(gen_fit):
 def test_fit_zero_epochs_returns_initialization(dataset, run_config):
     images = dataset.image
     seed = run_config.seed_for("generator")
-    fit0 = fit_generator_to_dataset(images, epochs=0, seed=seed)
+    fit0 = fit_generator_to_dataset(images, epochs=0, seed=seed,
+                                    latent_dim=run_config.latent_dim)
     rng = np.random.default_rng(seed)
-    expected = replace(init_generator(rng, 8, 32), bias=images.mean(axis=0))
+    expected = replace(init_generator(rng, 8, run_config.latent_dim),
+                       bias=images.mean(axis=0))
     for got, want in zip(fit0.params.layer_mods, expected.layer_mods):
         assert np.array_equal(got, want)
     assert np.array_equal(fit0.params.bias, expected.bias)
@@ -211,7 +213,7 @@ def test_fit_zero_epochs_returns_initialization(dataset, run_config):
 
 def test_fit_rejects_empty():
     with pytest.raises(UsageError):
-        fit_generator_to_dataset(np.empty((0, 64)), 1, seed=0)
+        fit_generator_to_dataset(np.empty((0, 64)), 1, seed=0, latent_dim=32)
 
 
 def test_fitted_latents_reconstruct_through_encoder(gen_fit, dataset, teacher):
@@ -229,4 +231,4 @@ def test_fitted_latent_scale_is_unit(gen_fit):
 
 def test_pixels_must_be_square():
     with pytest.raises(ParameterError):
-        fit_generator_to_dataset(np.ones((4, 60)), 1, seed=0)
+        fit_generator_to_dataset(np.ones((4, 60)), 1, seed=0, latent_dim=32)

@@ -192,9 +192,9 @@ def test_weak_kl_teacher_receives_no_gradient():
     # inputs changes the value, so they are targets, not trained inputs
     rng = np.random.default_rng(5)
     a, v, t = (_unit_rows(rng, 3, 6) for _ in range(3))
-    value, (g_a,) = weak_kl(a, v, t, 0.2)
+    value, (g_a,) = weak_kl(a, v, t, 0.2, False)
     assert g_a.shape == a.shape and np.any(g_a != 0.0)
-    assert weak_kl(a, v, t[::-1], 0.2)[0] != value
+    assert weak_kl(a, v, t[::-1], 0.2, False)[0] != value
 
 
 def test_weak_kl_full_rows_variant_nonnegative_and_zero_at_match():
@@ -278,4 +278,4 @@ def test_loss_degenerate_inputs_keep_their_errors():
     with pytest.raises(ParameterError):
         info_nce(E2, E2, 0.0)
     with pytest.raises(UsageError):
-        weak_kl(E2, E2, np.eye(3)[:2], 0.3)
+        weak_kl(E2, E2, np.eye(3)[:2], 0.3, False)
