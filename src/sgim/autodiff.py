@@ -94,13 +94,6 @@ def scale(a: Node, c: float) -> Node:
     return Node(a.value * c, "scale", (a,), lambda g: (g * c,))
 
 
-def log(a: Node) -> Node:
-    if np.any(a.value <= 0.0):
-        raise DegenerateInputError("log requires strictly positive input")
-    av = a.value
-    return Node(np.log(av), "log", (a,), lambda g: (g / av,))
-
-
 def tanh(a: Node) -> Node:
     out = np.tanh(a.value)
     return Node(out, "tanh", (a,), lambda g: (g * (1.0 - out * out),))

@@ -146,7 +146,7 @@ def config_to_text(config: RunConfig) -> str:
 
 def config_from_text(text: str, base: RunConfig | None = None) -> RunConfig:
     return kvtext.update_from_text(base if base is not None else RunConfig(),
-                                   text, "config")
+                                   text, "config", complete=False)
 
 
 def load_config(path, overrides: list[str] | None = None) -> RunConfig:

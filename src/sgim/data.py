@@ -350,7 +350,10 @@ def manifest_to_text(m: DatasetManifest) -> str:
 
 
 def manifest_from_text(text: str, source: str = "manifest") -> DatasetManifest:
-    return kvtext.update_from_text(DatasetManifest(), text, source)
+    """The manifest that ``text`` writes out in full; a missing key is an
+    error, never a default."""
+    return kvtext.update_from_text(DatasetManifest(), text, source,
+                                   complete=True)
 
 
 def save_dataset(dirpath, manifest: DatasetManifest, ds: Dataset) -> None:

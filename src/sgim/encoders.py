@@ -256,7 +256,8 @@ def teacher_step(text_p: EncoderParams, image_p: EncoderParams,
     t, t_vjp = encode_vjp(text_p, bags)
     v, v_vjp = encode_vjp(image_p, images)
     loss, g_t, g_v = info_nce(t, v, tau)
-    return loss, _param_grads([(t_vjp, g_t)]), _param_grads([(v_vjp, g_v)])
+    return (loss, _param_grads([(t_vjp, (g_t,))]),
+            _param_grads([(v_vjp, (g_v,))]))
 
 
 def pretrain_teacher(ds: Dataset, config: RunConfig,
@@ -325,18 +326,18 @@ def audio_step(params: EncoderParams, x: np.ndarray, x_aug: np.ndarray,
     if config.use_loss_kl and weak is not None:
         a_weak, weak_vjp = encode_vjp(params, weak[0])
         kl, g_weak = weak_kl(a_weak, weak[1], weak[2], tau, config.kl_full_rows)
-        paths.append((weak_vjp, g_weak))
+        paths.append((weak_vjp, (g_weak,)))
     if config.use_loss_self:
         a_aug, aug_vjp = encode_vjp(params, x_aug)
         l_self, g_self, g_aug = info_nce(a, a_aug, tau)
-        paths.append((aug_vjp, g_aug))
-        g_a += g_self
+        paths.append((aug_vjp, (g_aug,)))
+        g_a += (g_self,)
     if config.use_loss_av:
         l_av, g_av, _ = info_nce(a, v, tau)
-        g_a += g_av
+        g_a += (g_av,)
     if config.use_loss_at:
         l_at, g_at, _ = info_nce(a, t, tau)
-        g_a += g_at
+        g_a += (g_at,)
     if g_a:
         paths.append((a_vjp, g_a))
     return (LossBreakdown(l_at, l_av, l_self, kl, l_at + l_av + l_self + kl),

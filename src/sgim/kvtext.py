@@ -70,10 +70,13 @@ def set_key(obj, key: str, text: str) -> None:
     setattr(obj, key, _parse_value(defaults[key], key, text))
 
 
-def update_from_text(obj, text: str, source: str):
-    """Apply every line of ``text`` to ``obj`` and return it; one ConfigError
-    names ``source`` and every malformed or unknown key."""
+def update_from_text(obj, text: str, source: str, complete: bool):
+    """Apply every line of ``text`` to ``obj`` and return it; with
+    ``complete``, ``text`` must set every field. One ConfigError names
+    ``source`` and every malformed or unknown key, or else every missing
+    one."""
     bad: list[str] = []
+    seen: set[str] = set()
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -86,7 +89,11 @@ def update_from_text(obj, text: str, source: str):
             set_key(obj, key.strip(), value)
         except ConfigError:
             bad.append(key.strip())
+        seen.add(key.strip())
     if bad:
         raise ConfigError(f"{source}: invalid entries: "
                           f"{', '.join(sorted(set(bad)))}")
+    missing = [f.name for f in fields(obj) if f.name not in seen]
+    if complete and missing:
+        raise ConfigError(f"{source}: missing entries: {', '.join(missing)}")
     return obj

@@ -1,9 +1,5 @@
 """The four training losses, each a numpy function that returns the term's
-value and the gradients of its inputs.
-
-All matrices are temperature-scaled row softmaxes of cosine scores between
-unit-norm embeddings: entry (i, j) = exp(r_i . c_j / tau) / sum_k exp(r_i . c_k / tau).
-The four components:
+value and the gradients of its inputs:
 
   nce_at   symmetric InfoNCE over audio/text pairs
   nce_av   symmetric InfoNCE over audio/image pairs from the same video
@@ -11,14 +7,11 @@ The four components:
   kl_weak  diagonal cross-entropy pulling the audio-to-resampled-image
            similarity toward the frozen teacher's text-to-image similarity
 
-The weak term implements the literal diagonal form -p_ii * log q_ii; a full
-row-wise KL variant is available behind a flag for experiments.
-
-Forward and backward repeat the numpy expressions of the autodiff graph
-kept as the oracle in tests/graph_reference.py, so values and gradients
-match it bit for bit. A gradient comes as the tuple of its parts in the
-order the graph's backward pass adds them: ``sum(parts, 0.0)`` adds them
-the same way, onto zeros.
+Each is a cross-entropy on one logits matrix z = r @ c.T / tau, taken by
+log-sum-exp (log softmax(z)_ij = z_ij - lse_i), so no softmax entry is
+logged and a value is finite wherever the maths is. Values and gradients
+repeat the numpy expressions of the graph oracle in
+tests/graph_reference.py, so they match it bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterError, UsageError
+from .errors import ParameterError, UsageError
 
 
 @dataclass(frozen=True)
@@ -39,13 +32,14 @@ class LossBreakdown:
     total: float
 
 
-def _check_pair(a: np.ndarray, b: np.ndarray, min_n: int = 2) -> int:
+def _check(a: np.ndarray, b: np.ndarray, tau: float, min_n: int = 2) -> int:
     if a.ndim != 2 or b.ndim != 2 or a.shape != b.shape:
         raise UsageError(f"embedding sets must share shape, got {a.shape} {b.shape}")
-    n = a.shape[0]
-    if n < min_n:
-        raise UsageError(f"need at least {min_n} pairs, got {n}")
-    return n
+    if len(a) < min_n:
+        raise UsageError(f"need at least {min_n} pairs, got {len(a)}")
+    if tau <= 0.0:
+        raise ParameterError(f"temperature must be positive, got {tau}")
+    return len(a)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -54,57 +48,62 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def log_sum_exp(z: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """log sum exp(z) along ``axis``, kept as a length-1 axis, and the
+    softmax along it, both max-subtracted."""
+    m = z.max(axis=axis, keepdims=True)
+    e = np.exp(z - m)
+    s = e.sum(axis=axis, keepdims=True)
+    return m + np.log(s), e / s
+
+
 def similarity(rows: np.ndarray, cols: np.ndarray, tau: float) -> np.ndarray:
-    """The (n, n) row softmax of rows @ cols.T / tau."""
-    _check_pair(rows, cols, min_n=1)
-    if tau <= 0.0:
-        raise ParameterError(f"temperature must be positive, got {tau}")
-    return softmax((rows @ np.ascontiguousarray(cols.T)) / tau)
-
-
-def _cross_entropy(rows: np.ndarray, cols: np.ndarray, target: np.ndarray,
-                   tau: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """-(1/n) sum_ij target_ij log M_ij for M = similarity(rows, cols), and
-    its gradients to rows and to cols."""
-    m = similarity(rows, cols, tau)
-    if np.any(m <= 0.0):
-        raise DegenerateInputError("log requires strictly positive input")
-    c = -1.0 / rows.shape[0]
-    value = (np.log(m) * target).sum() * c
-    g_m = c * target / m
-    dot = (g_m * m).sum(axis=1, keepdims=True)
-    # each "0.0 +" is the graph's accumulation onto zeros, which turns an
-    # underflowed -0.0 into +0.0
-    g_s = 0.0 + m * (g_m - dot) / tau
-    return (float(value), g_s @ np.ascontiguousarray(cols.T).T,
-            np.ascontiguousarray((0.0 + rows.T @ g_s).T))
+    """The (n, n) row softmax of rows @ cols.T / tau, as ``weak_kl`` takes
+    its teacher target."""
+    _check(rows, cols, tau, min_n=1)
+    return softmax((rows @ np.ascontiguousarray(cols.T)) * (1.0 / tau))
 
 
 def info_nce(a: np.ndarray, b: np.ndarray, tau: float,
-             ) -> tuple[float, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """(1/N) sum_i [-log M_ab[i,i] - log M_ba[i,i]], and the gradient parts
-    for a and for b, the b-to-a direction's first."""
-    n = _check_pair(a, b)
-    l_ab, g_a1, g_b1 = _cross_entropy(a, b, np.eye(n), tau)
-    l_ba, g_b2, g_a2 = _cross_entropy(b, a, np.eye(n), tau)
-    return l_ab + l_ba, (g_a2, g_a1), (g_b2, g_b1)
+             ) -> tuple[float, np.ndarray, np.ndarray]:
+    """(1/N) sum_i [-log M_ab[i,i] - log M_ba[i,i]], as (sum lse_row + sum
+    lse_col - 2 tr z) / N, and its gradients to a and to b, by the gradient
+    (P_row + P_col - 2I) / N to z, P_row and P_col z's two softmaxes."""
+    n = _check(a, b, tau)
+    inv, c = 1.0 / tau, 1.0 / n
+    b_t = np.ascontiguousarray(b.T)
+    z = (a @ b_t) * inv
+    lse_r, p_r = log_sum_exp(z, 1)
+    lse_c, p_c = log_sum_exp(z, 0)
+    value = ((lse_r.sum() + lse_c.sum()) - np.trace(z) * 2.0) * c
+    g = p_c * c
+    g.flat[::n + 1] -= 2.0 * c
+    g += p_r * c
+    g *= inv
+    return float(value), g @ b_t.T, np.ascontiguousarray((a.T @ g).T)
 
 
 def weak_kl(a: np.ndarray, v_weak: np.ndarray, t: np.ndarray,
-            tau: float, full_rows: bool) -> tuple[float, tuple[np.ndarray]]:
-    """Distillation toward the teacher's text-to-weak-image similarity, and
-    the gradient parts for ``a``.
-
-    ``t`` and ``v_weak`` come from the frozen teacher and get no gradient.
-    Without ``full_rows`` it is the diagonal form (1/N) sum_i -M_tv[i,i] *
-    log M_av[i,i]; with it, the row-wise KL(teacher row || student row).
-    """
-    n = _check_pair(a, v_weak)
+            tau: float, full_rows: bool) -> tuple[float, np.ndarray]:
+    """(1/N) sum_i -Q[i,i] log M[i,i], or with ``full_rows`` the row-wise
+    KL(Q || M), whose gradient to z is (M - Q) / N, for the frozen teacher's
+    similarity Q of ``t`` to ``v_weak`` (neither gets a gradient) and the
+    student's M of ``a`` to ``v_weak``; and its gradient to ``a``."""
+    n = _check(a, v_weak, tau)
     if np.shape(t) != a.shape:
         raise UsageError("teacher text embeddings must match shape")
-    m_tv = similarity(np.asarray(t), v_weak, tau)
-    target = m_tv if full_rows else np.diag(np.diag(m_tv))
-    value, g_a, _ = _cross_entropy(a, v_weak, target, tau)
-    if full_rows:  # sum_ij p_ij (log p_ij - log q_ij) / N
-        value = value + float((m_tv * np.log(m_tv)).sum()) / n
-    return value, (g_a,)
+    inv, c = 1.0 / tau, 1.0 / n
+    v_t = np.ascontiguousarray(v_weak.T)
+    z_t = (np.asarray(t) @ v_t) * inv
+    lse_t, q = log_sum_exp(z_t, 1)
+    z = (a @ v_t) * inv
+    lse, p = log_sum_exp(z, 1)
+    if full_rows:  # sum_ij q_ij ((z_t - lse_t)_ij - (z - lse)_ij) / N
+        value = (lse.sum() - (q * z).sum()) * c + (q * (z_t - lse_t)).sum() * c
+        g = p * c - q * c
+    else:
+        q_ii = np.diagonal(q)[:, None]
+        value = (q_ii * (np.diagonal(z)[:, None] - lse)).sum() * -c
+        g = q_ii * c * p
+        g.flat[::n + 1] -= np.diagonal(q) * c
+    return float(value), (g * inv) @ v_t.T

@@ -8,7 +8,10 @@ forward and backward passes in `sgim.encoders`, `sgim.losses` and
 `graph_teacher_step` / `graph_audio_step` one training step each, built
 from them with one `autodiff.backward`; they take the arguments of
 `encoders.teacher_step` / `encoders.audio_step` and must return the same
-values and gradients bit for bit.
+values and gradients bit for bit. The loss graphs take cross-entropies on
+a logits node (`logits_node`) through two ops this module adds to
+`sgim.autodiff`'s: `log_sum_exp_node` along either axis and
+`diagonal_node`.
 
 `synthesize_node` builds the generator from `sgim.autodiff` ops.
 `objective_node` builds the manipulation objective of a stack of latents
@@ -75,39 +78,67 @@ def encode_nodes(pnodes: dict[str, ad.Node], x: ad.Node) -> ad.Node:
     return ad.l2_normalize_rows(z)
 
 
-def similarity_matrix_node(rows: ad.Node, cols: ad.Node, tau: float) -> ad.Node:
-    return ad.row_softmax(ad.matmul(rows, ad.transpose(cols)), tau)
+def _log_sum_exp_parts(z: np.ndarray, axis: int) -> tuple:
+    m = z.max(axis=axis, keepdims=True)
+    e = np.exp(z - m)
+    s = e.sum(axis=axis, keepdims=True)
+    return m + np.log(s), e / s
 
 
-def _neg_mean_log_diag(m: ad.Node) -> ad.Node:
-    n = m.value.shape[0]
-    mask = ad.constant(np.eye(n))
-    return ad.scale(ad.sum_all(ad.mul_elementwise(ad.log(m), mask)), -1.0 / n)
+def log_sum_exp_node(z: ad.Node, axis: int) -> ad.Node:
+    """log sum exp(z) along ``axis``, kept as a length-1 axis; its vjp
+    scales the softmax along ``axis`` by the incoming gradient."""
+    value, p = _log_sum_exp_parts(z.value, axis)
+    return ad.Node(value, "log_sum_exp", (z,), lambda g: (g * p,))
+
+
+def diagonal_node(z: ad.Node) -> ad.Node:
+    """The diagonal of a square z as an (n, 1) column."""
+    n = z.value.shape[0]
+
+    def vjp(g):
+        full = np.zeros_like(z.value)
+        full[np.arange(n), np.arange(n)] = g[:, 0]
+        return (full,)
+
+    return ad.Node(np.diagonal(z.value)[:, None], "diagonal", (z,), vjp)
+
+
+def logits_node(rows: ad.Node, cols: ad.Node, tau: float) -> ad.Node:
+    """rows @ cols.T / tau, as a product by 1 / tau."""
+    return ad.scale(ad.matmul(rows, ad.transpose(cols)), 1.0 / tau)
 
 
 def info_nce_pair_node(a: ad.Node, b: ad.Node, tau: float) -> ad.Node:
-    """(1/N) sum_i [-log M_ab[i,i] - log M_ba[i,i]]."""
-    loss_ab = _neg_mean_log_diag(similarity_matrix_node(a, b, tau))
-    loss_ba = _neg_mean_log_diag(similarity_matrix_node(b, a, tau))
-    return ad.add(loss_ab, loss_ba)
+    """(1/N) [sum_i lse_row_i(z) + sum_j lse_col_j(z) - 2 tr z] for
+    z = a @ b.T / tau: (1/N) sum_i [-log M_ab[i,i] - log M_ba[i,i]]."""
+    z = logits_node(a, b, tau)
+    lse = ad.add(ad.sum_all(log_sum_exp_node(z, 1)),
+                 ad.sum_all(log_sum_exp_node(z, 0)))
+    trace = ad.scale(ad.sum_all(diagonal_node(z)), 2.0)
+    return ad.scale(ad.sub(lse, trace), 1.0 / z.value.shape[0])
 
 
 def weak_kl_loss_node(a: ad.Node, v_weak: ad.Node, t: np.ndarray, tau: float,
                       full_rows: bool = False) -> ad.Node:
-    """Diagonal form (1/N) sum_i -M_tv[i,i] * log M_av[i,i], or with
-    ``full_rows`` the row-wise KL(teacher row || student row); ``t`` is
-    plain data."""
+    """Diagonal form -(1/N) sum_i Q[i,i] (z_ii - lse_i) for the student's
+    logits z = a @ v_weak.T / tau and the teacher's row softmax Q, or with
+    ``full_rows`` the row-wise KL(teacher row || student row),
+    (1/N) [sum_i lse_i - sum_ij Q_ij z_ij] plus the teacher's negative
+    entropy from its log-softmax; ``t`` is plain data."""
     n = a.value.shape[0]
-    m_tv = similarity_matrix_node(ad.constant(t), v_weak, tau).value
-    m_av = similarity_matrix_node(a, v_weak, tau)
+    z_t = logits_node(ad.constant(t), v_weak, tau).value
+    lse_t, q = _log_sum_exp_parts(z_t, 1)
+    z = logits_node(a, v_weak, tau)
+    lse = log_sum_exp_node(z, 1)
     if full_rows:
-        entropy = float((m_tv * np.log(m_tv)).sum()) / n
-        cross = ad.scale(ad.sum_all(ad.mul_elementwise(
-            ad.constant(m_tv), ad.log(m_av))), -1.0 / n)
-        return ad.add(cross, ad.constant(entropy))
-    target_diag = np.diag(np.diag(m_tv))
+        cross = ad.sub(ad.sum_all(lse),
+                       ad.sum_all(ad.mul_elementwise(ad.constant(q), z)))
+        entropy = (q * (z_t - lse_t)).sum() * (1.0 / n)
+        return ad.add(ad.scale(cross, 1.0 / n), ad.constant(entropy))
+    log_m = ad.sub(diagonal_node(z), lse)
     return ad.scale(ad.sum_all(ad.mul_elementwise(
-        ad.constant(target_diag), ad.log(m_av))), -1.0 / n)
+        ad.constant(np.diagonal(q)[:, None]), log_m)), -1.0 / n)
 
 
 def total_loss_node(a: ad.Node, a_aug: ad.Node, t: np.ndarray, v: np.ndarray,

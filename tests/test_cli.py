@@ -273,6 +273,20 @@ def test_corrupt_artifact_validation_error(name, pipeline_dir, tmp_path,
     assert "\n" not in err.strip()
 
 
+def test_manifest_missing_key_validation_error(tmp_path, capsys):
+    # the data was generated with intensity_min=0.5; without its line the
+    # manifest must not load with the built-in 0.2
+    run = tmp_path / "run"
+    assert run_cli("--set", "intensity_min=0.5", "gen-data", "--run", run) == 0
+    path = run / "dataset" / "manifest.txt"
+    path.write_text(path.read_text().replace("intensity_min=0.5\n", ""))
+    capsys.readouterr()
+    assert run_cli(*FAST, "pretrain-teacher", "--run", run) == 2
+    assert capsys.readouterr().err == (
+        f"error: validation: {path}: missing entries: intensity_min\n")
+    assert not (run / "teacher.ckpt").exists()
+
+
 def test_bad_index_validation_error(pipeline_dir, capsys):
     code = run_cli(*FAST, "manipulate", "--run", pipeline_dir,
                    "--source-index", 10_000, "--audio-index", 0)

@@ -286,6 +286,16 @@ def test_malformed_value_names_its_key(label, parse, key, kind):
     assert str(err.value) == f"{label}: invalid entries: {key}"
 
 
+@pytest.mark.parametrize("key", [f.name for f in fields(DatasetManifest)])
+def test_manifest_missing_key_is_an_error(key):
+    text = manifest_to_text(RunConfig().dataset_manifest())
+    lines = [line for line in text.splitlines(keepends=True)
+             if not line.startswith(f"{key}=")]
+    with pytest.raises(ConfigError) as err:
+        manifest_from_text("".join(lines))
+    assert str(err.value) == f"manifest: missing entries: {key}"
+
+
 def test_default_manifest_text_pinned():
     assert manifest_to_text(RunConfig().dataset_manifest()) == (
         "classes=8\nvideos_per_class=6\nrecords_per_video=8\nfreq_bins=20\n"
