@@ -11,11 +11,11 @@ import copy
 import hashlib
 import math
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 from . import kvtext
 from .data import DatasetManifest
 from .errors import ConfigError, ParameterError
+from .files import read_text
 
 # fixed per-stage offsets applied to the master seed
 SEED_OFFSETS = {
@@ -153,7 +153,7 @@ def load_config(path, overrides: list[str] | None = None) -> RunConfig:
     """Config file then key=value overrides; unknown keys fail loudly."""
     config = RunConfig()
     if path is not None:
-        config = config_from_text(Path(path).read_text(encoding="utf-8"), config)
+        config = config_from_text(read_text(path), config)
     for item in overrides or []:
         key, sep, value = item.partition("=")
         if not sep:

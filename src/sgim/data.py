@@ -31,7 +31,7 @@ from . import kvtext
 from .augment import CLASS_LABEL_WORDS, TOKEN_ID, VOCAB_SIZE, spec_augment
 from .basis import band_of_rows, cosine_basis, image_side
 from .errors import DegenerateInputError, ParameterError, UsageError
-from .files import write_atomic
+from .files import read_text, write_atomic
 
 log = logging.getLogger(__name__)
 
@@ -371,7 +371,7 @@ def load_dataset(dirpath) -> tuple[DatasetManifest, Dataset]:
     """Read a dataset directory, checking its columns against the manifest."""
     d = Path(dirpath)
     path = d / "manifest.txt"
-    m = manifest_from_text(path.read_text(encoding="utf-8"), str(path))
+    m = manifest_from_text(read_text(path), str(path))
     try:
         m.validate()
     except ParameterError as exc:

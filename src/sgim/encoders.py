@@ -29,7 +29,7 @@ import math
 import os
 import pickle
 import signal
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -333,10 +333,10 @@ def audio_step(params: EncoderParams, x: np.ndarray, x_aug: np.ndarray,
         paths.append((aug_vjp, (g_aug,)))
         g_a += (g_self,)
     if config.use_loss_av:
-        l_av, g_av, _ = info_nce(a, v, tau)
+        l_av, g_av, _ = info_nce(a, v, tau, grad_b=False)
         g_a += (g_av,)
     if config.use_loss_at:
-        l_at, g_at, _ = info_nce(a, t, tau)
+        l_at, g_at, _ = info_nce(a, t, tau, grad_b=False)
         g_a += (g_at,)
     if g_a:
         paths.append((a_vjp, g_a))
@@ -409,7 +409,7 @@ def train_audio_encoder(ds: Dataset, teacher: TeacherParams,
         br, grads = audio_step(audio_p, ds.audio[rows].reshape(len(rows), -1),
                                audio_aug.reshape(len(rows), -1), t,
                                v_all[rows], weak, config)
-        return astuple(br), (grads,)
+        return br, (grads,)
 
     log = _descend("train-audio", config, config.audio_lr, config.audio_epochs,
                    [audio_p], len(ds), draw, learn)

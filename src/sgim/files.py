@@ -1,9 +1,12 @@
-"""Atomic writes for every artifact the pipeline leaves."""
+"""Atomic writes for every artifact the pipeline leaves, and the checked
+read of its text artifacts."""
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
+
+from .errors import UsageError
 
 
 def write_atomic(path, data: bytes | str) -> None:
@@ -23,3 +26,13 @@ def write_atomic(path, data: bytes | str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_text(path) -> str:
+    """The utf-8 text of ``path``; bytes that are not utf-8 raise
+    ``UsageError`` naming the file."""
+    path = Path(path)
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not utf-8 text: {exc}") from None

@@ -9,10 +9,16 @@ tests/test_autodiff.py.
 
 Each check evaluates the analytic gradient against central differences at
 10 seeded points and reports the worst relative error. The gate is 1e-4.
+A point's central differences come from one call on the stack of its 2m
+perturbed copies (``max_rel_error``); a manipulation check runs the stack
+through one bound step, each of whose rows equals its one-row value byte
+for byte (the product rule, see ``generator.synthesize``), so the report
+is the one-coordinate-at-a-time oracle's of tests/graph_reference.py.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -46,47 +52,51 @@ def _sample(rng: np.random.Generator, shape, domain: str) -> np.ndarray:
     return x
 
 
-def max_rel_error(analytic: np.ndarray, f: Callable[[np.ndarray], float], x,
+def max_rel_error(analytic: np.ndarray,
+                  values: Callable[[np.ndarray], np.ndarray], x,
                   eps: float = 1e-5) -> float:
-    """Max relative error of ``analytic`` against the central differences of
-    the scalar function ``f`` at ``x``.
+    """Max relative error of ``analytic`` against the central differences
+    at ``x`` of a scalar function, which ``values`` evaluates over a stack
+    of points: for the m coordinates of ``x``, one call on the (2m,
+    *x.shape) stack of copies of ``x`` with coordinate i raised by eps (row
+    i) and lowered by eps (row m + i) returns their 2m values.
 
     Relative error per coordinate is |analytic - central| / (|central| + 1e-8).
     """
     x = np.asarray(x, dtype=np.float64)
-    numeric = np.zeros_like(x)
-    flat_num = numeric.reshape(-1)
-    flat = x.reshape(-1)
-    for i in range(flat.size):
-        xp = flat.copy()
-        xm = flat.copy()
-        xp[i] += eps
-        xm[i] -= eps
-        fp = f(xp.reshape(x.shape))
-        fm = f(xm.reshape(x.shape))
-        flat_num[i] = (fp - fm) / (2.0 * eps)
+    m = x.size
+    points = np.tile(x.reshape(-1), (2, m, 1))
+    i = np.arange(m)
+    points[0, i, i] += eps
+    points[1, i, i] -= eps
+    fx = np.asarray(values(points.reshape(2 * m, *x.shape)), dtype=np.float64)
+    numeric = ((fx[:m] - fx[m:]) / (2.0 * eps)).reshape(x.shape)
     rel = np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8)
-    return float(rel.max()) if rel.size else 0.0
+    return float(rel.max())
 
 
-def _fd(f: Callable, grad_index: int = 1) -> Callable:
-    """x -> error of output ``grad_index`` of ``f(x)``, a gradient, against
-    central differences of output 0, the value."""
-    return lambda x: max_rel_error(f(x)[grad_index], lambda y: f(y)[0], x)
+def _mapped(f: Callable, grad_index: int = 1) -> Callable:
+    """x -> (output ``grad_index`` of ``f(x)``, the analytic gradient, and
+    the evaluator that maps output 0 of ``f``, the value, over a stack)."""
+    return lambda x: (f(x)[grad_index], lambda xs: [f(y)[0] for y in xs])
 
 
 def _loss_checks(rng: np.random.Generator) -> list[tuple[str, Callable, tuple, str]]:
     t, v, vw, aug = (_sample(rng, (4, 8), "unit_rows") for _ in range(4))
     tau = 0.3
+
+    def nce(b):
+        return lambda a: info_nce(a, b, tau, grad_b=False)[:2]
+
     terms = {  # name -> x -> (value, gradient to x)
-        "info_nce_audio_text": lambda a: info_nce(a, t, tau)[:2],
-        "info_nce_audio_visual": lambda a: info_nce(a, v, tau)[:2],
-        "self_supervised": lambda a: info_nce(a, aug, tau)[:2],
+        "info_nce_audio_text": nce(t),
+        "info_nce_audio_visual": nce(v),
+        "self_supervised": nce(aug),
         "self_supervised_augmented": lambda a_aug: info_nce(aug, a_aug, tau)[::2],
         "weak_kl": lambda a: weak_kl(a, vw, t, tau, False),
         "weak_kl_full_rows": lambda a: weak_kl(a, vw, t, tau, True),
     }
-    return [(name, _fd(f), (4, 8), "unit_rows") for name, f in terms.items()]
+    return [(name, _mapped(f), (4, 8), "unit_rows") for name, f in terms.items()]
 
 
 def _encoder_checks(rng: np.random.Generator) -> list[tuple[str, Callable, tuple, str]]:
@@ -101,7 +111,7 @@ def _encoder_checks(rng: np.random.Generator) -> list[tuple[str, Callable, tuple
             return float((y * probe).sum()), vjp(probe)[key]
         return f
 
-    return [(f"encoder_{k}", _fd(wrt(k)), getattr(params, k).shape, "")
+    return [(f"encoder_{k}", _mapped(wrt(k)), getattr(params, k).shape, "")
             for k in PARAM_KEYS]
 
 
@@ -123,23 +133,41 @@ def _manipulation_checks(rng: np.random.Generator,
     targets = np.stack([target, target[::-1]])
     gates = np.stack([gate, gate[::-1]])
 
-    def objective(rows):
-        # one step bound per row selection, reused by every evaluation; the
-        # rows are independent, so the sum's gradient is each row's
-        step = bind_step(sources[rows], targets[rows], config, models)
+    def check(rows: slice, grad_index: int, at: Callable) -> Callable:
+        """The check of output ``grad_index`` (4: latents, 5: gates) of the
+        step over sources[rows] and targets[rows], summed over those k
+        rows, at the latents and gates that ``at`` makes of a stack of n
+        points (n * k rows each). One step is bound per stack height."""
+        k = len(sources[rows])
 
-        def f(w, g):
-            total, _, _, _, grad_w, grad_g = step(
-                w.reshape(-1, *w_s.shape), g.reshape(-1, len(gate)))
-            return total.sum(), grad_w.reshape(w.shape), grad_g.reshape(g.shape)
-        return f
+        @functools.cache
+        def bound(copies: int):
+            return bind_step(np.tile(sources[rows], (copies, 1, 1)),
+                             np.tile(targets[rows], (copies, 1)), config,
+                             models)
 
-    one, both = objective(slice(0, 1)), objective(slice(None))
-    return [("manipulation_objective", _fd(lambda w: one(w, gate)),
+        def values(xs: np.ndarray) -> np.ndarray:
+            # each point's k rows summed as total.sum() sums them
+            return bound(len(xs))(*at(xs))[0].reshape(len(xs), k).sum(axis=1)
+
+        def at_point(x: np.ndarray) -> tuple:
+            # the analytic gradient from a two-row stack
+            xs = np.stack([x] * (2 // k))
+            grad = bound(len(xs))(*at(xs))[grad_index]
+            return grad[:k].reshape(x.shape), values
+        return at_point
+
+    return [("manipulation_objective",
+             check(slice(0, 1), 4,
+                   lambda ws: (ws, np.tile(gate, (len(ws), 1)))),
              (8, 32), ""),
-            ("manipulation_gate", _fd(lambda g: one(sources[1], g), 2),
+            ("manipulation_gate",
+             check(slice(0, 1), 5,
+                   lambda gs: (np.tile(sources[1], (len(gs), 1, 1)), gs)),
              (8,), ""),
-            ("manipulation_batch", _fd(lambda w: both(w, gates)),
+            ("manipulation_batch",
+             check(slice(None), 4, lambda ws: (ws.reshape(-1, *w_s.shape),
+                                               np.tile(gates, (len(ws), 1)))),
              (2, 8, 32), "")]
 
 
@@ -155,11 +183,11 @@ def run_gradient_checks(seed: int = 0) -> list[CheckResult]:
               + _manipulation_checks(rng))
     rng.standard_normal(18 * POINTS * 12)
     results = []
-    for name, error_at, shape, domain in checks:
+    for name, at, shape, domain in checks:
         worst = 0.0
         for _ in range(POINTS):
             x = _sample(rng, shape, domain)
-            worst = max(worst, error_at(x))
+            worst = max(worst, max_rel_error(*at(x), x))
         results.append(CheckResult(name, worst))
     return results
 

@@ -16,15 +16,14 @@ tests/graph_reference.py, so they match it bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError, UsageError
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
+class LossBreakdown(NamedTuple):
     nce_at: float
     nce_av: float
     self_aa: float
@@ -64,11 +63,12 @@ def similarity(rows: np.ndarray, cols: np.ndarray, tau: float) -> np.ndarray:
     return softmax((rows @ np.ascontiguousarray(cols.T)) * (1.0 / tau))
 
 
-def info_nce(a: np.ndarray, b: np.ndarray, tau: float,
-             ) -> tuple[float, np.ndarray, np.ndarray]:
+def info_nce(a: np.ndarray, b: np.ndarray, tau: float, grad_b: bool = True,
+             ) -> tuple[float, np.ndarray, np.ndarray | None]:
     """(1/N) sum_i [-log M_ab[i,i] - log M_ba[i,i]], as (sum lse_row + sum
-    lse_col - 2 tr z) / N, and its gradients to a and to b, by the gradient
-    (P_row + P_col - 2I) / N to z, P_row and P_col z's two softmaxes."""
+    lse_col - 2 tr z) / N, and its gradients to a and to b (None without
+    ``grad_b``, for a frozen b), by the gradient (P_row + P_col - 2I) / N to
+    z, P_row and P_col z's two softmaxes."""
     n = _check(a, b, tau)
     inv, c = 1.0 / tau, 1.0 / n
     b_t = np.ascontiguousarray(b.T)
@@ -80,6 +80,8 @@ def info_nce(a: np.ndarray, b: np.ndarray, tau: float,
     g.flat[::n + 1] -= 2.0 * c
     g += p_r * c
     g *= inv
+    if not grad_b:
+        return float(value), g @ b_t.T, None
     return float(value), g @ b_t.T, np.ascontiguousarray((a.T @ g).T)
 
 

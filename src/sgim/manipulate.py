@@ -28,8 +28,9 @@ Every array carries a leading batch axis, so one call optimizes B latents,
 each toward its own target. Every product follows the product rule of
 ``generator.synthesize``: a plain 2-D gemm of two or more rows whose right
 operand is C-contiguous (the backward's transposes are bound as copies).
-B = 1 runs as two copies of its row and keeps row 0, so row i of any
-batch equals its B = 1 run byte for byte.
+So ``bind_step`` takes two or more rows, and its callers run one latent
+as two copies of its row and keep row 0: row i of any batch equals its
+B = 1 run byte for byte.
 """
 
 from __future__ import annotations
@@ -107,21 +108,20 @@ def bind_step(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
 
     Returns ``step(w, g)``, which takes C-ordered float64 latents (B,
     layers, latent_dim) and gate logits (B, layers) and returns (total,
-    hinge, reg, identity), each (B,), then grad_w and grad_g. B = 1 runs as
-    two copies of its row.
+    hinge, reg, identity), each (B,), then grad_w and grad_g. B is at
+    least 2: under the product rule a single latent rounds as a row of a
+    stack only when the caller runs it as two copies of its row
+    (``generator.gemm_rows``), as ``optimize_guided`` does.
     The passes repeat the numpy expressions and vjps of the ops the oracle
     graph is made of, in the order ``autodiff.backward`` runs them, so
     values and gradients are bit-identical to the graph's. Products are
     spelled x.dot(m): the gemm of x @ m, with less call overhead.
     """
     w_s, targets = _c(w_s), _c(targets)
-    if len(w_s) == 1:
-        # the product rule: one row runs as two copies of itself
-        pair = bind_step(gemm_rows(w_s), gemm_rows(targets), config, models,
-                         reference and tuple(None if r is None else gemm_rows(r)
-                                             for r in reference))
-        return lambda w, g: tuple(out[:1] for out in pair(gemm_rows(w),
-                                                          gemm_rows(g)))
+    if len(w_s) < 2:
+        raise DimensionError(f"the step binds two or more rows (a single "
+                             f"latent runs as two copies of its row), got "
+                             f"{len(w_s)}")
     batch, layers = w_s.shape[0], w_s.shape[1]
     enc, gen = models.image, models.generator
     w1, b1 = _c(enc.w1), _c(enc.b1)
@@ -230,8 +230,8 @@ def optimize_guided(w_s: np.ndarray, targets: np.ndarray, config: RunConfig,
         raise DegenerateInputError("manipulation inputs contain NaN or Inf "
                                    f"in row {np.argmax(bad)}")
     batch, steps = len(w_s), config.manip_steps
-    # the product rule: B = 1 runs as two copies of its row, duplicated
-    # here once rather than by bind_step in every step
+    # the product rule: B = 1 runs as two copies of its row, since
+    # bind_step takes two or more
     w_s, targets = gemm_rows(w_s), gemm_rows(targets)
     w, g = w_s.copy(), np.zeros(w_s.shape[:2])
     objective = bind_step(w_s, targets, config, models)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sgim.config import RunConfig
 from sgim.data import generate_dataset, split_by_video
@@ -18,6 +19,13 @@ from sgim.generator import fit_generator_to_dataset
 from sgim.manipulate import ModelBundle, init_identity_extractor
 
 MASTER_SEED = 7
+
+# property tests draw the same examples on every run, as one seed repeats
+# every number of the pipeline; no example database carries one run's
+# failures into the next
+settings.register_profile("sgim", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("sgim")
 
 # canonical desk manipulation task: source image from class 2 (record 96),
 # audio guidance from class 3 (record 144); both classes are nuisance-free

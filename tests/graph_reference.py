@@ -20,12 +20,14 @@ encoders' first layer (`folded_first_layer`), plain 2-D products, and
 backward products by bound C-contiguous transposes (`_matmul_bound`).
 `graph_objective_and_grad` runs one graph and one `autodiff.backward`, and
 `graph_optimize_guided` the descent loop on it, with the source terms from
-its own graph; like the step, both run a one-row stack as two copies of
-its row. `objective_and_grad`, one step of `manipulate.bind_step`, must
-reproduce their values and gradients bit for bit.
+its own graph. `objective_and_grad`, one step of `manipulate.bind_step`,
+must reproduce their values and gradients bit for bit; like
+`optimize_guided`, all three run a one-row stack as two copies of its
+row.
 
-`finite_difference_check` scores a graph's gradient against central
-differences with gradcheck's metric.
+`max_rel_error_loop` is gradcheck's metric taken one coordinate at a
+time, the oracle of `gradcheck.max_rel_error`'s stacked evaluation, and
+`finite_difference_check` scores a graph's gradient with it.
 
 The float helpers at the end (`hinge_loss`, `hinge_from_distances`,
 `masked_regularization`, `identity_features`, `identity_loss`,
@@ -44,10 +46,32 @@ from sgim.config import RunConfig
 from sgim.encoders import PARAM_KEYS, EncoderParams
 from sgim.errors import DimensionError, NumericsError, UsageError
 from sgim.generator import GeneratorParams, gemm_rows, synthesize
-from sgim.gradcheck import max_rel_error
 from sgim.losses import LossBreakdown, softmax
 from sgim.manipulate import (IdentityExtractor, ModelBundle, Trajectory,
                              bind_step)
+
+
+def max_rel_error_loop(analytic: np.ndarray, f: Callable[[np.ndarray], float],
+                       x, eps: float = 1e-5) -> float:
+    """`gradcheck.max_rel_error` of the scalar function ``f``, one
+    coordinate at a time: the oracle of its stacked evaluation.
+
+    Relative error per coordinate is |analytic - central| / (|central| + 1e-8).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    numeric = np.zeros_like(x)
+    flat_num = numeric.reshape(-1)
+    flat = x.reshape(-1)
+    for i in range(flat.size):
+        xp = flat.copy()
+        xm = flat.copy()
+        xp[i] += eps
+        xm[i] -= eps
+        fp = f(xp.reshape(x.shape))
+        fm = f(xm.reshape(x.shape))
+        flat_num[i] = (fp - fm) / (2.0 * eps)
+    rel = np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8)
+    return float(rel.max()) if rel.size else 0.0
 
 
 def finite_difference_check(f: Callable[[ad.Node], ad.Node], x,
@@ -60,7 +84,7 @@ def finite_difference_check(f: Callable[[ad.Node], ad.Node], x,
     x = ad.array(x)
     lf = ad.leaf(x)
     ad.backward(f(lf))
-    return max_rel_error(lf.grad, lambda y: f(ad.leaf(y)).value, x, eps)
+    return max_rel_error_loop(lf.grad, lambda y: f(ad.leaf(y)).value, x, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +387,20 @@ def objective_and_grad(w: np.ndarray, g: np.ndarray, w_s: np.ndarray,
     """One step of `manipulate.bind_step` at latents ``w`` (B, layers,
     latent_dim) and gate logits ``g`` (B, layers), bound with the given
     source terms: (total, hinge, reg, identity), each (B,), then grad_w and
-    grad_g."""
+    grad_g. Like `optimize_guided`, a B = 1 stack runs as two copies of its
+    row."""
     w = np.asarray(models.generator.check_latent(w), order="C")
     if w.shape != np.shape(w_s):
         raise DimensionError(f"latents {w.shape} do not pair with sources "
                              f"{np.shape(w_s)}")
+    batch = len(w)
+    w, g, w_s, targets, d_src = (
+        gemm_rows(np.asarray(a, dtype=np.float64, order="C"))
+        for a in (w, g, w_s, targets, d_src))
+    if source_identity is not None:
+        source_identity = gemm_rows(source_identity)
     step = bind_step(w_s, targets, config, models, (d_src, source_identity))
-    return step(w, np.asarray(g, dtype=np.float64, order="C"))
+    return tuple(out[:batch] for out in step(w, g))
 
 
 def graph_source_reference(w_s: np.ndarray, targets: np.ndarray,

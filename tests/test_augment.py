@@ -48,7 +48,7 @@ def test_spec_augment_rejects_ratio_one():
         spec_augment(np.ones((4, 4)), 0.1, 0.1, rng)   # one grid, not a stack
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.integers(0, 2**32 - 1), st.floats(0, 0.99), st.floats(0, 0.99))
 def test_spec_augment_pure_under_seed(seed, fr, tr):
     mels = np.random.default_rng(5).standard_normal((3, 12, 8))
@@ -116,7 +116,7 @@ def test_augment_text_empty_rejected():
         augment_text(TokenSeq((), _tiny_vocab()), {}, np.random.default_rng(0))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 2**32 - 1),
        st.lists(st.integers(0, 5), min_size=1, max_size=6))
 def test_augment_text_preserves_original_multiset(seed, ids):
@@ -167,7 +167,7 @@ def test_augment_bags_matches_token_sequence_reference(prob, dataset):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 2**32 - 1), st.floats(0, 1),
        st.lists(st.lists(st.integers(0, augment.VOCAB_SIZE - 1), min_size=3,
                          max_size=3), min_size=1, max_size=6))

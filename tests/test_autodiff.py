@@ -99,7 +99,7 @@ def test_row_softmax_rejects_bad_temperature():
         ad.row_softmax(ad.leaf([[1.0, 0.0]]), -1.0)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(st.lists(st.lists(st.floats(-50, 50), min_size=2, max_size=5),
                 min_size=1, max_size=4).filter(
                     lambda rows: len({len(r) for r in rows}) == 1),

@@ -207,6 +207,17 @@ def test_bad_override_validation_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_config_file_not_utf8_validation_error(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"classes=8\n\xfe\n")
+    capsys.readouterr()
+    assert run_cli("--config", path, "gen-data", "--run", tmp_path / "x") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: validation: {path}: not utf-8 text")
+    assert "\n" not in err.strip()
+    assert not (tmp_path / "x").exists()
+
+
 def _huge_first_shape(blob: bytes) -> bytes:
     """A checkpoint whose first array claims (2**31 - 1)**ndim floats."""
     blob = bytearray(blob)
@@ -249,6 +260,8 @@ CORRUPTIONS = {
     "teacher_ckpt_garbled": ("teacher.ckpt",
                              lambda b: b[:30] + b"\xff\xfe" + b[32:],
                              "teacher.ckpt"),
+    "manifest_not_utf8": ("dataset/manifest.txt", lambda b: b + b"\xff",
+                          "manifest.txt: not utf-8 text"),
     # row 0's nuisance id, past the 16-byte header and two int32 ids, set to
     # a pattern that bias_spec gives no class
     "ids_tmd_nuisance_99": ("dataset/ids.tmd",

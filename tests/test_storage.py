@@ -261,7 +261,7 @@ def _field_values(cls):
                                   for f in fields(cls)})
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(_field_values(RunConfig), _field_values(DatasetManifest))
 def test_every_field_survives_its_text_form(config_values, manifest_values):
     cfg = RunConfig(**config_values)
